@@ -98,7 +98,7 @@ async def run_load(
     seed: int = 7,
     skew: float = 1.1,
     data_fraction: float = 0.3,
-    window: int = 256,
+    window: int = 128,
     rate: Optional[float] = None,
     duration: Optional[float] = None,
     reply_timeout: float = 5.0,
@@ -107,7 +107,10 @@ async def run_load(
 
     ``window`` caps unacknowledged packets (ack = any reply, shed
     included -- the daemon answers everything, which is what makes a
-    fixed window deliver backpressure to the generator).  ``rate``
+    fixed window deliver backpressure to the generator).  The default
+    of 128 small datagrams fits the daemon socket's default receive
+    buffer; a window that overflows it loses packets in the kernel,
+    the one loss the daemon cannot account for.  ``rate``
     (pkts/s) paces sends; ``duration`` loops the packet sequence until
     the deadline instead of stopping after ``packets``.
     """
@@ -147,8 +150,9 @@ async def run_load(
             sent += 1
             index += 1
         # Wait for the tail of replies (shed replies come back too, so
-        # expected == sent unless datagrams were lost on the wire --
-        # loopback never loses them in practice).
+        # expected == sent unless the kernel dropped datagrams at a
+        # full socket buffer).
+        sent_at = time.monotonic()
         protocol.expected = sent
         if protocol.replies < sent:
             try:
@@ -159,15 +163,21 @@ async def run_load(
                 pass
     finally:
         transport.close()
-    elapsed = time.monotonic() - started
+    finished = time.monotonic()
+    send_seconds = sent_at - started
     return {
         "sent": sent,
         "replies": protocol.replies,
         "missing": sent - protocol.replies,
         "statuses": dict(sorted(protocol.statuses.items())),
         "decode_errors": protocol.decode_errors,
-        "elapsed_seconds": elapsed,
-        "pkts_per_second": sent / elapsed if elapsed > 0 else 0.0,
+        # The rate is over the send interval only: the wait for the
+        # tail (up to reply_timeout when a datagram was lost) is not
+        # time the daemon spent serving.
+        "elapsed_seconds": finished - started,
+        "send_seconds": send_seconds,
+        "tail_wait_seconds": finished - sent_at,
+        "pkts_per_second": sent / send_seconds if send_seconds > 0 else 0.0,
     }
 
 
@@ -185,7 +195,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--skew", type=float, default=1.1)
     parser.add_argument("--data-fraction", type=float, default=0.3)
-    parser.add_argument("--window", type=int, default=256)
+    parser.add_argument("--window", type=int, default=128)
     parser.add_argument("--rate", type=float, default=None)
     parser.add_argument("--duration", type=float, default=None)
     args = parser.parse_args(argv)

@@ -10,12 +10,14 @@ same code is driven three ways:
   framing/batching path preserves Algorithm 1 decisions);
 - by unit tests, which can step ``submit``/``flush`` deterministically.
 
-Threading contract: ``submit`` is called from the event-loop thread,
-``flush``/``reconfigure``/``snapshot_metrics`` from the daemon's
-single-worker executor thread (one thread, so engine runs and
-reconfigs serialize and in-flight batches drain on the old generation
-before a swap applies).  The shared ingress queue and counters are the
-only cross-thread state and sit behind one lock.
+Threading contract: the daemon calls everything here -- ``submit_many``,
+``flush``, ``reconfigure``, ``summary``, ``snapshot_metrics`` -- from
+its one event-loop thread, so engine runs, reconfigs and scrapes
+serialize by construction and a batch in flight has always drained on
+the old generation before a swap applies.  The ingress queue and the
+counters still sit behind one lock (taken once per burst and a few times per
+flush, never per packet), so a driver that does submit from a second
+thread stays safe; the engine itself must only ever be driven from one.
 
 Conservation (DESIGN.md 3.11, extending PR 4's law): every datagram
 ever submitted is *offered*; it is then exactly one of processed /
@@ -33,7 +35,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import replace
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.operations.base import Decision
 from repro.core.registry import RegistryMutation
@@ -45,7 +47,7 @@ from repro.engine import (
 )
 from repro.serve.config import ServeConfig
 from repro.serve.state import serve_content_state_factory
-from repro.telemetry.metrics import MetricsSnapshot, nearest_rank
+from repro.telemetry.metrics import Histogram, MetricsSnapshot, nearest_rank
 
 # Reply wire format: 1 status byte, 1 port-count byte, 2 bytes per
 # port (big endian), then the rewritten packet bytes (FORWARD) or the
@@ -80,6 +82,11 @@ REFUSAL_REPLIES = {
     "rate-limited": RATE_LIMITED_REPLY,
     "quarantined": QUARANTINED_REPLY,
 }
+
+#: Why a flush ran: ``batch_max`` were pending, ``batch_timeout_ms``
+#: passed since the first pending arrival, or the caller is emptying
+#: the queue (shutdown, the conformance executor, tests).
+FLUSH_TRIGGERS = ("size", "timeout", "drain")
 
 # Batch-latency history kept for the p99 the BENCH ledger reports;
 # bounded so a week-long daemon cannot grow it (the cap is logged in
@@ -168,9 +175,8 @@ class ServeCore:
         # The mitigation gate (DESIGN.md 3.14) sits in front of the
         # ingress queue: refused datagrams never take a queue slot, so
         # a flood cannot crowd legit arrivals out of max_inflight.
-        # Gate state is guarded by self._lock (submit runs on the
-        # event-loop thread); breaker transitions are actuated from
-        # flush(), the thread that owns the engine.
+        # Gate state is guarded by self._lock; breaker transitions are
+        # actuated from flush(), which owns the engine.
         self.gate = None
         if mitigation_config is not None or self.config.mitigation:
             from repro.resilience.mitigation import (
@@ -193,6 +199,12 @@ class ServeCore:
         self._rate_limited = 0
         self._quarantined = 0
         self._replied = 0
+        #: Replies whose first ``sendto`` hit EAGAIN and were queued for
+        #: a retry; the transport that owns the socket counts them here.
+        self.reply_retries = 0
+        self._bursts = 0
+        self._burst_sizes = Histogram("serve_ingress_burst_size")
+        self._flush_triggers = dict.fromkeys(FLUSH_TRIGGERS, 0)
         self._flushes = 0
         self._reconfigs = 0
         self._generation = 0
@@ -200,7 +212,7 @@ class ServeCore:
         self._latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
 
     # ------------------------------------------------------------------
-    # ingress side (event-loop thread)
+    # ingress side
     # ------------------------------------------------------------------
     def submit(self, data: bytes, addr: object) -> bool:
         """Offer one datagram; False means it was refused (shed, or a
@@ -220,30 +232,52 @@ class ServeCore:
         quarantined + pending``.
         """
         with self._lock:
-            self._offered += 1
-            if self.gate is not None:
-                verdict = self.gate.admit(data)
-                if verdict == "rate-limited":
-                    self._rate_limited += 1
-                    return verdict
-                if verdict == "quarantined":
-                    self._quarantined += 1
-                    return verdict
-            if len(self._queue) >= self.config.max_inflight:
-                self._shed += 1
-                return "shed"
-            self._queue.append((addr, data))
-            return "queued"
+            return self._admit(data, addr)
+
+    def submit_many(
+        self, burst: Iterable[Tuple[bytes, object]]
+    ) -> List[str]:
+        """Offer one socket burst of ``(data, addr)`` pairs under a
+        single lock acquisition; returns each one's ``submit_ex``
+        status, in order.  The gate verdict and the ``max_inflight``
+        bound are still decided packet by packet, so the outcome is
+        exactly that of ``submit_ex`` called once per datagram."""
+        admit = self._admit
+        with self._lock:
+            statuses = [admit(data, addr) for data, addr in burst]
+            self._bursts += 1
+            self._burst_sizes.observe(len(statuses))
+        return statuses
+
+    def _admit(self, data: bytes, addr: object) -> str:
+        """One admission decision; the caller holds ``self._lock``."""
+        self._offered += 1
+        if self.gate is not None:
+            verdict = self.gate.admit(data)
+            if verdict == "rate-limited":
+                self._rate_limited += 1
+                return verdict
+            if verdict == "quarantined":
+                self._quarantined += 1
+                return verdict
+        if len(self._queue) >= self.config.max_inflight:
+            self._shed += 1
+            return "shed"
+        self._queue.append((addr, data))
+        return "queued"
 
     def pending(self) -> int:
         with self._lock:
             return len(self._queue)
 
     # ------------------------------------------------------------------
-    # engine side (executor thread)
+    # engine side
     # ------------------------------------------------------------------
     def flush(
-        self, now: Optional[float] = None, collect: Optional[list] = None
+        self,
+        now: Optional[float] = None,
+        collect: Optional[list] = None,
+        trigger: str = "drain",
     ) -> List[Tuple[object, bytes]]:
         """Run one batch through the engine; returns (addr, reply) pairs.
 
@@ -254,7 +288,9 @@ class ServeCore:
         under).  ``collect``, when given, receives ``(addr,
         PacketOutcome)`` pairs -- the pre-encoding verdicts the
         conformance differ compares, since the reply wire format keeps
-        the decision but not the failure-reason taxonomy.
+        the decision but not the failure-reason taxonomy.  ``trigger``
+        (one of ``FLUSH_TRIGGERS``) only labels the flush in the
+        ``serve_flush_trigger_total`` counter.
         """
         with self._lock:
             batch: List[bytes] = []
@@ -269,7 +305,7 @@ class ServeCore:
         report = self.engine.run(batch, now=stamp)
         if self.gate is not None:
             # Breaker transitions actuate here -- flush owns the
-            # engine thread, the gate (locked) only records verdicts.
+            # engine, the gate (locked) only records verdicts.
             with self._lock:
                 transition = self.gate.poll_breaker()
                 policy = self.gate.config.breaker_policy
@@ -306,6 +342,7 @@ class ServeCore:
             )
             self._latencies.append(report.wall_seconds)
             self._flushes += 1
+            self._flush_triggers[trigger] += 1
             self._replied += len(replies)
         return replies
 
@@ -319,9 +356,10 @@ class ServeCore:
         return replies
 
     def reconfigure(self, mutation: RegistryMutation) -> Dict[str, int]:
-        """Hot-swap the operation set on every shard (executor thread,
-        so every in-flight batch has already drained on the old
-        generation by the time this runs)."""
+        """Hot-swap the operation set on every shard.  Called between
+        flushes on the thread that runs them, so every batch already
+        walked used the old generation and every later one the new;
+        datagrams still pending are walked on the new generation."""
         version = self.engine.reconfigure(mutation)
         with self._lock:
             self._reconfigs += 1
@@ -346,6 +384,8 @@ class ServeCore:
             quarantined = self._quarantined
             latencies = sorted(self._latencies)
             flushes = self._flushes
+            flush_triggers = dict(self._flush_triggers)
+            bursts = self._bursts
             replied = self._replied
             reconfigs = self._reconfigs
             generation = self._generation
@@ -375,6 +415,9 @@ class ServeCore:
             "mitigation": mitigation,
             "replied": replied,
             "flushes": flushes,
+            "flush_triggers": flush_triggers,
+            "ingress_bursts": bursts,
+            "reply_retries": self.reply_retries,
             "reconfigs": reconfigs,
             "generation": generation,
             "decisions": dict(report.decisions),
@@ -408,7 +451,14 @@ class ServeCore:
                 "serve_replies_total": self._replied,
                 "serve_flushes_total": self._flushes,
                 "serve_reconfigs_total": self._reconfigs,
+                "serve_ingress_bursts_total": self._bursts,
+                "serve_reply_retries_total": self.reply_retries,
             }
+            for trigger, count in self._flush_triggers.items():
+                counters[
+                    f'serve_flush_trigger_total{{reason="{trigger}"}}'
+                ] = count
+            burst_sizes = self._burst_sizes.snapshot()
             gauges = {
                 "serve_pending": float(len(self._queue)),
                 "serve_generation": float(self._generation),
@@ -420,7 +470,11 @@ class ServeCore:
                 None if self.gate is None else self.gate.stats().snapshot()
             )
         snapshot = report.snapshot().merge(
-            MetricsSnapshot(counters=counters, gauges=gauges)
+            MetricsSnapshot(
+                counters=counters,
+                gauges=gauges,
+                histograms={"serve_ingress_burst_size": burst_sizes},
+            )
         )
         if gate_snapshot is not None:
             snapshot = snapshot.merge(gate_snapshot)

@@ -1,23 +1,22 @@
 """The asyncio serving daemon: UDP ingress + HTTP control plane.
 
-One event loop owns three things:
+One event loop on one thread owns everything, engine included, so
+flushes, reconfigs and metric scrapes serialize by construction (a
+reconfig lands between two flushes, never inside one):
 
-- a ``DatagramProtocol`` ingress that submits every datagram to the
-  :class:`~repro.serve.core.ServeCore` (shed refusals answered
-  immediately, accepted packets woken into the batcher);
-- the batcher task: waits for ``batch_max`` pending (event) or
-  ``batch_timeout_ms`` after the first arrival (timeout), then runs
-  ``core.flush`` on the single-worker executor and sends each reply
-  back to its originating socket address;
+- a non-blocking UDP socket under ``loop.add_reader``: each readiness
+  event reads it dry (at most ``_BURST_MAX`` datagrams, so timers and
+  the control plane keep getting turns), admits the burst through
+  ``ServeCore.submit_many`` and answers every refusal in-band, at once;
+- the batcher -- two triggers, no task: ``core.flush`` runs inline
+  while ``batch_max`` are pending (size) or when the one ``call_later``
+  handle armed at the first pending arrival fires (timeout).  Replies
+  leave by ``sock.sendto``; one that hits EAGAIN waits in ``_unsent``
+  for writability -- delayed, never dropped;
 - a minimal HTTP server (``asyncio.start_server``; no third-party
   deps) for ``/metrics`` (Prometheus text), ``/healthz`` (JSON ledger,
   500 when conservation is broken) and ``/reconfig``
   (``?drop=4,5`` / ``?restore=1`` -- live operation-set hot-swap).
-
-Everything that touches the engine goes through the one-thread
-executor, so flushes, reconfigs and metric scrapes serialize without
-any engine-side locking; the ingress queue is the only object shared
-with the loop thread and ServeCore already locks it.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import time
-from typing import Dict, Optional, Tuple
-from concurrent.futures import ThreadPoolExecutor
+import socket
+from collections import deque
+from typing import Deque, Dict, Iterable, Optional, Tuple
 
 from repro.core.registry import RegistryMutation
 from repro.serve.config import ServeConfig
@@ -36,41 +35,16 @@ from repro.telemetry.export import to_prometheus
 
 _HTTP_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
                  500: "Internal Server Error"}
-
-
-class _IngressProtocol(asyncio.DatagramProtocol):
-    """UDP ingress: submit-or-shed, then wake the batcher."""
-
-    def __init__(self, daemon: "ServingDaemon") -> None:
-        self.daemon = daemon
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        daemon = self.daemon
-        daemon.received += 1
-        status = daemon.core.submit_ex(data, addr)
-        if status == "queued":
-            daemon.wake.set()
-            if daemon.core.pending() >= daemon.config.batch_max:
-                daemon.full.set()
-        elif self.transport is not None:
-            # Refusals (shed / rate-limited / quarantined) are answered
-            # from the loop thread immediately: the whole point of
-            # accounted admission control is that the sender learns,
-            # in-band, why this packet was refused.
-            self.transport.sendto(REFUSAL_REPLIES[status], addr)
-        if (
-            daemon.config.max_packets is not None
-            and daemon.received >= daemon.config.max_packets
-        ):
-            daemon.request_stop("max_packets")
+# Datagrams read per readiness event, at most: four default batches,
+# a few milliseconds of walk before the loop gets its next turn.
+_BURST_MAX = 256
+_MAX_DATAGRAM = 65535
+# Shutdown's bounded wait on a socket refusing the last queued replies.
+_CLOSE_SEND_TIMEOUT = 1.0
 
 
 class ServingDaemon:
-    """Lifecycle owner: sockets, batcher task, executor, shutdown."""
+    """Lifecycle owner: sockets, batching triggers, shutdown."""
 
     def __init__(
         self,
@@ -79,57 +53,98 @@ class ServingDaemon:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.core = core if core is not None else ServeCore(self.config)
-        self.wake = asyncio.Event()
-        self.full = asyncio.Event()
         self.stopping = asyncio.Event()
         self.stop_reason: Optional[str] = None
         self.received = 0
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-engine"
-        )
-        self._transport: Optional[asyncio.DatagramTransport] = None
+        #: Bound ``(host, port)`` pairs, once serve() has its sockets.
+        self.udp_address: Optional[Tuple[str, int]] = None
+        self.http_address: Optional[Tuple[str, int]] = None
+        self._sock: Optional[socket.socket] = None
         self._http_server: Optional[asyncio.AbstractServer] = None
-        self._batcher: Optional[asyncio.Task] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._unsent: Deque[Tuple[object, bytes]] = deque()
         # Bound at serve() time (the loop the daemon runs on).
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
-    # ------------------------------------------------------------------
     def request_stop(self, reason: str) -> None:
-        """Begin shutdown (idempotent; signal handlers land here)."""
+        """Begin shutdown (idempotent; signal handlers land here): stop
+        reading ingress now; :meth:`shutdown` answers what is pending."""
         if not self.stopping.is_set():
             self.stop_reason = reason
             self.stopping.set()
-            self.wake.set()
-            self.full.set()
-
-    async def _run_core(self, fn, *args):
-        """Run one engine-touching callable on the single worker."""
-        return await self._loop.run_in_executor(self._executor, fn, *args)
+            if self._sock is not None:
+                self._loop.remove_reader(self._sock)
 
     # ------------------------------------------------------------------
-    # batcher
+    # ingress + batcher
     # ------------------------------------------------------------------
-    async def _batch_loop(self) -> None:
-        timeout = self.config.batch_timeout_ms / 1000.0
-        while True:
-            await self.wake.wait()
-            self.wake.clear()
-            if self.core.pending() < self.config.batch_max:
-                # Time-based trigger: give the batch `timeout` to fill,
-                # cut short by the size trigger (`full`) or shutdown.
+    def _on_readable(self) -> None:
+        """Read the socket dry, admit the burst, flush full batches."""
+        budget = _BURST_MAX
+        bound = self.config.max_packets
+        if bound is not None:
+            # Stop at the bound exactly: the socket may hold more.
+            budget = min(budget, bound - self.received)
+        recvfrom = self._sock.recvfrom
+        burst = []
+        try:
+            while len(burst) < budget:
+                burst.append(recvfrom(_MAX_DATAGRAM))
+        except BlockingIOError:
+            pass
+        if not burst:
+            return  # spurious readiness (e.g. a bad-checksum datagram)
+        self.received += len(burst)
+        # Refusals are answered at once: accounted admission control
+        # means the sender learns, in-band, why a packet was refused.
+        self._send(
+            (addr, REFUSAL_REPLIES[status])
+            for status, (_, addr) in zip(self.core.submit_many(burst), burst)
+            if status != "queued"
+        )
+        flushed = False
+        while self.core.pending() >= self.config.batch_max:
+            self._send(self.core.flush(trigger="size"))
+            flushed = True
+        # The timeout runs from the first *pending* arrival: a size flush
+        # took everything older, so what is left arrived with this burst.
+        if flushed and self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if self._timer is None and self.core.pending():
+            self._timer = self._loop.call_later(
+                self.config.batch_timeout_ms / 1000.0, self._on_timeout
+            )
+        if bound is not None and self.received >= bound:
+            self.request_stop("max_packets")
+
+    def _on_timeout(self) -> None:
+        self._timer = None
+        self._send(self.core.flush(trigger="timeout"))
+
+    def _send(self, replies: Iterable[Tuple[object, bytes]]) -> None:
+        """Send each reply now; one the socket will not take (EAGAIN)
+        queues, with everything after it, until the socket is writable."""
+        sock = self._sock
+        unsent = self._unsent
+        for addr, payload in replies:
+            if not unsent:
                 try:
-                    await asyncio.wait_for(self.full.wait(), timeout)
-                except asyncio.TimeoutError:
-                    pass
-            self.full.clear()
-            while self.core.pending():
-                replies = await self._run_core(self.core.flush)
-                transport = self._transport
-                if transport is not None:
-                    for addr, payload in replies:
-                        transport.sendto(payload, addr)
-            if self.stopping.is_set() and not self.core.pending():
-                return
+                    sock.sendto(payload, addr)
+                    continue
+                except BlockingIOError:
+                    self.core.reply_retries += 1
+                    self._loop.add_writer(sock, self._on_writable)
+                except OSError:
+                    # As asyncio's transport did: a peer the kernel
+                    # cannot reach must not stop the daemon.
+                    continue
+            unsent.append((addr, payload))
+
+    def _on_writable(self) -> None:
+        self._loop.remove_writer(self._sock)
+        queued, self._unsent = self._unsent, deque()
+        self._send(queued)
 
     # ------------------------------------------------------------------
     # HTTP control plane
@@ -145,11 +160,21 @@ class ServingDaemon:
                     break
             parts = request_line.decode("latin-1").split()
             if len(parts) < 2:
-                await self._respond(writer, 400, "text/plain", "bad request")
-                return
-            path, _, query = parts[1].partition("?")
-            status, ctype, body = await self._route(path, query)
-            await self._respond(writer, status, ctype, body)
+                status, ctype, body = 400, "text/plain", "bad request"
+            else:
+                path, _, query = parts[1].partition("?")
+                status, ctype, body = self._route(path, query)
+            payload = body.encode("utf-8")
+            writer.write(
+                (
+                    f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
+                    f"Content-Type: {ctype}\r\n"
+                    f"Content-Length: {len(payload)}\r\n"
+                    "Connection: close\r\n\r\n"
+                ).encode("latin-1")
+                + payload
+            )
+            await writer.drain()
         except (asyncio.TimeoutError, ConnectionError):
             pass
         finally:
@@ -159,14 +184,13 @@ class ServingDaemon:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    async def _route(
-        self, path: str, query: str
-    ) -> Tuple[int, str, str]:
+    def _route(self, path: str, query: str) -> Tuple[int, str, str]:
+        """Runs on the loop thread, between flushes, like all core use."""
         if path == "/metrics":
-            snapshot = await self._run_core(self.core.snapshot_metrics)
+            snapshot = self.core.snapshot_metrics()
             return 200, "text/plain; version=0.0.4", to_prometheus(snapshot)
         if path == "/healthz":
-            summary = await self._run_core(self.core.summary)
+            summary = self.core.summary()
             # In-flight packets are not "unaccounted" -- only a ledger
             # that stays off the law once everything has drained is.
             healthy = summary["unaccounted"] == 0
@@ -182,23 +206,9 @@ class ServingDaemon:
                 return 400, "application/json", json.dumps(
                     {"error": str(exc)}
                 )
-            result = await self._run_core(self.core.reconfigure, mutation)
+            result = self.core.reconfigure(mutation)
             return 200, "application/json", json.dumps(result)
         return 404, "text/plain", "not found"
-
-    @staticmethod
-    async def _respond(writer, status: int, ctype: str, body: str) -> None:
-        payload = body.encode("utf-8")
-        writer.write(
-            (
-                f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
-                f"Content-Type: {ctype}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1")
-            + payload
-        )
-        await writer.drain()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -206,73 +216,63 @@ class ServingDaemon:
     async def serve(self) -> Dict[str, object]:
         """Run until signalled (or the configured bound); returns the
         final conservation ledger."""
-        self._loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
         config = self.config
-        self._transport, _ = await self._loop.create_datagram_endpoint(
-            lambda: _IngressProtocol(self),
-            local_addr=(config.host, config.port),
-        )
         self._http_server = await asyncio.start_server(
             self._handle_http, config.host, config.metrics_port
         )
-        self._batcher = asyncio.ensure_future(self._batch_loop())
+        info = socket.getaddrinfo(
+            config.host, config.port, type=socket.SOCK_DGRAM
+        )[0]
+        self._sock = sock = socket.socket(*info[:3])
+        sock.setblocking(False)
+        sock.bind(info[4])
+        self.udp_address = sock.getsockname()[:2]
+        self.http_address = self._http_server.sockets[0].getsockname()[:2]
+        loop.add_reader(sock, self._on_readable)
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
-                self._loop.add_signal_handler(
+                loop.add_signal_handler(
                     signum, self.request_stop, signal.Signals(signum).name
                 )
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # non-POSIX loops; ^C still raises KeyboardInterrupt
-        deadline = (
-            time.monotonic() + config.max_seconds
-            if config.max_seconds is not None
-            else None
-        )
-        try:
-            if deadline is None:
-                await self.stopping.wait()
-            else:
-                while not self.stopping.is_set():
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self.request_stop("max_seconds")
-                        break
-                    try:
-                        await asyncio.wait_for(
-                            self.stopping.wait(), timeout=remaining
-                        )
-                    except asyncio.TimeoutError:
-                        pass
-            return await self.shutdown()
-        finally:
-            self._executor.shutdown(wait=True)
+        if config.max_seconds is not None:
+            # Never cancelled: request_stop is idempotent.
+            loop.call_later(
+                config.max_seconds, self.request_stop, "max_seconds"
+            )
+        await self.stopping.wait()
+        return await self.shutdown()
 
     async def shutdown(self) -> Dict[str, object]:
         """Drain pending packets (replies still go out), then close."""
         self.request_stop(self.stop_reason or "shutdown")
-        # The batcher drains and *answers* everything pending before the
-        # ingress socket closes -- a drain that eats the tail of replies
-        # would leave the load generator unable to account for packets
-        # the ledger says were processed.
-        if self._batcher is not None:
-            self.wake.set()
-            self.full.set()
-            await self._batcher
-            self._batcher = None
-        late = await self._run_core(self.core.drain)
-        if self._transport is not None:
-            for addr, payload in late:
-                self._transport.sendto(payload, addr)
-            self._transport.close()
-            self._transport = None
+        if self._timer is not None:
+            self._timer.cancel()
+        sock = self._sock
+        if sock is not None:
+            # Everything pending is flushed and *answered* before the
+            # socket closes: the sender must be able to account for
+            # every packet the ledger says was processed.
+            self._send(self.core.drain())
+            self._loop.remove_writer(sock)
+            sock.settimeout(_CLOSE_SEND_TIMEOUT)  # the EAGAIN tail blocks
+            try:
+                for addr, payload in self._unsent:
+                    sock.sendto(payload, addr)
+            except OSError:
+                pass
+            sock.close()
+            self._sock = None
         if self._http_server is not None:
             self._http_server.close()
             await self._http_server.wait_closed()
             self._http_server = None
-        summary = await self._run_core(self.core.summary)
+        summary = self.core.summary()
         summary["stop_reason"] = self.stop_reason
         summary["received"] = self.received
-        await self._run_core(self.core.close)
+        self.core.close()
         return summary
 
 

@@ -2,11 +2,15 @@
 reply codec and live reconfiguration -- all transport-free, stepping
 ``submit``/``flush`` deterministically with explicit clocks."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.registry import RegistryMutation
 from repro.errors import SimulationError
 from repro.realize.ndn import build_interest_packet
+from repro.resilience import MitigationConfig
 from repro.serve import (
     SHED_REPLY,
     ServeConfig,
@@ -16,6 +20,12 @@ from repro.serve import (
 )
 from repro.serve.client import build_load
 from repro.serve.state import LOCAL_EVERY, serve_content_names
+from repro.telemetry.export import to_prometheus
+from repro.workloads.attack import (
+    attack_state_factory,
+    attack_wires,
+    legit_wires,
+)
 
 
 def make_core(**overrides):
@@ -130,6 +140,64 @@ def test_conservation_over_zipf_load():
         core.close()
 
 
+# Legit, forged-passport and spoofed-source wires: with the tight gate
+# below a drawn stream meets every admission status.
+_POOL = (
+    legit_wires(0, 8, stream="burst")
+    + attack_wires("poison", 0, 4, stream="burst")
+    + attack_wires("spoof", 0, 8, stream="burst")
+)
+_LEDGER = ("offered", "shed", "rate_limited", "quarantined", "pending",
+           "unaccounted", "mitigation")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stream=st.lists(st.sampled_from(_POOL), max_size=60),
+    cuts=st.lists(st.integers(0, 60), max_size=6),
+    mitigation=st.booleans(),
+)
+def test_submit_many_equals_submit_ex_one_by_one(stream, cuts, mitigation):
+    """A burst admitted under one lock acquisition is decided packet
+    by packet: same statuses, queue order, ledger and gate stats as
+    the same datagrams through ``submit_ex``, however the stream is
+    cut into bursts."""
+
+    def make():
+        return ServeCore(
+            ServeConfig(shards=1, batch_max=8, max_inflight=6,
+                        ring_capacity=64, content_count=32),
+            state_factory=functools.partial(attack_state_factory, seed=0),
+            mitigation_config=MitigationConfig(
+                per_flow_rate=0.05, per_flow_burst=2.0,
+                new_flow_rate=0.2, new_flow_burst=6.0,
+                sample_every=1, breaker_window=0,
+            ) if mitigation else None,
+        )
+
+    one_by_one, bursty = make(), make()
+    try:
+        datagrams = [(wire, index) for index, wire in enumerate(stream)]
+        expected = [
+            one_by_one.submit_ex(wire, addr) for wire, addr in datagrams
+        ]
+        edges = sorted({0, len(datagrams), *(
+            cut for cut in cuts if cut < len(datagrams)
+        )})
+        got = []
+        for start, stop in zip(edges, edges[1:]):
+            got += bursty.submit_many(datagrams[start:stop])
+        assert got == expected
+        ledger, reference = bursty.summary(), one_by_one.summary()
+        assert ledger["ingress_bursts"] == len(edges) - 1
+        for key in _LEDGER:
+            assert ledger[key] == reference[key], key
+        assert bursty.drain(now=0.0) == one_by_one.drain(now=0.0)
+    finally:
+        one_by_one.close()
+        bursty.close()
+
+
 def test_flush_on_empty_queue_is_a_noop(core):
     assert core.flush(now=1.0) == []
     summary = core.summary()
@@ -193,6 +261,35 @@ def test_snapshot_metrics_includes_serve_and_engine_counters():
         assert snapshot.gauges["serve_pending"] == 0.0
     finally:
         core.close()
+
+
+def test_burst_and_flush_trigger_metrics(core):
+    """Per-burst / per-flush observability: burst count, log2 burst
+    sizes and why each flush ran -- in the snapshot and the ledger."""
+    packet = build_interest_packet(serve_content_names(32, 7)[1]).encode()
+    core.submit_many([(packet, addr) for addr in range(8)])
+    core.flush(now=1.0, trigger="size")
+    core.submit_many([(packet, addr) for addr in range(3)])
+    core.flush(now=1.0, trigger="timeout")
+    core.submit_ex(packet, "single")  # not a burst
+    core.drain(now=1.0)
+    summary = core.summary()
+    assert summary["ingress_bursts"] == 2
+    assert summary["flush_triggers"] == {
+        "size": 1, "timeout": 1, "drain": 1,
+    }
+    assert summary["reply_retries"] == 0
+    snapshot = core.snapshot_metrics()
+    assert snapshot.counters["serve_ingress_bursts_total"] == 2
+    assert snapshot.counters["serve_reply_retries_total"] == 0
+    for reason in ("size", "timeout", "drain"):
+        name = f'serve_flush_trigger_total{{reason="{reason}"}}'
+        assert snapshot.counters[name] == 1
+    sizes = snapshot.histograms["serve_ingress_burst_size"]
+    assert (sizes.count, sizes.sum, sizes.low, sizes.high) == (2, 11, 3, 8)
+    text = to_prometheus(snapshot)
+    assert 'serve_flush_trigger_total{reason="timeout"} 1' in text
+    assert "serve_ingress_burst_size_count 2" in text
 
 
 def test_serve_executor_is_in_the_conformance_matrix():

@@ -8,13 +8,16 @@ final conservation ledger against the client-side accounting.
 
 import asyncio
 import json
+import socket
 
 import pytest
 
 from repro.core.registry import RegistryMutation
-from repro.serve import ServeConfig
-from repro.serve.client import run_load
+from repro.realize.ndn import build_interest_packet
+from repro.serve import ServeConfig, ServeCore, decode_reply
+from repro.serve.client import build_load, run_load
 from repro.serve.daemon import ServingDaemon, _parse_reconfig
+from repro.serve.state import serve_content_names
 
 
 async def start_daemon(**overrides):
@@ -31,12 +34,12 @@ async def start_daemon(**overrides):
     defaults.update(overrides)
     daemon = ServingDaemon(ServeConfig(**defaults))
     task = asyncio.ensure_future(daemon.serve())
-    while daemon._http_server is None:
+    while daemon.http_address is None:
         if task.done():
             task.result()  # surface the startup error
         await asyncio.sleep(0.01)
-    udp_port = daemon._transport.get_extra_info("sockname")[1]
-    http_port = daemon._http_server.sockets[0].getsockname()[1]
+    udp_port = daemon.udp_address[1]
+    http_port = daemon.http_address[1]
     return daemon, task, udp_port, http_port
 
 
@@ -154,6 +157,174 @@ def test_shed_replies_reach_the_client():
         assert client["missing"] == 0
         assert summary["shed"] == client["statuses"].get("shed", 0)
         assert summary["shed"] > 0
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# burst-drain ingress: the socket is read dry per readiness event
+# ----------------------------------------------------------------------
+def burst_socket(udp_port):
+    """A plain socket whose sends all land in the daemon's receive
+    buffer before the event loop (this thread) gets its next turn."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+    sock.connect(("127.0.0.1", udp_port))
+    return sock
+
+
+async def recv_replies(sock, count, timeout=5.0):
+    """Up to ``count`` replies, in arrival order, without blocking the
+    loop the daemon shares with the test."""
+    sock.setblocking(False)
+    replies = []
+    clock = asyncio.get_running_loop().time
+    deadline = clock() + timeout
+    while len(replies) < count:
+        try:
+            replies.append(sock.recv(65535))
+        except BlockingIOError:
+            if clock() > deadline:
+                break
+            await asyncio.sleep(0.002)
+    return replies
+
+
+def test_burst_is_answered_in_arrival_order_in_full_batches():
+    async def scenario():
+        overrides = dict(shards=1, batch_max=16, batch_timeout_ms=20.0)
+        daemon, task, udp_port, _ = await start_daemon(**overrides)
+        wires = build_load(200, content_count=64)
+        with burst_socket(udp_port) as sock:
+            for wire in wires:
+                sock.send(wire)
+            replies = await recv_replies(sock, len(wires))
+        daemon.request_stop("test")
+        summary = await task
+
+        # The same datagrams through a transport-free core: the daemon
+        # must answer exactly these, in this order.
+        twin = ServeCore(daemon.config)
+        try:
+            twin.submit_many([(wire, None) for wire in wires])
+            assert replies == [payload for _, payload in twin.drain()]
+        finally:
+            twin.close()
+        assert summary["offered"] == summary["replied"] == 200
+        assert summary["unaccounted"] == 0
+        # One readiness event read all 200: 12 full batches by size
+        # and the 8 left over on the timer, never a flush per packet.
+        assert summary["ingress_bursts"] == 1
+        assert summary["flushes"] <= 200 // 16 + 2
+        assert summary["flush_triggers"] == {
+            "size": 12, "timeout": 1, "drain": 0,
+        }
+
+    asyncio.run(scenario())
+
+
+def test_burst_past_max_inflight_is_shed_in_band_and_accounted():
+    async def scenario():
+        # batch_max > max_inflight: nothing flushes by size, so of 64
+        # datagrams read in one burst exactly 8 queue and 56 are shed.
+        daemon, task, udp_port, http_port = await start_daemon(
+            max_inflight=8, batch_max=16, batch_timeout_ms=150.0
+        )
+        client = await run_load(
+            port=udp_port, packets=64, content_count=64, window=64
+        )
+        _, body = await http_get(http_port, "/healthz")
+        health = json.loads(body)
+        daemon.request_stop("test")
+        summary = await task
+        assert client["missing"] == 0
+        assert client["statuses"]["shed"] == summary["shed"] == 56
+        assert summary["processed"] == 8
+        assert summary["unaccounted"] == 0
+        assert health["ingress_bursts"] == 1
+        assert health["flush_triggers"]["timeout"] == 1
+
+    asyncio.run(scenario())
+
+
+def test_reconfig_between_bursts_applies_to_every_later_reply():
+    async def scenario():
+        daemon, task, udp_port, http_port = await start_daemon(
+            shards=1, batch_max=16, batch_timeout_ms=5000.0
+        )
+        # Producer-local name: DELIVER while F_FIB is installed, a
+        # default FORWARD once it is dropped.
+        wire = build_interest_packet(serve_content_names(64, 7)[0]).encode()
+        with burst_socket(udp_port) as sock:
+            for _ in range(20):
+                sock.send(wire)
+            early = await recv_replies(sock, 16)  # one size flush
+            assert daemon.core.pending() == 4
+            status, _ = await http_get(http_port, "/reconfig?drop=4")
+            assert status == 200
+            for _ in range(12):
+                sock.send(wire)
+            late = await recv_replies(sock, 16)
+        daemon.request_stop("test")
+        summary = await task
+        assert [decode_reply(r)[0] for r in early] == ["deliver"] * 16
+        # The 4 still pending at the ack are walked on the new
+        # generation too: no reply after the ack is a DELIVER.
+        assert [decode_reply(r)[0] for r in late] == ["forward"] * 16
+        assert summary["generation"] == 1
+        assert summary["unaccounted"] == 0
+
+    asyncio.run(scenario())
+
+
+def test_reader_stops_exactly_at_max_packets():
+    async def scenario():
+        daemon, task, udp_port, _ = await start_daemon(max_packets=50)
+        wires = build_load(80, content_count=64)
+        with burst_socket(udp_port) as sock:
+            for wire in wires:  # 30 more than the bound, already queued
+                sock.send(wire)
+            replies = await recv_replies(sock, 80, timeout=0.5)
+        summary = await task
+        assert summary["stop_reason"] == "max_packets"
+        assert summary["offered"] == summary["received"] == 50
+        assert summary["unaccounted"] == 0
+        assert len(replies) == 50
+
+    asyncio.run(scenario())
+
+
+class _FlakySocket:
+    """The daemon's socket, except that one ``sendto`` hits EAGAIN."""
+
+    def __init__(self, sock):
+        self._real = sock
+        self.refusals = 1
+
+    def sendto(self, payload, addr):
+        if self.refusals:
+            self.refusals -= 1
+            raise BlockingIOError
+        return self._real.sendto(payload, addr)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+def test_reply_that_hits_eagain_is_retried_not_dropped():
+    async def scenario():
+        daemon, task, udp_port, http_port = await start_daemon()
+        daemon._sock = _FlakySocket(daemon._sock)
+        client = await run_load(
+            port=udp_port, packets=100, content_count=64, window=32
+        )
+        _, metrics = await http_get(http_port, "/metrics")
+        daemon.request_stop("test")
+        summary = await task
+        assert client["missing"] == 0
+        assert summary["replied"] == 100
+        assert summary["reply_retries"] == 1
+        assert "serve_reply_retries_total 1" in metrics
 
     asyncio.run(scenario())
 

@@ -259,12 +259,12 @@ def test_daemon_answers_gate_refusals_in_band():
         )
         daemon = ServingDaemon(config, core=core)
         task = asyncio.ensure_future(daemon.serve())
-        while daemon._http_server is None:
+        while daemon.http_address is None:
             if task.done():
                 task.result()
             await asyncio.sleep(0.01)
-        udp_port = daemon._transport.get_extra_info("sockname")[1]
-        http_port = daemon._http_server.sockets[0].getsockname()[1]
+        udp_port = daemon.udp_address[1]
+        http_port = daemon.http_address[1]
         loop = asyncio.get_running_loop()
 
         replies = []
