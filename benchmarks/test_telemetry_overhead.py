@@ -24,6 +24,7 @@ When ``REPRO_REPORT_DIR`` is set, a ``metrics.prom`` artifact from the
 instrumented run is left behind for CI to publish.
 """
 
+import gc
 import os
 import time
 from pathlib import Path
@@ -31,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import EngineConfig, ForwardingEngine
+from repro.engine.workers import ShardWorker
 from repro.workloads.reporting import Reporter
 from repro.workloads.throughput import (
     dip32_state_factory,
@@ -151,6 +153,16 @@ def test_disabled_engine_allocates_no_telemetry(engine_packets):
     assert engine.metrics is NULL_REGISTRY
     assert engine.tracer is NULL_TRACER
     assert len(engine.tracer) == 0
-    for worker in engine._workers:
+    # The workers sit behind the transport seam; find them by the shard
+    # state the public accessor hands out.
+    states = [engine.shard_state(shard) for shard in range(4)]
+    workers = [
+        candidate
+        for candidate in gc.get_objects()
+        if isinstance(candidate, ShardWorker)
+        and any(candidate.processor.state is state for state in states)
+    ]
+    assert len(workers) == 4
+    for worker in workers:
         assert worker.tracer is NULL_TRACER
         assert worker.processor.telemetry is None

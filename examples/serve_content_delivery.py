@@ -101,8 +101,9 @@ async def scenario(seconds: float):
     client = await load_task
 
     # PIT/CS bounds, inspected live on each shard before shutdown.
-    for worker in daemon.core.engine._workers:
-        state = worker.processor.state
+    engine = daemon.core.engine
+    for shard in range(engine.config.num_shards):
+        state = engine.shard_state(shard)
         assert len(state.pit) <= PIT_CAPACITY, len(state.pit)
         assert len(state.content_store) <= CS_CAPACITY
     daemon.request_stop("scenario-done")

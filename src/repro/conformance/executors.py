@@ -270,7 +270,7 @@ def _run_engine(
     ]
     state = None
     if backend == "serial" and num_shards == 1:
-        state = state_fingerprint(engine._workers[0].processor.state)
+        state = state_fingerprint(engine.shard_state(0))
     return ExecutionResult(outcomes, state=state)
 
 
@@ -363,9 +363,7 @@ def _run_serve(scenario, wires, cost_model) -> ExecutionResult:
                 outcome.packet,
                 outcome.reason,
             )
-        state = state_fingerprint(
-            core.engine._workers[0].processor.state
-        )
+        state = state_fingerprint(core.engine.shard_state(0))
     finally:
         core.close()
     return ExecutionResult(outcomes, state=state)

@@ -124,10 +124,27 @@ class FlowCacheStats:
         )
 
     def merge(self, other: "FlowCacheStats") -> "FlowCacheStats":
-        """Associative per-shard fold (alias of ``+``): counters and
-        size/capacity all sum, matching the summed-over-shards meaning
-        :attr:`EngineReport.flow_cache` has always had."""
+        """Associative fold across *different* caches (alias of ``+``,
+        e.g. the shards of one engine): counters sum and so do the
+        size/capacity/peak gauges."""
         return self + other
+
+    def then(self, later: "FlowCacheStats") -> "FlowCacheStats":
+        """Associative fold across *time* for the same cache(s): two
+        runs of one engine, or two worker incarnations of one shard.
+        Monotonic counters sum; ``size``/``capacity`` take the later
+        value and ``peak_size`` the max -- summing them would count
+        one cache once per run."""
+        return FlowCacheStats(
+            hits=self.hits + later.hits,
+            misses=self.misses + later.misses,
+            bypasses=self.bypasses + later.bypasses,
+            evictions=self.evictions + later.evictions,
+            invalidations=self.invalidations + later.invalidations,
+            size=later.size,
+            capacity=later.capacity,
+            peak_size=max(self.peak_size, later.peak_size),
+        )
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict form (pipe-friendly for multiprocessing shards)."""

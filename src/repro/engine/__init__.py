@@ -11,9 +11,11 @@ packets through that walk at rate:
   on one shard (per-flow order is preserved);
 - :mod:`repro.engine.workers` -- shard workers, each owning a private
   :class:`~repro.core.processor.RouterProcessor` and node state;
-- :mod:`repro.engine.engine` -- the :class:`ForwardingEngine` facade
-  with a deterministic in-process backend and a ``multiprocessing``
-  backend behind the same API.
+- :mod:`repro.engine.transport` -- how a batch reaches a shard:
+  inline (deterministic, in this process) or over pipes / shared
+  memory to ``multiprocessing`` workers;
+- :mod:`repro.engine.engine` -- the :class:`ForwardingEngine` facade:
+  one supervised dispatch/submit/collect loop over either transport.
 """
 
 from repro.core.flowcache import FlowCacheStats, FlowDecisionCache

@@ -177,6 +177,8 @@ class FlowDispatcher:
     ) -> List[int]:
         """Shard assignments for a whole batch, in packet order."""
         num_shards = self.num_shards
+        if num_shards == 1:
+            return [0] * len(packets)  # nothing to steer: no hash at all
         return [key % num_shards for key in self._key_ints(packets)]
 
     def key_of(self, packet: Union[DipPacket, bytes, bytearray]) -> bytes:

@@ -6,16 +6,14 @@ an :class:`EngineReport` with per-packet outcomes (in input order) and
 the operational numbers: throughput, per-shard utilization, ring drops
 and batch-latency percentiles.
 
-Two backends share the API:
+One supervised loop (:meth:`ForwardingEngine._supervise`) serves both
+backends; they differ only in the transport a batch travels over
+(:mod:`repro.engine.transport`):
 
 - ``serial`` (default): every shard runs in this process, one at a
-  time.  Deterministic, no pickling constraints, and still fast --
-  the win comes from :meth:`RouterProcessor.process_batch` amortizing
-  per-program work, not from true parallelism.
-- ``process``: shards are ``multiprocessing`` workers fed raw packet
-  bytes over pipes.  The state factory must be picklable (a
-  module-level function), which is why workers rebuild state from a
-  factory instead of receiving live objects.
+  time, on an :class:`~repro.engine.transport.InlineTransport`.
+- ``process``: shards are ``multiprocessing`` workers behind a
+  :class:`~repro.engine.transport.ProcessTransport`.
 
 Backpressure ("block" vs "drop-tail") is decided here, at the point
 where a ring refuses a push; the rings only count.
@@ -23,10 +21,10 @@ where a ring refuses a push; the rings only count.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import (
     Callable,
     Dict,
@@ -38,11 +36,7 @@ from typing import (
     Union,
 )
 
-from repro.core.flowcache import (
-    DEFAULT_CAPACITY,
-    FlowCacheStats,
-    FlowDecisionCache,
-)
+from repro.core.flowcache import DEFAULT_CAPACITY, FlowCacheStats
 from repro.core.operations.base import Decision
 from repro.core.packet import DipPacket
 from repro.core.registry import RegistryMutation
@@ -50,8 +44,11 @@ from repro.core.state import NodeState
 from repro.engine.clock import timeless_clock
 from repro.engine.dispatch import FlowDispatcher
 from repro.engine.rings import Ring, RingStats
-from repro.engine.shm import ShardChannel, make_channels, split_blob
-from repro.engine.workers import ShardWorker, _shard_worker_main
+from repro.engine.transport import (
+    InlineTransport,
+    ProcessTransport,
+    WorkerDied,
+)
 from repro.errors import EngineWorkerError, SimulationError
 from repro.resilience.faults import FaultPlan
 from repro.telemetry.metrics import (
@@ -91,7 +88,8 @@ class EngineConfig:
     :class:`Tracer` on :attr:`ForwardingEngine.metrics` /
     :attr:`ForwardingEngine.tracer`.  Off by default -- the disabled
     path uses the falsy null objects and must stay within 5% of the
-    uninstrumented throughput (``benchmarks/test_telemetry_overhead``).
+    uninstrumented throughput (DESIGN.md 3.8; measured by
+    ``benchmarks/test_telemetry_overhead.py``).
     """
 
     num_shards: int = 4
@@ -277,8 +275,10 @@ class EngineReport:
     shards: Tuple[ShardReport, ...] = ()
     rings: Tuple[RingStats, ...] = ()
     outcomes: Tuple[Optional[PacketOutcome], ...] = field(default=())
-    # Flow-cache counters summed over shards for *this* run (None when
-    # the cache is disabled); sizes/capacities sum across shards too.
+    # Flow-cache stats for *this* run (None when the cache is
+    # disabled): counters and the size/capacity/peak gauges sum across
+    # shards; across runs or worker incarnations of one shard the
+    # gauges do not (FlowCacheStats.then).
     flow_cache: Optional[FlowCacheStats] = None
     # Resilience accounting (DESIGN.md 3.9).  ``dead_letter_total``
     # counts every abandoned packet; ``dead_letter`` records at most
@@ -343,7 +343,10 @@ class EngineReport:
         the merged totals; the latency percentiles take the max (an
         upper bound -- exact percentiles need the raw latencies, which
         reports do not retain); shard/ring/outcome tuples concatenate;
-        flow-cache stats sum when either side has them.
+        flow-cache counters sum while the cache gauges follow
+        :meth:`FlowCacheStats.then` -- both sides describe the *same*
+        caches at two times, so size/capacity take ``other``'s (the
+        later run) and ``peak_size`` the max.
         """
         decisions = dict(self.decisions)
         for name, count in other.decisions.items():
@@ -355,7 +358,7 @@ class EngineReport:
         elif other.flow_cache is None:
             flow_cache = self.flow_cache
         else:
-            flow_cache = self.flow_cache + other.flow_cache
+            flow_cache = self.flow_cache.then(other.flow_cache)
         return EngineReport(
             packets_offered=self.packets_offered + other.packets_offered,
             packets_processed=processed,
@@ -550,36 +553,6 @@ class EngineReport:
         return snapshot
 
 
-class _ResilienceTally:
-    """Mutable per-run resilience counters (folded into the report).
-
-    One instance per :meth:`ForwardingEngine.run`; both backends feed
-    it.  The dead-letter *record* is capped (the total keeps counting)
-    so a pathological run cannot make the report unbounded.
-    """
-
-    __slots__ = (
-        "restarts", "retries", "degraded", "faults",
-        "dead", "dead_total", "_cap",
-    )
-
-    def __init__(self, cap: int) -> None:
-        self.restarts = 0
-        self.retries = 0
-        self.degraded = 0
-        self.faults = 0
-        self.dead: List[DeadLetter] = []
-        self.dead_total = 0
-        self._cap = cap
-
-    def dead_letter(
-        self, index: int, shard: int, reason: str, attempts: int
-    ) -> None:
-        self.dead_total += 1
-        if len(self.dead) < self._cap:
-            self.dead.append(DeadLetter(index, shard, reason, attempts))
-
-
 class ForwardingEngine:
     """A sharded forwarding engine around :class:`RouterProcessor`.
 
@@ -637,159 +610,54 @@ class ForwardingEngine:
         else:
             self.metrics = NULL_REGISTRY
             self.tracer = NULL_TRACER
-        self._workers: Optional[List[ShardWorker]] = None
-        if self.config.backend == "serial":
-            # Serial shards live for the engine's lifetime so stateful
-            # protocols (PIT, telemetry) and flow-cache entries persist
-            # across run() calls.
-            self._workers = [
-                self._make_serial_worker(i)
-                for i in range(self.config.num_shards)
-            ]
-        # Persistent process-backend workers (started by start(); None
-        # means per-run spawn, the historical run-to-completion mode).
-        # The *_base lists hold each worker's cumulative busy/cache
-        # counters as of the end of the previous run, so a run under
-        # persistent workers reports per-run deltas exactly like the
-        # per-run-spawn mode does.
-        self._proc_connections: Optional[List[object]] = None
-        self._proc_processes: Optional[List[object]] = None
-        # Shared-memory channels for persistent workers (created in
-        # start(), unlinked in close()); per-run workers build and
-        # unlink their own set inside _run_process.
-        self._proc_channels: Optional[List[ShardChannel]] = None
-        self._proc_seqs: List[int] = [0] * self.config.num_shards
-        self._proc_busy_base: List[float] = [0.0] * self.config.num_shards
-        self._proc_cache_base: List[Optional[FlowCacheStats]] = (
-            [None] * self.config.num_shards
-        )
+        # The only place the backend is looked at: everything below
+        # talks to the transport seam (repro.engine.transport).
+        self._transport = (
+            InlineTransport
+            if self.config.backend == "serial"
+            else ProcessTransport
+        )(self)
+        self._reset_incarnations()
 
-    # ------------------------------------------------------------------
-    # lifecycle (persistent mode -- the serving daemon's driving mode)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _mp_context():
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            return multiprocessing.get_context()
+    def _reset_incarnations(self) -> None:
+        """Supervisor bookkeeping that lives as long as the workers do.
 
-    def _spawn_process_worker(
-        self, ctx, shard: int, connections: List[object],
-        processes: List[object],
-        channels: Optional[List[ShardChannel]] = None,
-    ) -> None:
-        config = self.config
-        parent, child = ctx.Pipe()
-        process = ctx.Process(
-            target=_shard_worker_main,
-            args=(
-                child,
-                shard,
-                self.state_factory,
-                self.cost_model,
-                (
-                    config.flow_cache_capacity
-                    if config.flow_cache
-                    else None
-                ),
-                self.registry_factory,
-                self._degrade,
-                config.fault_plan if config.fault_plan else None,
-                channels[shard] if channels is not None else None,
-                config.columnar,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child.close()
-        connections[shard] = parent
-        processes[shard] = process
-
-    def _make_channels(self, ctx) -> Optional[List[ShardChannel]]:
-        """Shared-memory channels, or None when disabled/unavailable.
-
-        Channels require fork: the children must inherit the parent's
-        mappings (a by-name attach would re-register with the resource
-        tracker and race the parent's unlink on CPython 3.11).
+        ``_seqs`` is the next batch sequence number per shard
+        (monotonic across runs, so a ``batch=``-pinned fault fires
+        once).  ``_cache_seen`` is the last cumulative flow-cache
+        stats each shard's *current* worker reported; a run's counters
+        are the deltas against it, and a fresh worker starts from a
+        fresh (empty) cache's stats.
         """
-        if not self.config.shm:
-            return None
-        if ctx.get_start_method() != "fork":
-            return None
-        return make_channels(self.config.num_shards)
-
-    @staticmethod
-    def _drop_channels(
-        channels: Optional[List[ShardChannel]],
-    ) -> None:
-        """Unlink and unmap a channel set.  None-safe, idempotent."""
-        if channels is None:
-            return
-        for channel in channels:
-            channel.unlink()
-            channel.close()
-
-    def start(self) -> "ForwardingEngine":
-        """Switch the ``process`` backend to persistent workers.
-
-        Historically the process backend spawned its shard workers per
-        :meth:`run` -- correct for run-to-completion benchmarks, wrong
-        for a long-lived daemon where every flush would pay fork cost
-        and lose all shard state (PIT, CS, flow cache).  After
-        ``start()`` the workers live until :meth:`close`, state
-        persists across runs, and reports stay per-run deltas.
-        Idempotent; a no-op for the serial backend (its shards are
-        already persistent).
-        """
-        if (
-            self.config.backend != "process"
-            or self._proc_connections is not None
-        ):
-            return self
         num = self.config.num_shards
-        ctx = self._mp_context()
-        connections: List[object] = [None] * num
-        processes: List[object] = [None] * num
-        channels = self._make_channels(ctx)
-        for shard in range(num):
-            self._spawn_process_worker(
-                ctx, shard, connections, processes, channels
-            )
-        self._proc_connections = connections
-        self._proc_processes = processes
-        self._proc_channels = channels
-        self._proc_seqs = [0] * num
-        self._proc_busy_base = [0.0] * num
-        self._proc_cache_base = [None] * num
+        self._fresh_cache = FlowCacheStats(
+            capacity=self.config.flow_cache_capacity
+        )
+        self._seqs: List[int] = [0] * num
+        self._cache_seen: List[FlowCacheStats] = [self._fresh_cache] * num
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> "ForwardingEngine":
+        """Bring the shard workers up until :meth:`close`.
+
+        A started ``process`` engine keeps its workers -- and their
+        shard state (PIT, CS, flow cache) -- across :meth:`run` calls,
+        which is what a long-lived daemon needs; reports stay per-run
+        deltas.  Without ``start()`` every ``run()`` is exactly
+        ``start()`` -> run -> ``close()``: fresh workers, fresh state.
+        Idempotent; a no-op for the serial backend (its shards live as
+        long as the engine).
+        """
+        if not self._transport.started:
+            self._transport.start()
+            self._reset_incarnations()
         return self
 
     def close(self) -> None:
-        """Shut persistent process workers down.  Idempotent."""
-        if self._proc_connections is None:
-            return
-        connections = self._proc_connections
-        processes = self._proc_processes
-        self._proc_connections = None
-        self._proc_processes = None
-        for connection in connections:
-            try:
-                connection.send(None)
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-        for process in processes:
-            process.join(timeout=10)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(timeout=5)
-        for connection in connections:
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        channels = self._proc_channels
-        self._proc_channels = None
-        self._drop_channels(channels)
+        """Shut process workers down.  Idempotent."""
+        self._transport.close()
 
     def __enter__(self) -> "ForwardingEngine":
         return self.start()
@@ -806,35 +674,15 @@ class ForwardingEngine:
         flush its flow cache (the generation-token invalidation the
         flow cache already keys off), while batches already submitted
         drain under the old generation.  Must not race :meth:`run` --
-        the serving daemon serializes both through one executor
-        thread.  Returns the highest new registry version.
+        the serving daemon calls both from its one event-loop thread.
+        Returns the highest new registry version.
         """
-        if self.config.backend == "serial":
-            return max(
-                mutation.apply(worker.processor.registry)
-                for worker in self._workers
-            )
-        if self._proc_connections is None:
+        if not self._transport.started:
             raise SimulationError(
-                "reconfigure() on the process backend requires start() "
-                "(per-run workers are rebuilt from the factory anyway)"
+                "reconfigure() requires start(): an un-started engine "
+                "rebuilds its workers from the factory on every run"
             )
-        for connection in self._proc_connections:
-            connection.send(("reconfig", mutation))
-        versions = []
-        for shard, connection in enumerate(self._proc_connections):
-            if not connection.poll(self.config.worker_timeout):
-                raise EngineWorkerError(
-                    f"shard {shard} reconfig ack timed out "
-                    f"({self.config.worker_timeout:g}s)"
-                )
-            tag, version = connection.recv()
-            if tag != "reconfig-ack":  # pragma: no cover - protocol
-                raise EngineWorkerError(
-                    f"shard {shard} replied {tag!r} to reconfig"
-                )
-            versions.append(version)
-        return max(versions)
+        return max(self._transport.control("reconfig", mutation))
 
     def set_degrade(self, policy: Optional[str]) -> Optional[str]:
         """Flip every shard's degrade policy mid-lifetime.
@@ -855,27 +703,13 @@ class ForwardingEngine:
             )
         previous = self._degrade
         self._degrade = policy
-        if self.config.backend == "serial":
-            for worker in self._workers:
-                worker.degrade = policy
-            return previous
-        if self._proc_connections is None:
-            # Per-run spawn mode: the next run's workers are built from
-            # self._degrade, so there is nothing live to update.
-            return previous
-        for connection in self._proc_connections:
-            connection.send(("degrade", policy))
-        for shard, connection in enumerate(self._proc_connections):
-            if not connection.poll(self.config.worker_timeout):
+        # Un-started: the next run's workers are built from
+        # self._degrade, so there is nothing live to update.
+        if self._transport.started:
+            acks = self._transport.control("degrade", policy)
+            if any(applied != policy for applied in acks):
                 raise EngineWorkerError(
-                    f"shard {shard} degrade ack timed out "
-                    f"({self.config.worker_timeout:g}s)"
-                )
-            tag, applied = connection.recv()
-            if tag != "degrade-ack" or applied != policy:
-                raise EngineWorkerError(
-                    f"shard {shard} replied ({tag!r}, {applied!r}) "
-                    f"to degrade {policy!r}"
+                    f"shards acked {acks!r} to degrade {policy!r}"
                 )
         return previous
 
@@ -884,33 +718,14 @@ class ForwardingEngine:
         """The live degrade policy (config value until set_degrade)."""
         return self._degrade
 
-    def _make_serial_worker(
-        self, shard: int, injector: Optional[object] = None
-    ) -> ShardWorker:
-        """Build one serial shard worker (construction and respawn).
+    def shard_state(self, shard: int) -> NodeState:
+        """One shard's live :class:`NodeState` (PIT, CS, FIBs).
 
-        A respawn hands over the dead worker's fault injector so the
-        plan's fired-fault bookkeeping survives the restart (a pinned
-        one-shot crash kills once, not once per incarnation).
+        Serial backend only -- on the ``process`` backend the state
+        lives in the worker processes and this raises
+        :class:`SimulationError`.
         """
-        config = self.config
-        return ShardWorker(
-            shard,
-            self.state_factory,
-            self.cost_model,
-            flow_cache=(
-                FlowDecisionCache(config.flow_cache_capacity)
-                if config.flow_cache
-                else None
-            ),
-            telemetry=self.metrics if config.telemetry else None,
-            tracer=self.tracer,
-            registry_factory=self.registry_factory,
-            degrade=self._degrade,
-            fault_plan=config.fault_plan,
-            injector=injector,
-            columnar=config.columnar,
-        )
+        return self._transport.state(shard)
 
     # ------------------------------------------------------------------
     def run(
@@ -927,589 +742,260 @@ class ForwardingEngine:
         daemon, fabric virtual time under co-simulation.  An explicit
         ``now`` always wins over the clock.
         """
+        if not self._transport.started:
+            with self:
+                return self.run(packets, now)
         if now is None:
             now = self.clock()
         with self.tracer.span("engine.run", packets=len(packets)):
-            if self.config.backend == "serial":
-                return self._run_serial(packets, now)
-            return self._run_process(packets, now)
+            return self._supervise(packets, now)
 
-    # ------------------------------------------------------------------
-    # serial backend
-    # ------------------------------------------------------------------
-    def _run_serial(self, packets, now: float = 0.0) -> EngineReport:
-        config = self.config
-        workers = self._workers
-        rings = [Ring(config.ring_capacity) for _ in range(config.num_shards)]
-        outcomes: List[Optional[PacketOutcome]] = [None] * len(packets)
-        busy_before = [w.busy_seconds for w in workers]
-        packets_before = [w.packets_processed for w in workers]
-        latency_mark = [len(w.batch_latencies) for w in workers]
-        cache_before = [
-            w.flow_cache.stats() if w.flow_cache is not None else None
-            for w in workers
-        ]
-        # Injectors survive respawns (handed to the new worker), so the
-        # run-start marks stay valid; everything else about a dead
-        # incarnation is folded into the *_committed accumulators.
-        injected_before = [w.faults_injected for w in workers]
-        degraded_before = [w.degraded for w in workers]
-        busy_committed = [0.0] * config.num_shards
-        packets_committed = [0] * config.num_shards
-        degraded_committed = [0] * config.num_shards
-        cache_committed: List[Optional[FlowCacheStats]] = (
-            [None] * config.num_shards
-        )
-        latencies_committed: List[float] = []
-        batches = [0] * config.num_shards
-        seqs = [0] * config.num_shards
-        restarts_run = [0] * config.num_shards
-        tally = _ResilienceTally(config.max_dead_letters)
-        dropped = 0
-        start = time.perf_counter()
+    def _supervise(self, packets, now: float) -> EngineReport:
+        """The one engine loop: dispatch -> ring -> submit -> collect.
 
-        def respawn(shard: int, reason: str) -> None:
-            """Replace a dead shard worker, folding its accounting.
-
-            Raises :class:`EngineWorkerError` past the restart budget
-            -- at that point the shard is presumed unrecoverable and
-            losing the run beats looping forever.
-            """
-            tally.restarts += 1
-            restarts_run[shard] += 1
-            if restarts_run[shard] > config.max_worker_restarts:
-                raise EngineWorkerError(
-                    f"shard {shard} worker failed ({reason}) after "
-                    f"{restarts_run[shard] - 1} restart(s)"
-                )
-            old = workers[shard]
-            busy_committed[shard] += old.busy_seconds - busy_before[shard]
-            packets_committed[shard] += (
-                old.packets_processed - packets_before[shard]
-            )
-            degraded_committed[shard] += old.degraded - degraded_before[shard]
-            latencies_committed.extend(
-                old.batch_latencies[latency_mark[shard]:]
-            )
-            if old.flow_cache is not None:
-                delta = old.flow_cache.stats() - cache_before[shard]
-                cache_committed[shard] = (
-                    delta
-                    if cache_committed[shard] is None
-                    else cache_committed[shard] + delta
-                )
-            worker = self._make_serial_worker(shard, injector=old.injector)
-            workers[shard] = worker
-            busy_before[shard] = 0.0
-            packets_before[shard] = 0
-            degraded_before[shard] = 0
-            latency_mark[shard] = 0
-            cache_before[shard] = (
-                worker.flow_cache.stats()
-                if worker.flow_cache is not None
-                else None
-            )
-
-        def drain(shard: int, everything: bool = False) -> None:
-            ring = rings[shard]
-            while len(ring) >= config.batch_size or (everything and len(ring)):
-                batch = ring.pop_batch(config.batch_size)
-                payloads = [item[1] for item in batch]
-                attempts = 0
-                while True:
-                    seq = seqs[shard]
-                    seqs[shard] += 1
-                    attempts += 1
-                    try:
-                        raw = workers[shard].run_batch(
-                            payloads, seq=seq, now=now
-                        )
-                    except Exception as exc:
-                        reason = f"{type(exc).__name__}: {exc}"
-                        respawn(shard, reason)
-                        if attempts > config.max_retries:
-                            for index, _ in batch:
-                                tally.dead_letter(
-                                    index, shard, reason, attempts
-                                )
-                            break
-                        tally.retries += 1
-                        if config.retry_backoff:
-                            time.sleep(
-                                config.retry_backoff * 2 ** (attempts - 1)
-                            )
-                        continue
-                    batches[shard] += 1
-                    for (index, _), raw_outcome in zip(batch, raw):
-                        outcomes[index] = _outcome(raw_outcome, shard)
-                    break
-
-        batch_size = config.batch_size
-        drop_tail = config.backpressure == "drop-tail"
-        shards = self.dispatcher.shards_of(packets)
-        for index, (shard, packet) in enumerate(zip(shards, packets)):
-            ring = rings[shard]
-            if not ring.push((index, packet)):
-                if drop_tail:
-                    ring.record_drop()
-                    dropped += 1
-                    continue
-                # Loop until the ring accepts: one drain always frees
-                # space (it empties the ring), but never assume -- a
-                # refused push here was a silent packet loss pre-PR 4.
-                while not ring.push((index, packet)):
-                    drain(shard, everything=True)
-            if len(ring) >= batch_size:
-                drain(shard)
-        for shard in range(config.num_shards):
-            drain(shard, everything=True)
-
-        wall = time.perf_counter() - start
-        latencies = sorted(
-            latencies_committed
-            + [
-                latency
-                for worker, mark in zip(workers, latency_mark)
-                for latency in worker.batch_latencies[mark:]
-            ]
-        )
-        shard_busy = [
-            busy_committed[i] + workers[i].busy_seconds - busy_before[i]
-            for i in range(config.num_shards)
-        ]
-        shard_reports = tuple(
-            ShardReport(
-                shard_id=i,
-                packets=(
-                    packets_committed[i]
-                    + workers[i].packets_processed
-                    - packets_before[i]
-                ),
-                batches=batches[i],
-                busy_seconds=shard_busy[i],
-                utilization=shard_busy[i] / wall if wall > 0 else 0.0,
-            )
-            for i in range(config.num_shards)
-        )
-        flow_stats = None
-        if config.flow_cache:
-            parts = []
-            for i, worker in enumerate(workers):
-                delta = worker.flow_cache.stats() - cache_before[i]
-                if cache_committed[i] is not None:
-                    delta = delta + cache_committed[i]
-                parts.append(delta)
-            flow_stats = FlowCacheStats.total(parts)
-        tally.faults = sum(
-            worker.faults_injected - before
-            for worker, before in zip(workers, injected_before)
-        )
-        tally.degraded = sum(
-            degraded_committed[i] + workers[i].degraded - degraded_before[i]
-            for i in range(config.num_shards)
-        )
-        return self._report(
-            len(packets), dropped, wall, outcomes, latencies,
-            shard_reports, tuple(ring.stats() for ring in rings),
-            flow_stats, tally,
-        )
-
-    # ------------------------------------------------------------------
-    # multiprocessing backend
-    # ------------------------------------------------------------------
-    def _run_process(self, packets, now: float = 0.0) -> EngineReport:
-        """The multiprocessing backend, run under a supervisor loop.
-
-        The parent is the supervisor (DESIGN.md 3.9): every batch sent
-        to a shard is tracked in a per-shard in-flight FIFO, every
-        blocking wait is a heartbeat (``poll`` with
-        ``config.worker_timeout``), and any worker death -- pipe EOF,
-        broken write, heartbeat expiry -- triggers terminate + respawn
-        with the in-flight batches resent under exponential backoff.
-        Batches failing ``max_retries`` times are dead-lettered, never
-        silently lost; shards failing ``max_worker_restarts`` times
-        raise :class:`EngineWorkerError`.
-
-        Two worker lifetimes: per-run spawn (the default, as before
-        :meth:`start` existed) and persistent (after ``start()``).
-        Persistent workers report *cumulative* busy/cache counters, so
-        this run's numbers are deltas against the ``*_base`` values
-        carried in ``self``; a respawned worker restarts its counters
-        at zero, so its base resets too.
+        This is the supervisor (DESIGN.md 3.9), written once against
+        the transport seam: every batch handed to a shard is tracked in
+        a per-shard in-flight FIFO until its reply is collected, every
+        blocking collect is a heartbeat, and a worker death -- however
+        the transport noticed it -- goes through ``worker_failed``:
+        respawn, resubmit the in-flight batches, exponential backoff.
+        A batch that kills its worker more than ``max_retries`` times
+        is dead-lettered, never silently lost; a shard failing more
+        than ``max_worker_restarts`` times raises
+        :class:`EngineWorkerError`.
         """
         config = self.config
-        ctx = self._mp_context()
+        transport = self._transport
         num = config.num_shards
-        persistent = self._proc_connections is not None
-        if persistent:
-            connections = self._proc_connections
-            processes = self._proc_processes
-            channels = self._proc_channels
-            seqs = self._proc_seqs
-            busy_base = self._proc_busy_base
-            cache_base = self._proc_cache_base
-        else:
-            connections = [None] * num
-            processes = [None] * num
-            channels = self._make_channels(ctx)
-            seqs = [0] * num
-            busy_base = [0.0] * num
-            cache_base = [None] * num
-
-        def spawn(shard: int) -> None:
-            self._spawn_process_worker(
-                ctx, shard, connections, processes, channels
-            )
-
-        if not persistent:
-            for shard in range(num):
-                spawn(shard)
-
+        batch_size = config.batch_size
+        seqs = self._seqs
+        cache_seen = self._cache_seen
+        plan = config.fault_plan
+        # Rings carry input indices; the payload is packets[index].
         rings = [Ring(config.ring_capacity) for _ in range(num)]
         outcomes: List[Optional[PacketOutcome]] = [None] * len(packets)
         # In-flight record per shard: [seq, indices, payloads, failures]
-        # in send order (workers reply in order, so FIFO matching).
+        # in submit order (workers reply in order, so FIFO matching).
         inflight: List[deque] = [deque() for _ in range(num)]
         batches = [0] * num
-        busy_live = [0.0] * num
-        busy_committed = [0.0] * num
         packets_done = [0] * num
-        cache_live: List[Optional[Dict[str, int]]] = [None] * num
-        cache_committed: List[Optional[FlowCacheStats]] = [None] * num
+        busy = [0.0] * num
+        cache_run: List[Optional[FlowCacheStats]] = [None] * num
         restarts_run = [0] * num
-        tally = _ResilienceTally(config.max_dead_letters)
+        # Resilience counters of this run.  The dead-letter *record* is
+        # capped (the total keeps counting) so a pathological run
+        # cannot make the report unbounded.
+        tally = SimpleNamespace(
+            restarts=0, retries=0, degraded=0, faults=0,
+            dead=[], dead_total=0,
+        )
         latencies: List[float] = []
         dropped = 0
         start = time.perf_counter()
-        plan = config.fault_plan
 
         def worker_failed(shard: int, reason: str) -> None:
-            """Respawn a dead shard and requeue its in-flight batches."""
+            """Respawn a dead shard and resubmit its in-flight batches.
+
+            Workers run their batches in order and every reply the dead
+            one sent has been collected, so the head of the FIFO is the
+            batch it died on: that one is charged a failure (and
+            dead-lettered past the retry budget); the ones queued
+            behind it never started and are simply resubmitted.  Seqs
+            restart right after the culprit's, so how many batches
+            happened to be in flight never shows in the numbering.
+            """
             tally.restarts += 1
             restarts_run[shard] += 1
-            process = processes[shard]
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=10)
-            try:
-                connections[shard].close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            # Fold the dead incarnation's accounting; its unreported
-            # tail (the failing batch) is gone with the process.  The
-            # replacement's counters start at zero, so the persistent
-            # baselines reset with it.
-            busy_committed[shard] += busy_live[shard]
-            busy_live[shard] = 0.0
-            busy_base[shard] = 0.0
-            if cache_live[shard] is not None:
-                delta = FlowCacheStats.from_dict(cache_live[shard])
-                if cache_base[shard] is not None:
-                    delta = delta - cache_base[shard]
-                cache_committed[shard] = (
-                    delta
-                    if cache_committed[shard] is None
-                    else cache_committed[shard] + delta
-                )
-                cache_live[shard] = None
-            cache_base[shard] = None
             if plan is not None and plan.crash_scripted(shard):
-                # A crashed child cannot report its own injected-fault
+                # A crashed worker cannot report its own injected-fault
                 # count; attribute one scripted crash per death.
                 tally.faults += 1
-            requeue = list(inflight[shard])
-            inflight[shard].clear()
+            requeue = inflight[shard]
+            inflight[shard] = deque()
             if restarts_run[shard] > config.max_worker_restarts:
                 raise EngineWorkerError(
                     f"shard {shard} worker failed ({reason}) after "
                     f"{restarts_run[shard] - 1} restart(s) with "
                     f"{sum(len(e[1]) for e in requeue)} packet(s) in flight"
                 )
-            spawn(shard)
-            for entry in requeue:
-                entry[3] += 1
-                if entry[3] > config.max_retries:
-                    for index in entry[1]:
-                        tally.dead_letter(index, shard, reason, entry[3])
-                else:
-                    tally.retries += 1
-                    if config.retry_backoff:
-                        time.sleep(
-                            config.retry_backoff * 2 ** (entry[3] - 1)
+            transport.respawn(shard)
+            # The dead worker's unreported tail (the failing batch) is
+            # gone with it; its replacement's cache starts empty.
+            cache_seen[shard] = self._fresh_cache
+            if cache_run[shard] is not None:
+                cache_run[shard] = cache_run[shard].then(self._fresh_cache)
+            culprit = requeue[0]
+            seqs[shard] = culprit[0] + 1
+            culprit[3] += 1
+            if culprit[3] > config.max_retries:
+                for index in culprit[1]:
+                    tally.dead_total += 1
+                    if len(tally.dead) < config.max_dead_letters:
+                        tally.dead.append(
+                            DeadLetter(index, shard, reason, culprit[3])
                         )
-                    transmit(shard, entry)
+                requeue.popleft()
+            else:
+                tally.retries += 1
+                if config.retry_backoff:
+                    time.sleep(config.retry_backoff * 2 ** (culprit[3] - 1))
+            for entry in requeue:
+                transmit(shard, entry)
 
         def transmit(shard: int, entry: list) -> None:
-            channel = channels[shard] if channels is not None else None
-            if channel is not None:
-                # A frame must not be rewritten while its batch is
-                # still in flight, so the window is bounded by the
-                # frame count (the blocking recv doubles as the
-                # supervisor heartbeat).
-                while len(inflight[shard]) >= channel.slots:
-                    recv_reply(shard, blocking=True)
             entry[0] = seqs[shard]
             seqs[shard] += 1
             inflight[shard].append(entry)
-            wire = entry[2]
-            if channel is not None:
-                blob = b"".join(wire)
-                slot = entry[0] % channel.slots
-                if channel.write_request(slot, blob):
-                    # entry[2] keeps the raw payloads for retransmit;
-                    # only the wire form points into the frame.
-                    wire = ("shm", slot, [len(p) for p in entry[2]])
-            try:
-                connections[shard].send((entry[0], entry[1], wire, now))
-            except (BrokenPipeError, OSError) as exc:
-                worker_failed(
-                    shard, f"pipe write failed ({type(exc).__name__})"
-                )
+            transport.submit(shard, entry[0], entry[1], entry[2], now)
 
         def send_batch(shard: int) -> None:
-            batch = rings[shard].pop_batch(config.batch_size)
-            if not batch:
-                return
-            indices = [item[0] for item in batch]
-            payloads = [
-                item[1] if isinstance(item[1], bytes) else item[1].encode()
-                for item in batch
-            ]
-            transmit(shard, [0, indices, payloads, 0])
-
-        def recv_reply(shard: int, blocking: bool) -> bool:
-            """Consume one reply; False when none (or the worker died).
-
-            The blocking form is the supervisor heartbeat: a shard
-            that stays silent for ``worker_timeout`` seconds is
-            declared dead and respawned (its batches requeue), so the
-            engine can no longer hang on ``recv`` from a wedged or
-            crashed worker.
-            """
-            connection = connections[shard]
-            try:
-                if blocking:
-                    if not connection.poll(config.worker_timeout):
-                        worker_failed(
-                            shard,
-                            f"heartbeat timeout "
-                            f"({config.worker_timeout:g}s)",
-                        )
-                        return False
-                elif not connection.poll():
-                    return False
-                reply = connection.recv()
-            except (EOFError, OSError):
-                worker_failed(shard, "pipe EOF (worker died)")
-                return False
-            (
-                seq, indices, raw, busy_total, latency,
-                cache_stats, injected, degraded,
-            ) = reply
-            if type(raw) is tuple and raw and raw[0] == "shm":
-                # Outcome bytes live in the reply frame; the pipe only
-                # carried (decision, ports, length, failure) metadata.
-                _, slot, meta = raw
-                blob = channels[shard].read_reply(
-                    slot,
-                    sum(m[2] for m in meta if m[2] is not None),
+            # Only here can the window be full: worker_failed resubmits
+            # at most the window it has just emptied.  (Keeping the wait
+            # out of transmit also keeps these closures free of
+            # reference cycles, so a run's garbage dies by refcount.)
+            while len(inflight[shard]) >= transport.window:
+                collect(shard, blocking=True)
+            indices = rings[shard].pop_batch(batch_size)
+            if indices:
+                transmit(
+                    shard, [0, indices, [packets[i] for i in indices], 0]
                 )
-                raw = []
-                offset = 0
-                for decision, ports, length, failure in meta:
-                    if length is None:
-                        raw.append((decision, ports, None, failure))
-                    else:
-                        end = offset + length
-                        raw.append(
-                            (decision, ports, blob[offset:end], failure)
-                        )
-                        offset = end
+
+        def collect(shard: int, blocking: bool) -> bool:
+            """Account one reply; False when none is ready or the
+            worker died (it has been respawned by then)."""
+            try:
+                reply = transport.collect(shard, blocking)
+            except WorkerDied as death:
+                worker_failed(shard, str(death))
+                return False
+            if reply is None:
+                return False
+            seq, indices, raw, _, latency, cache_stats, injected, degraded = (
+                reply
+            )
             entry = inflight[shard].popleft()
             if entry[0] != seq:  # pragma: no cover - protocol invariant
                 raise EngineWorkerError(
                     f"shard {shard} replied out of order "
                     f"(seq {seq}, expected {entry[0]})"
                 )
-            busy_live[shard] = busy_total - busy_base[shard]
-            cache_live[shard] = cache_stats
+            # A batch's latency is the busy time it added.
+            busy[shard] += latency
+            latencies.append(latency)
             packets_done[shard] += len(indices)
             batches[shard] += 1
             tally.faults += injected
             tally.degraded += degraded
-            latencies.append(latency)
-            # Shard-side processor telemetry stays in the subprocess;
-            # the parent reconstructs batch spans from the reported
-            # latency at reply receipt.
-            reply_at = time.perf_counter()
-            self.tracer.record_span(
-                "engine.batch",
-                reply_at - latency,
-                reply_at,
-                shard=shard,
-                packets=len(indices),
-            )
+            if cache_stats is not None:
+                stats = FlowCacheStats.from_dict(cache_stats)
+                delta = stats - cache_seen[shard]
+                cache_seen[shard] = stats
+                cache_run[shard] = (
+                    delta
+                    if cache_run[shard] is None
+                    else cache_run[shard].then(delta)
+                )
+            if self.tracer:
+                # Worker-side spans may live in another process; the
+                # supervisor reconstructs the batch span from the
+                # reported latency at reply receipt.
+                reply_at = time.perf_counter()
+                self.tracer.record_span(
+                    "engine.batch",
+                    reply_at - latency,
+                    reply_at,
+                    shard=shard,
+                    packets=len(indices),
+                )
             for index, outcome in zip(indices, raw):
                 outcomes[index] = _outcome(outcome, shard)
             return True
 
         def collect_ready(block_shard: Optional[int] = None) -> None:
             # Drain replies so pipes never fill up; optionally block on
-            # one shard to bound its in-flight batches.
+            # one shard until it has made progress.
             for shard in range(num):
                 if shard == block_shard:
                     while inflight[shard]:
-                        if recv_reply(shard, blocking=True):
+                        if collect(shard, blocking=True):
                             break
-                while inflight[shard] and recv_reply(shard, blocking=False):
+                while inflight[shard] and collect(shard, blocking=False):
                     pass
 
-        try:
-            shards = self.dispatcher.shards_of(packets)
-            for index, (shard, packet) in enumerate(zip(shards, packets)):
-                ring = rings[shard]
-                if not ring.push((index, packet)):
-                    if config.backpressure == "drop-tail":
-                        ring.record_drop()
-                        dropped += 1
-                        continue
-                    # Loop until the ring accepts the packet: with
-                    # batch_size > ring_capacity one send_batch may not
-                    # free enough slots, and the unchecked push here
-                    # silently lost the packet pre-PR 4.
-                    while not ring.push((index, packet)):
-                        send_batch(shard)
-                        collect_ready(block_shard=shard)
-                if len(ring) >= config.batch_size:
+        drop_tail = config.backpressure == "drop-tail"
+        for index, shard in enumerate(self.dispatcher.shards_of(packets)):
+            ring = rings[shard]
+            if not ring.push(index):
+                if drop_tail:
+                    ring.record_drop()
+                    dropped += 1
+                    continue
+                # Loop until the ring accepts the packet: with
+                # batch_size > ring_capacity one send_batch may not
+                # free enough slots.
+                while not ring.push(index):
                     send_batch(shard)
-                    collect_ready()
-            for shard in range(num):
-                while len(rings[shard]):
-                    send_batch(shard)
-                    collect_ready()
-            for shard in range(num):
-                while inflight[shard]:
-                    recv_reply(shard, blocking=True)
-        finally:
-            if not persistent:
-                for connection in connections:
-                    try:
-                        connection.send(None)
-                    except (BrokenPipeError, OSError):  # pragma: no cover
-                        pass
-                for process in processes:
-                    process.join(timeout=10)
-                    if process.is_alive():  # pragma: no cover - hung
-                        process.terminate()
-                        process.join(timeout=5)
-                for connection in connections:
-                    try:
-                        connection.close()
-                    except OSError:  # pragma: no cover - already closed
-                        pass
-                self._drop_channels(channels)
-            for ring in rings:
-                # Early termination (EngineWorkerError and friends)
-                # must not strand (index, packet) refs in the rings.
-                ring.pop_batch(len(ring))
+                    collect_ready(block_shard=shard)
+            if len(ring) >= batch_size:
+                send_batch(shard)
+                collect_ready()
+        for shard in range(num):
+            while len(rings[shard]):
+                send_batch(shard)
+                collect_ready()
+        for shard in range(num):
+            while inflight[shard]:
+                collect(shard, blocking=True)
 
         wall = time.perf_counter() - start
-        shard_busy = [
-            busy_committed[i] + busy_live[i] for i in range(num)
-        ]
         shard_reports = tuple(
             ShardReport(
                 shard_id=i,
                 packets=packets_done[i],
                 batches=batches[i],
-                busy_seconds=shard_busy[i],
-                utilization=shard_busy[i] / wall if wall > 0 else 0.0,
+                busy_seconds=busy[i],
+                utilization=busy[i] / wall if wall > 0 else 0.0,
             )
             for i in range(num)
         )
         flow_stats = None
         if config.flow_cache:
-            # Each incarnation's cumulative counters minus its base
-            # (zero for per-run workers, the previous run's cumulative
-            # for persistent ones) is this run's delta; dead
-            # incarnations were folded into cache_committed.
-            parts = []
-            for i in range(num):
-                stats = None
-                if cache_live[i] is not None:
-                    stats = FlowCacheStats.from_dict(cache_live[i])
-                    if cache_base[i] is not None:
-                        stats = stats - cache_base[i]
-                if cache_committed[i] is not None:
-                    stats = (
-                        cache_committed[i]
-                        if stats is None
-                        else stats + cache_committed[i]
-                    )
-                if stats is not None:
-                    parts.append(stats)
-            flow_stats = FlowCacheStats.total(parts)
-        if persistent:
-            # Carry each live worker's latest cumulative counters as
-            # the next run's baseline (respawns already reset theirs).
-            for i in range(num):
-                busy_base[i] += busy_live[i]
-                if cache_live[i] is not None:
-                    cache_base[i] = FlowCacheStats.from_dict(cache_live[i])
-        return self._report(
-            len(packets), dropped, wall, outcomes, sorted(latencies),
-            shard_reports, tuple(ring.stats() for ring in rings),
-            flow_stats, tally,
-        )
-
-    # ------------------------------------------------------------------
-    def _report(
-        self,
-        offered: int,
-        dropped: int,
-        wall: float,
-        outcomes: List[Optional[PacketOutcome]],
-        sorted_latencies: List[float],
-        shard_reports: Tuple[ShardReport, ...],
-        ring_stats: Tuple[RingStats, ...],
-        flow_cache: Optional[FlowCacheStats] = None,
-        resilience: Optional[_ResilienceTally] = None,
-    ) -> EngineReport:
+            # A shard that saw no batch this run still has a cache:
+            # zero counters, its last known gauges.
+            flow_stats = FlowCacheStats.total(
+                run if run is not None else seen - seen
+                for run, seen in zip(cache_run, cache_seen)
+            )
         decisions: Dict[str, int] = {}
         for outcome in outcomes:
             if outcome is not None:
                 name = outcome.decision.value
                 decisions[name] = decisions.get(name, 0) + 1
-        dead_total = resilience.dead_total if resilience is not None else 0
-        processed = offered - dropped - dead_total
+        processed = len(packets) - dropped - tally.dead_total
+        latencies.sort()
         report = EngineReport(
-            packets_offered=offered,
+            packets_offered=len(packets),
             packets_processed=processed,
             packets_dropped_backpressure=dropped,
             wall_seconds=wall,
             pkts_per_second=processed / wall if wall > 0 else 0.0,
             decisions=decisions,
-            batch_latency_p50=nearest_rank(sorted_latencies, 0.50),
-            batch_latency_p99=nearest_rank(sorted_latencies, 0.99),
+            batch_latency_p50=nearest_rank(latencies, 0.50),
+            batch_latency_p99=nearest_rank(latencies, 0.99),
             shards=shard_reports,
-            rings=ring_stats,
+            rings=tuple(ring.stats() for ring in rings),
             outcomes=tuple(outcomes),
-            flow_cache=flow_cache,
-            worker_restarts=(
-                resilience.restarts if resilience is not None else 0
-            ),
-            retries=resilience.retries if resilience is not None else 0,
-            degraded=resilience.degraded if resilience is not None else 0,
-            faults_injected=(
-                resilience.faults if resilience is not None else 0
-            ),
-            dead_letter_total=dead_total,
-            dead_letter=(
-                tuple(resilience.dead) if resilience is not None else ()
-            ),
+            flow_cache=flow_stats,
+            worker_restarts=tally.restarts,
+            retries=tally.retries,
+            degraded=tally.degraded,
+            faults_injected=tally.faults,
+            dead_letter_total=tally.dead_total,
+            dead_letter=tuple(tally.dead),
         )
         if self.metrics:
-            self._publish(report, sorted_latencies)
+            self._publish(report, latencies)
         return report
 
     def _publish(
@@ -1519,42 +1005,14 @@ class ForwardingEngine:
 
         Called once per :meth:`run` (never on the per-packet path) and
         only when telemetry is on, so the disabled engine pays nothing
-        here.  Batch latencies feed a mergeable log2 histogram, which
-        replaces the old hand-rolled ``_percentile`` path as the
+        here.  Batch latencies feed a mergeable log2 histogram, the
         quantile source for exported metrics.
         """
         metrics = self.metrics
-        metrics.counter("engine_packets_offered_total").inc(
-            report.packets_offered
-        )
-        metrics.counter("engine_packets_processed_total").inc(
-            report.packets_processed
-        )
-        metrics.counter("engine_packets_dropped_backpressure_total").inc(
-            report.packets_dropped_backpressure
-        )
-        metrics.counter("engine_worker_restarts_total").inc(
-            report.worker_restarts
-        )
-        metrics.counter("engine_retries_total").inc(report.retries)
-        metrics.counter("engine_degraded_total").inc(report.degraded)
-        metrics.counter("engine_dead_letter_total").inc(
-            report.dead_letter_total
-        )
-        metrics.counter("engine_shed_total").inc(report.packets_shed)
-        metrics.counter("engine_rate_limited_total").inc(
-            report.packets_rate_limited
-        )
-        metrics.counter("engine_quarantined_total").inc(
-            report.packets_quarantined
-        )
-        metrics.counter("resilience_faults_injected_total").inc(
-            report.faults_injected
-        )
-        for name, count in report.decisions.items():
-            metrics.counter(
-                "engine_decisions_total", labels=(("decision", name),)
-            ).inc(count)
+        # Counter names (labels included) are EngineReport.snapshot()'s:
+        # per-run deltas there, running totals here.
+        for name, count in report.snapshot().counters.items():
+            metrics.counter(name).inc(count)
         metrics.gauge("engine_wall_seconds").set(report.wall_seconds)
         metrics.gauge("engine_pkts_per_second").set(report.pkts_per_second)
         metrics.histogram("engine_batch_latency_seconds").observe_many(
@@ -1562,37 +1020,19 @@ class ForwardingEngine:
         )
         for index, ring in enumerate(report.rings):
             labels = (("shard", str(index)),)
-            metrics.counter("engine_ring_enqueued_total", labels=labels).inc(
-                ring.enqueued
-            )
-            metrics.counter("engine_ring_dropped_total", labels=labels).inc(
-                ring.dropped
-            )
             metrics.gauge("engine_ring_occupancy_high_watermark",
                           labels=labels).set(ring.high_watermark)
             metrics.gauge("engine_ring_capacity", labels=labels).set(
                 ring.capacity
             )
         for shard in report.shards:
-            labels = (("shard", str(shard.shard_id)),)
-            metrics.counter("engine_shard_packets_total", labels=labels).inc(
-                shard.packets
-            )
-            metrics.counter("engine_shard_batches_total", labels=labels).inc(
-                shard.batches
-            )
-            metrics.gauge("engine_shard_utilization", labels=labels).set(
-                shard.utilization
-            )
-        if self._workers:
-            for worker in self._workers:
-                if worker.flow_cache is not None:
-                    worker.flow_cache.publish(metrics)
-        elif report.flow_cache is not None:
-            # Process backend: workers are gone, publish the summed
-            # per-run stats instead of live cache state.
-            for name, value in report.flow_cache.snapshot().counters.items():
-                metrics.counter(name).set_total(value)
+            metrics.gauge(
+                "engine_shard_utilization",
+                labels=(("shard", str(shard.shard_id)),),
+            ).set(shard.utilization)
+        if report.flow_cache is not None:
+            for name, value in report.flow_cache.snapshot().gauges.items():
+                metrics.gauge(name).set(value)
 
 
 _DECISION_BY_VALUE = {decision.value: decision for decision in Decision}

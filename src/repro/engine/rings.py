@@ -7,10 +7,10 @@ packet ("drop-tail", recorded via :meth:`Ring.record_drop`).  Counters
 cover the three questions an operator asks of a queue -- how much went
 through, how much was lost, and how close it came to overflowing.
 
-The serial engine backend uses these rings single-threaded (one
-producer, one consumer taking turns), so no locking is needed; the
-multiprocessing backend keeps its rings on the dispatcher side and
-ships drained batches over pipes, so the same class serves both.
+The rings live on the supervisor's side of the transport seam
+(repro.engine.transport) and are used single-threaded -- one producer,
+one consumer taking turns -- so no locking is needed whichever way a
+drained batch then travels.
 """
 
 from __future__ import annotations

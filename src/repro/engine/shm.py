@@ -12,18 +12,18 @@ heartbeats, respawns, reconfig -- is unchanged.
 Layout: per shard one :class:`ShardChannel` holding two segments
 (request and reply), each divided into ``slots`` fixed-size frames.  A
 batch with sequence number ``seq`` uses frame ``seq % slots`` in both
-directions; the engine bounds the per-shard in-flight window to
-``slots`` batches, so a frame is never rewritten before its reply has
-been consumed.  Payloads are concatenated into one blob per batch (the
+directions; the process transport's ``window`` bounds the per-shard
+in-flight batches to ``slots``, so a frame is never rewritten before
+its reply has been consumed.  Payloads are concatenated into one blob per batch (the
 per-packet lengths ride on the pipe), so a frame write/read is a single
 ``memoryview`` copy.  A blob larger than ``slot_size`` falls back to
 inline pipe payloads for that batch -- correctness never depends on the
 frame size.
 
 Ownership: the parent creates both segments *before* forking and is the
-only process that ever unlinks them (in ``close()`` or the per-run
-``finally``).  Children inherit the mappings through fork and just
-read/write; they never attach by name and never touch the resource
+only process that ever unlinks them (in
+:meth:`~repro.engine.transport.ProcessTransport.close`).  Children
+inherit the mappings through fork and just read/write; they never attach by name and never touch the resource
 tracker, so a child dying hard (``os._exit`` crash injection) can leak
 nothing -- the parent's unlink covers every exit path.  Segment names
 carry the ``repro-`` prefix so tests can assert ``/dev/shm`` is clean.

@@ -102,7 +102,7 @@ class ShardWorker:
         plan builds no injector and adds nothing to the batch path.
     injector:
         A pre-built injector to adopt instead of building one from
-        ``fault_plan`` (the serial supervisor hands the old injector
+        ``fault_plan`` (the inline transport hands the old injector
         to a respawned worker so fired-fault bookkeeping survives).
     """
 
@@ -156,7 +156,13 @@ class ShardWorker:
         self.packets_processed = 0
         self.degraded = 0
         self.busy_seconds = 0.0
-        self.batch_latencies: List[float] = []
+        # Only the last batch's latency is kept: the supervisor collects
+        # the per-run series from the replies.
+        self.last_latency = 0.0
+        # What the replies have reported so far; an adopted injector's
+        # earlier faults belong to the incarnation it came from.
+        self._injected_reported = self.faults_injected
+        self._degraded_reported = 0
 
     @property
     def faults_injected(self) -> int:
@@ -190,7 +196,7 @@ class ShardWorker:
             results = self.processor.process_batch(batch, now=now)
         elapsed = time.perf_counter() - start
         self.busy_seconds += elapsed
-        self.batch_latencies.append(elapsed)
+        self.last_latency = elapsed
         self.packets_processed += len(results)
         # Per-batch stage span (no-op on the null tracer; one call per
         # batch, never per packet).
@@ -245,6 +251,54 @@ class ShardWorker:
         )
         return out
 
+    def serve(
+        self,
+        seq: int,
+        indices: List[int],
+        batch: Sequence[Union[DipPacket, bytes]],
+        now: float = 0.0,
+    ) -> tuple:
+        """:meth:`run_batch` plus the reply tuple of the worker protocol
+        (see :func:`_shard_worker_main`), identical on both transports."""
+        outcomes = self.run_batch(batch, seq=seq, now=now)
+        injected, degraded = self.faults_injected, self.degraded
+        reply = (
+            seq,
+            indices,
+            outcomes,
+            self.busy_seconds,
+            self.last_latency,
+            (
+                self.flow_cache.stats().as_dict()
+                if self.flow_cache is not None
+                else None
+            ),
+            injected - self._injected_reported,
+            degraded - self._degraded_reported,
+        )
+        self._injected_reported = injected
+        self._degraded_reported = degraded
+        return reply
+
+    def control(self, kind: str, value):
+        """Apply one live control message; returns the value to ack.
+
+        ``"reconfig"`` applies a
+        :class:`~repro.core.registry.RegistryMutation` to the live
+        registry *in place* (each register/unregister bumps the
+        registry version, which invalidates the compiled-program cache
+        and the flow cache on the next batch -- the zero-downtime
+        hot-swap path) and acks the new version.  ``"degrade"`` flips
+        the degrade policy (None or one of the PR 4 policy names);
+        applied at emit time after the walk, so nothing is
+        invalidated.
+        """
+        if kind == "reconfig":
+            value.apply(self.processor.registry)
+            return self.processor.registry.version
+        self.degrade = value
+        return value
+
     # ------------------------------------------------------------------
     # resilience (repro.resilience; DESIGN.md 3.9)
     # ------------------------------------------------------------------
@@ -253,7 +307,7 @@ class ShardWorker:
 
         Returns the (possibly rewritten) batch plus per-index result
         overrides for op-exception faults.  Crash faults raise
-        :class:`InjectedWorkerCrash` -- the serial supervisor catches
+        :class:`InjectedWorkerCrash` -- the inline transport catches
         it, the process main loop turns it into a hard exit.
         """
         overrides = None
@@ -351,16 +405,9 @@ def _shard_worker_main(
       With a shared-memory ``channel``, ``payloads`` may instead be
       ``("shm", slot, lengths)`` -- the batch blob sits in request
       frame ``slot`` and is cut back apart by ``lengths``.
-    - control: ``("reconfig", mutation)`` applies a picklable
-      :class:`~repro.core.registry.RegistryMutation` to the worker's
-      live registry *in place* (each register/unregister bumps the
-      registry version, which invalidates the compiled-program cache
-      and the flow cache on the next batch -- the zero-downtime
-      hot-swap path).  Reply: ``("reconfig-ack", version)``.
-    - control: ``("degrade", policy)`` flips the worker's live degrade
-      policy (None or one of the PR 4 policy names).  Applied at emit
-      time after the walk, so no cache or program invalidation is
-      needed.  Reply: ``("degrade-ack", policy)``.
+    - control: ``("reconfig", mutation)`` and ``("degrade", policy)``
+      go to :meth:`ShardWorker.control`.  Reply: ``("reconfig-ack",
+      version)`` / ``("degrade-ack", policy)``.
     - reply: ``(seq, indices, outcomes, busy_seconds, latency,
       cache_stats, injected, degraded)``; with a shared-memory
       channel ``outcomes`` becomes ``("shm", slot, meta)`` where
@@ -379,23 +426,20 @@ def _shard_worker_main(
     (``os._exit``) -- the point is to look exactly like a segfault or
     an OOM kill to the supervisor, not like a Python exception.
     """
-    cache = (
-        FlowDecisionCache(flow_cache_capacity)
-        if flow_cache_capacity
-        else None
-    )
     worker = ShardWorker(
         shard_id,
         state_factory,
         cost_model,
-        flow_cache=cache,
+        flow_cache=(
+            FlowDecisionCache(flow_cache_capacity)
+            if flow_cache_capacity
+            else None
+        ),
         registry_factory=registry_factory,
         degrade=degrade,
         fault_plan=fault_plan,
         columnar=columnar,
     )
-    injected_seen = 0
-    degraded_seen = 0
     while True:
         request = conn.recv()
         if request is None:
@@ -405,13 +449,8 @@ def _shard_worker_main(
                 channel.close()
             conn.close()
             return
-        if request[0] == "reconfig":
-            request[1].apply(worker.processor.registry)
-            conn.send(("reconfig-ack", worker.processor.registry.version))
-            continue
-        if request[0] == "degrade":
-            worker.degrade = request[1]
-            conn.send(("degrade-ack", request[1]))
+        if request[0] == "reconfig" or request[0] == "degrade":
+            conn.send((request[0] + "-ack", worker.control(*request)))
             continue
         if len(request) == 4:
             seq, indices, payloads, now = request
@@ -428,11 +467,11 @@ def _shard_worker_main(
                 channel.read_request(slot, sum(lengths)), lengths
             )
         try:
-            outcomes = worker.run_batch(payloads, seq=seq, now=now)
+            reply = worker.serve(seq, indices, payloads, now)
         except InjectedWorkerCrash:
             os._exit(1)
-        wire_outcomes = outcomes
         if channel is not None:
+            outcomes = reply[2]
             blob = b"".join(
                 encoded
                 for _, _, encoded, _ in outcomes
@@ -440,30 +479,14 @@ def _shard_worker_main(
             )
             slot = seq % channel.slots
             if channel.write_reply(slot, blob):
-                wire_outcomes = (
-                    "shm",
-                    slot,
-                    [
-                        (
-                            decision,
-                            ports,
-                            len(encoded) if encoded is not None else None,
-                            failure,
-                        )
-                        for decision, ports, encoded, failure in outcomes
-                    ],
-                )
-        injected, degraded = worker.faults_injected, worker.degraded
-        conn.send(
-            (
-                seq,
-                indices,
-                wire_outcomes,
-                worker.busy_seconds,
-                worker.batch_latencies[-1],
-                cache.stats().as_dict() if cache is not None else None,
-                injected - injected_seen,
-                degraded - degraded_seen,
-            )
-        )
-        injected_seen, degraded_seen = injected, degraded
+                meta = [
+                    (
+                        decision,
+                        ports,
+                        len(encoded) if encoded is not None else None,
+                        failure,
+                    )
+                    for decision, ports, encoded, failure in outcomes
+                ]
+                reply = reply[:2] + (("shm", slot, meta),) + reply[3:]
+        conn.send(reply)

@@ -263,12 +263,9 @@ class EngineRouterComponent(Component):
 
     def state(self):
         """The single serial shard's node state (conformance reads it)."""
-        workers = self.engine._workers
-        if not workers or len(workers) != 1:
-            raise FabricError(
-                "state() needs the serial single-shard backend"
-            )
-        return workers[0].processor.state
+        if self.engine.config.num_shards != 1:
+            raise FabricError("state() needs a single-shard engine")
+        return self.engine.shard_state(0)
 
     def counters(self) -> Dict[str, float]:
         out = super().counters()

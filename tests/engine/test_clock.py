@@ -69,7 +69,7 @@ class TestClockSeam:
         clock = ManualClock(start=50.0)
         engine = _engine(clock=clock)
         engine.run([build_interest_packet(DIGEST).encode()], now=0.0)
-        state = engine._workers[0].processor.state
+        state = engine.shard_state(0)
         # Stamped with the explicit now, not the clock's 50.0.
         entry = next(iter(state.pit._entries.values()))
         assert entry.expires_at == pytest.approx(
@@ -81,7 +81,7 @@ class TestClockSeam:
         engine = _engine(clock=clock)
         clock.advance_to(100.0)
         engine.run([build_interest_packet(DIGEST).encode()])
-        state = engine._workers[0].processor.state
+        state = engine.shard_state(0)
         entry = next(iter(state.pit._entries.values()))
         assert entry.expires_at == pytest.approx(
             100.0 + state.pit.default_lifetime
@@ -109,7 +109,7 @@ class TestVirtualTimeExpiry:
         interest = build_interest_packet(DIGEST).encode()
         data = build_data_packet(DIGEST, b"payload").encode()
         engine.run([interest])
-        state = engine._workers[0].processor.state
+        state = engine.shard_state(0)
         lifetime = state.pit.default_lifetime
         clock.advance_to(lifetime + 6.0)  # well past expiry
         report = engine.run([data])
@@ -135,7 +135,7 @@ class TestVirtualTimeExpiry:
         engine.run([build_interest_packet(DIGEST).encode()])
         clock.advance(0.5)
         engine.run([build_data_packet(DIGEST, b"content").encode()])
-        store = engine._workers[0].processor.state.content_store
+        store = engine.shard_state(0).content_store
         name = digest_name(DIGEST)
         assert store.lookup(name, now=clock()) is not None, "data was cached"
         assert store.lookup(name, now=clock() + 100.0) is None, (

@@ -10,7 +10,7 @@ for every shard count, and real traffic spreads close to uniformly.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fn import FieldOperation, OperationKey
@@ -79,12 +79,17 @@ def test_key_ignores_payload_and_hop_limit(
 
 @settings(max_examples=100, deadline=None)
 @given(header=header_strategy, num_shards=st.integers(min_value=1, max_value=16))
+@example(header=DipHeader(), num_shards=1)
 def test_shard_assignment_stable_and_in_range(header, num_shards):
-    raw = DipPacket(header=header).encode()
+    packet = DipPacket(header=header)
+    raw = packet.encode()
     first = FlowDispatcher(num_shards).shard_of(raw)
     second = FlowDispatcher(num_shards).shard_of(raw)
     assert first == second
     assert 0 <= first < num_shards
+    # The batch form agrees with the single-packet view -- including
+    # the one-shard case, which skips the hash altogether.
+    assert FlowDispatcher(num_shards).shards_of([raw, packet]) == [first] * 2
 
 
 @pytest.mark.parametrize("num_shards", [2, 4, 8, 16])

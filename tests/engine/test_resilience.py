@@ -229,6 +229,30 @@ class TestWorkerCrashRecovery:
         assert leaked_segments() == segments_before
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_respawn_does_not_double_count_cache_gauges(self, backend):
+        # The crashed shard has two incarnations in one run but only
+        # ever one cache: capacity is a gauge, not a counter.
+        plan = FaultPlan(faults=(Fault(kind=CRASH, shard=0, batch=1),))
+        config = EngineConfig(
+            num_shards=2,
+            backend=backend,
+            batch_size=16,
+            flow_cache=True,
+            flow_cache_capacity=64,
+            fault_plan=plan,
+            retry_backoff=0.0,
+        )
+        engine = ForwardingEngine(resilience_state_factory, config=config)
+        report = engine.run(make_packets(200))
+        assert report.worker_restarts == 1
+        assert report.packets_processed == 200
+        cache = report.flow_cache
+        assert cache.capacity == 2 * 64
+        assert cache.size <= cache.capacity
+        assert cache.peak_size <= cache.capacity
+        assert cache.hits + cache.misses + cache.bypasses >= 200 - 16
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_restart_budget_exhaustion_raises(self, backend):
         plan = FaultPlan(faults=(Fault(kind=CRASH, shard=0, times=0),))
         config = EngineConfig(

@@ -8,6 +8,10 @@ every offered packet ends in exactly one of three places::
 and every input index appears exactly once across those sets.  The
 serial backend keeps examples cheap (no fork per example); the process
 backend's conservation is pinned by tests/engine/test_resilience.py.
+
+Both backends run the *same* supervisor over different transports, so
+a second property demands that scripted (``batch=``-pinned) crashes
+give the same outcomes, restarts, retries and dead letters on both.
 """
 
 from hypothesis import given, settings
@@ -83,3 +87,58 @@ def test_conservation_under_scripted_crashes(
     assert len(with_outcome) == report.packets_processed
     for letter in report.dead_letter:
         assert letter.attempts == max_retries + 1
+
+
+def _pinned_crash_run(backend, packets, num_shards, max_retries, crashes):
+    plan = FaultPlan(
+        faults=tuple(
+            Fault(kind=CRASH, shard=shard % num_shards, batch=batch)
+            for shard, batch in crashes
+        )
+    )
+    config = EngineConfig(
+        num_shards=num_shards,
+        backend=backend,
+        batch_size=4,
+        fault_plan=plan,
+        max_retries=max_retries,
+        retry_backoff=0.0,
+        max_worker_restarts=64,
+    )
+    engine = ForwardingEngine(resilience_state_factory, config=config)
+    return engine.run(packets)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    packet_count=st.integers(min_value=1, max_value=60),
+    num_shards=st.integers(min_value=1, max_value=2),
+    max_retries=st.integers(min_value=0, max_value=2),
+    crashes=st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 8)), max_size=5
+    ),
+)
+def test_transports_agree_under_pinned_crashes(
+    packet_count, num_shards, max_retries, crashes
+):
+    """One supervisor, two transports: the same scripted crashes give
+    the same outcomes, restarts, retries and dead letters -- however
+    many batches a process shard happened to have in flight."""
+    packets = make_packets(packet_count)
+    inline, forked = (
+        _pinned_crash_run(backend, packets, num_shards, max_retries, crashes)
+        for backend in ("serial", "process")
+    )
+    assert forked.outcomes == inline.outcomes
+    assert forked.worker_restarts == inline.worker_restarts
+    assert forked.retries == inline.retries
+    assert forked.dead_letter_total == inline.dead_letter_total
+    # Shards die in wall-clock order on the process transport, so the
+    # record's order is not part of the contract; its content is.
+    assert sorted(
+        (letter.index, letter.shard, letter.attempts)
+        for letter in forked.dead_letter
+    ) == sorted(
+        (letter.index, letter.shard, letter.attempts)
+        for letter in inline.dead_letter
+    )

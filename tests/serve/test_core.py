@@ -263,6 +263,35 @@ def test_snapshot_metrics_includes_serve_and_engine_counters():
         core.close()
 
 
+def test_accumulated_flow_cache_gauges_describe_the_live_caches():
+    """Ten flushes are ten looks at the same two caches: the ledger's
+    size/capacity must be theirs, not ten times theirs."""
+    from repro.core.flowcache import DEFAULT_CAPACITY
+    from repro.workloads.throughput import (
+        dip32_state_factory,
+        make_zipf_engine_packets,
+    )
+
+    wires = make_zipf_engine_packets(packet_count=640)
+    core = ServeCore(
+        ServeConfig(shards=2, backend="serial"),
+        state_factory=dip32_state_factory,
+    )
+    try:
+        for start in range(0, 640, 64):
+            core.submit_many(
+                [(wire, addr) for addr, wire in enumerate(wires[start:start + 64])]
+            )
+            core.flush(now=1.0 + start)
+        cache = core.summary()["flow_cache"]
+    finally:
+        core.close()
+    # No evictions: every distinct flow holds one entry on one shard.
+    assert cache["size"] == cache["peak_size"] == len(set(wires))
+    assert cache["capacity"] == 2 * DEFAULT_CAPACITY
+    assert cache["hits"] + cache["misses"] == 640
+
+
 def test_burst_and_flush_trigger_metrics(core):
     """Per-burst / per-flush observability: burst count, log2 burst
     sizes and why each flush ran -- in the snapshot and the ledger."""
