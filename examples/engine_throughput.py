@@ -4,11 +4,10 @@
 Walks the three rungs of the software fast path over one DIP-32
 workload:
 
-1. the reference per-packet interpreter (Algorithm 1, one walk per
-   packet);
-2. ``RouterProcessor.process_batch`` -- same semantics, per-program
-   work (header parse, FN decode, dispatch, parallelism analysis)
-   amortized across the batch;
+1. ``RouterProcessor.process`` per packet (reference wire decode, one
+   walk with full trace notes per call);
+2. ``RouterProcessor.process_batch`` -- same walk, the wire prelude
+   and per-packet bookkeeping amortized across the batch;
 3. ``ForwardingEngine`` -- RSS-style flow hashing into bounded rings
    feeding sharded processors, each with private state.
 

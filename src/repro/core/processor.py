@@ -5,6 +5,12 @@ Upon receiving a packet the router (1) parses the basic DIP header
 locations, then (4) walks the FNs in order, skipping host-tagged ones
 and dispatching the rest to the operation modules by key.
 
+Steps (2) and everything derivable from the definitions alone are done
+once per distinct program (:mod:`repro.core.program`); step (4) is
+written once, in :meth:`RouterProcessor.walk`.  ``process`` walks one
+packet, ``process_batch`` walks many -- optionally behind the flow
+decision cache (:mod:`repro.core.flowcache`).
+
 Beyond the paper's pseudocode the processor also implements:
 
 - the Section 2.4 *heterogeneous configuration* rule: an unsupported FN
@@ -22,207 +28,44 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.flowcache import FlowDecisionCache, template_from_result
-from repro.core.fn import FieldOperation, OperationKey
-from repro.core.header import DipHeader
+from repro.core.fn import FN_ENCODED_SIZE, FieldOperation, OperationKey
+from repro.core.header import BASIC_HEADER_SIZE, MAX_LOC_LEN, DipHeader
 from repro.core.operations.base import (
     Decision,
     OperationContext,
     OperationResult,
 )
 from repro.core.packet import DipPacket
+from repro.core.program import (
+    STEP_EXECUTE,
+    STEP_HOST_SKIP,
+    STEP_IGNORE,
+    Program,
+    ProgramCache,
+    fns_conflict,
+    parallel_levels,
+)
 from repro.core.registry import OperationRegistry, default_registry
 from repro.core.state import NodeState
 from repro.errors import (
     FieldRangeError,
     OperationError,
     OperationStateError,
-    ProcessingLimitError,
     UnknownOperationError,
 )
-from repro.core.limits import LimitTracker
 from repro.util.bitview import BitView
 
-# Scratch-space families: an FN writing a family conflicts with a later
-# FN reading it, even when their target fields do not overlap.  This is
-# what keeps F_parm -> F_mark ordered under modular parallelism.
-_SCRATCH_WRITES = {
-    OperationKey.SOURCE: {"source"},
-    OperationKey.PARM: {"opt"},
-    OperationKey.DAG: {"xia"},
-    OperationKey.PASS: {"passport"},
-}
-_SCRATCH_READS = {
-    OperationKey.MAC: {"opt"},
-    OperationKey.MARK: {"opt"},
-    OperationKey.INTENT: {"xia"},
-    OperationKey.FIB: {"passport"},
-    OperationKey.PIT: {"passport"},
-}
-
-
-def _families(table: Dict[OperationKey, set], key: int) -> set:
-    try:
-        return table.get(OperationKey(key), set())
-    except ValueError:
-        return set()
-
-
-def fns_conflict(a: FieldOperation, b: FieldOperation) -> bool:
-    """True when two FNs must not execute in parallel."""
-    if a.overlaps(b):
-        return True
-    a_writes = _families(_SCRATCH_WRITES, a.key)
-    b_writes = _families(_SCRATCH_WRITES, b.key)
-    a_touches = a_writes | _families(_SCRATCH_READS, a.key)
-    b_touches = b_writes | _families(_SCRATCH_READS, b.key)
-    return bool(a_writes & b_touches or b_writes & a_touches)
-
-
-def parallel_levels(fns: List[FieldOperation]) -> List[int]:
-    """Order-preserving level assignment for the parallelism model.
-
-    FN *i* runs at ``1 + max(level of every earlier conflicting FN)``;
-    non-conflicting FNs share a level and execute concurrently.
-    """
-    levels: List[int] = []
-    for i, fn in enumerate(fns):
-        level = 0
-        for j in range(i):
-            if fns_conflict(fns[j], fn):
-                level = max(level, levels[j] + 1)
-        levels.append(level)
-    return levels
-
-
-# Compiled-program step actions (see _CompiledProgram).
-_STEP_EXECUTE = 0
-_STEP_HOST_SKIP = 1
-_STEP_IGNORE = 2
-_STEP_UNSUPPORTED = 3
-
-
-class _CompiledProgram:
-    """Per-program analysis shared by every packet carrying the program.
-
-    A DIP "program" is the FN-definition region of the header.  Packets
-    of one flow (and of most workloads) repeat the same program, so the
-    batch path performs the per-program work once and caches it here:
-
-    - FN-triple decode (when fed raw bytes),
-    - operation-module dispatch (registry lookups),
-    - the path-critical judgement for unsupported keys,
-    - per-FN model cycles (the cost model is a pure function of the FN),
-    - the modular-parallelism level analysis, reduced to cumulative
-      sequential/critical-path cycle sums per executed-FN prefix
-      (``parallel_levels`` is prefix-stable: an FN's level depends only
-      on earlier FNs, so an early-exit walk is a prefix of the full
-      walk).
-    """
-
-    __slots__ = (
-        "fns",
-        "steps",
-        "fn_num",
-        "max_field_end",
-        "cum_sequential",
-        "cum_parallel",
-        "cacheable",
-        "reads",
-        "read_slices",
-        "read_cover",
-        "op_counts",
-    )
-
-    def __init__(
-        self,
-        fns: Tuple[FieldOperation, ...],
-        registry: OperationRegistry,
-        cost_model: Optional[object],
-        is_path_critical,
-    ) -> None:
-        self.fns = fns
-        self.fn_num = len(fns)
-        self.max_field_end = max((fn.field_end for fn in fns), default=0)
-        steps = []
-        executed_fns: List[FieldOperation] = []
-        executed_cycles: List[int] = []
-        for fn in fns:
-            if fn.tag:
-                steps.append((_STEP_HOST_SKIP, fn, None, 0))
-                continue
-            operation = registry.find(fn.key)
-            if operation is None:
-                action = (
-                    _STEP_UNSUPPORTED
-                    if is_path_critical(fn.key)
-                    else _STEP_IGNORE
-                )
-                steps.append((action, fn, None, 0))
-                if action == _STEP_UNSUPPORTED:
-                    # Processing stops here for every packet; later FNs
-                    # are unreachable.
-                    break
-                continue
-            cycles = cost_model.fn_cycles(fn) if cost_model is not None else 0
-            steps.append((_STEP_EXECUTE, fn, operation, cycles))
-            executed_fns.append(fn)
-            executed_cycles.append(cycles)
-        self.steps = tuple(steps)
-        # Flow-cache eligibility (repro.core.flowcache): cacheable iff
-        # every executed operation is a pure lookup, in which case the
-        # packet's fate is an exact function of the read-field values
-        # (plus the per-packet inputs folded into the cache key).
-        self.cacheable = all(
-            step[2].pure for step in steps if step[0] == _STEP_EXECUTE
-        )
-        # Per-FN-key execute counts for the telemetry op counters: the
-        # instrumented walk attributes one program's worth of ops per
-        # packet (exact for completed walks; an early-exit drop still
-        # counts the full program -- documented in DESIGN.md 3.8).
-        op_counts: Dict[int, int] = {}
-        for fn in executed_fns:
-            op_counts[fn.key] = op_counts.get(fn.key, 0) + 1
-        self.op_counts = op_counts
-        reads = tuple(
-            dict.fromkeys(
-                (step[1].field_loc, step[1].field_len)
-                for step in steps
-                if step[0] == _STEP_EXECUTE
-            )
-        )
-        self.reads = reads
-        # Byte-aligned reads extract with plain slices on the hit path.
-        if all(not (loc | length) & 7 for loc, length in reads):
-            self.read_slices = tuple(
-                (loc >> 3, (loc + length) >> 3) for loc, length in reads
-            )
-            # When the slices exactly partition [0, read_cover) bytes,
-            # a locations region of that length IS the key value --
-            # no per-read slicing at all (DIP-32/128 forwarding: the
-            # locations are exactly dst||src).
-            cover = 0
-            for start, end in sorted(self.read_slices):
-                if start != cover:
-                    cover = None
-                    break
-                cover = end
-            self.read_cover = cover
-        else:
-            self.read_slices = None
-            self.read_cover = None
-        # Cumulative cycle totals per executed-FN prefix length.
-        levels = parallel_levels(executed_fns)
-        self.cum_sequential = [0]
-        self.cum_parallel = [0]
-        for length in range(1, len(executed_fns) + 1):
-            self.cum_sequential.append(sum(executed_cycles[:length]))
-            per_level: Dict[int, int] = {}
-            for level, cycles in zip(levels[:length], executed_cycles[:length]):
-                per_level[level] = max(per_level.get(level, 0), cycles)
-            self.cum_parallel.append(sum(per_level.values()))
+__all__ = [
+    "Decision",
+    "ProcessResult",
+    "RouterProcessor",
+    "fns_conflict",
+    "parallel_levels",
+    "poison_result",
+]
 
 
 @dataclass(frozen=True)
@@ -284,13 +127,22 @@ class RouterProcessor:
         Optional object with ``parse_cycles(header_len, packet_size)``
         and ``fn_cycles(fn)`` methods (see
         :class:`repro.dataplane.costs.CycleCostModel`).
+    flow_cache:
+        Optional flow-level decision cache in front of
+        :meth:`process_batch` (:mod:`repro.core.flowcache`).
+    telemetry:
+        Optional :class:`repro.telemetry.MetricsRegistry`; None or the
+        falsy null registry records nothing.
     quarantine:
-        When True the *batch* paths isolate poison packets: any
+        When True :meth:`process_batch` isolates poison packets: any
         exception a packet's decode or walk raises becomes an
         ``error``-decision :class:`ProcessResult` (``failure`` = the
         exception class name) instead of propagating.  Off by default
         so direct callers keep exact exception identity; the engine's
         shard workers turn it on (a worker must survive any packet).
+
+    ``programs`` is the processor's :class:`ProgramCache`;
+    ``programs.lookup(fns)`` is the public way to a lowered program.
     """
 
     def __init__(
@@ -306,19 +158,8 @@ class RouterProcessor:
         self.quarantine = quarantine
         self.registry = registry if registry is not None else default_registry()
         self.cost_model = cost_model
-        # Optional flow-level decision cache in front of the batch
-        # path (repro.core.flowcache); None keeps PR 1 behaviour.
         self.flow_cache = flow_cache
-        # Program cache for the batch fast path, keyed by the raw
-        # FN-definition bytes (raw-packet input) and by the decoded fns
-        # tuple (DipPacket input); both keys map to one entry.
-        self._programs: Dict[object, _CompiledProgram] = {}
-        self._programs_version = self.registry.version
-        # Optional telemetry (repro.telemetry.MetricsRegistry).  When
-        # enabled, the compiled-walk entry point is shadowed with an
-        # instrumented bound method; when disabled (None or a falsy
-        # NullRegistry) nothing is installed, so the per-packet walk
-        # carries zero telemetry conditionals.
+        self.programs = ProgramCache(self.registry, cost_model)
         self.telemetry = telemetry if telemetry else None
         if self.telemetry:
             self._tel_cycles = self.telemetry.histogram(
@@ -327,17 +168,10 @@ class RouterProcessor:
             )
             self._tel_op_counters: Dict[int, object] = {}
             self._tel_decision_counters: Dict[object, object] = {}
-            # Pending per-batch accumulators (the FlowDecisionCache
-            # publish pattern): the instrumented walk only appends to
-            # plain Python lists; _tel_flush() folds them into the
-            # registry once per batch via C-speed Counter aggregation,
-            # so the enabled path pays three list appends per packet
-            # instead of histogram/counter bookkeeping.
-            self._tel_pending_cycles: List[int] = []
-            self._tel_pending_programs: List[object] = []
-            self._tel_pending_decisions: List[object] = []
-            self._tel_pending_ops: Dict[int, int] = {}
-            self._process_compiled = self._process_compiled_instrumented
+            # Walks awaiting the per-batch fold (_tel_flush): the hot
+            # loop pays one list append per walked packet, the registry
+            # work happens once per batch at C speed.
+            self._tel_walked: List[Tuple[Program, ProcessResult]] = []
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -348,296 +182,30 @@ class RouterProcessor:
         ingress_port: int = 0,
         now: float = 0.0,
     ) -> ProcessResult:
-        """Run Algorithm 1 on one packet."""
+        """Run Algorithm 1 on one packet (full trace notes, exceptions
+        propagate, nothing is cached or recorded)."""
         # Lines 1-3: parse basic header, FN definitions, FN locations.
         if isinstance(packet, (bytes, bytearray)):
             packet = DipPacket.decode(bytes(packet))
-        header = packet.header
-        header.validate_field_ranges()
+        program = self.programs.lookup(packet.header.fns)
+        return self.walk(packet, program, ingress_port, now, collect_notes=True)
 
-        tracker = LimitTracker(self.state.limits)
-
-        if header.hop_limit == 0:
-            return ProcessResult(
-                decision=Decision.DROP, notes=("hop limit expired",)
-            )
-
-        ctx = OperationContext(
-            state=self.state,
-            locations=header.locations_view(),
-            payload=packet.payload,
-            ingress_port=ingress_port,
-            now=now,
-            at_host=False,
-            fns=header.fns,
-        )
-
-        parse_cycles = 0
-        try:
-            tracker.check_fn_count(header.fn_num)
-            if self.cost_model is not None:
-                parse_cycles = self.cost_model.parse_cycles(
-                    header.header_length, packet.size
-                )
-                tracker.charge_cycles(parse_cycles)
-        except ProcessingLimitError as exc:
-            return ProcessResult(
-                decision=Decision.DROP,
-                notes=(str(exc),),
-                cycles=parse_cycles,
-                cycles_sequential=parse_cycles,
-                cycles_parallel=parse_cycles,
-                scratch=ctx.scratch,
-                failure="limit",
-            )
-
-        notes: List[str] = []
-        fate: Optional[OperationResult] = None
-        executed_fns: List[FieldOperation] = []
-        executed_cycles: List[int] = []
-
-        # Lines 4-17: walk the FNs.
-        for fn in header.fns:
-            if fn.tag:
-                notes.append(f"{fn}: skipped (host operation)")
-                continue
-
-            operation = self.registry.find(fn.key)
-            if operation is None:
-                if self._is_path_critical(fn.key):
-                    notes.append(f"{fn}: unsupported path-critical FN")
-                    return ProcessResult(
-                        decision=Decision.UNSUPPORTED,
-                        notes=tuple(notes),
-                        unsupported_key=fn.key,
-                        cycles=parse_cycles,
-                        cycles_sequential=parse_cycles,
-                        cycles_parallel=parse_cycles,
-                        scratch=ctx.scratch,
-                        failure="unsupported",
-                    )
-                notes.append(f"{fn}: unsupported FN ignored")
-                continue
-
-            fn_cycles = 0
-            if self.cost_model is not None:
-                fn_cycles = self.cost_model.fn_cycles(fn)
-            try:
-                tracker.charge_cycles(fn_cycles)
-                result = operation.execute(ctx, fn)
-                tracker.charge_state(result.state_bytes)
-            except ProcessingLimitError as exc:
-                notes.append(f"{fn}: {exc}")
-                return self._finish(
-                    Decision.DROP, (), None, notes, parse_cycles,
-                    executed_fns, executed_cycles, header, ctx, None,
-                    failure="limit",
-                )
-            except (OperationError, FieldRangeError) as exc:
-                notes.append(f"{fn}: operation failed: {exc}")
-                return self._finish(
-                    Decision.DROP, (), None, notes, parse_cycles,
-                    executed_fns, executed_cycles, header, ctx, None,
-                    failure=_op_failure(exc),
-                )
-
-            executed_fns.append(fn)
-            executed_cycles.append(fn_cycles)
-            notes.append(f"{fn}: {result.note or result.decision.value}")
-
-            if result.decision is Decision.DROP:
-                return self._finish(
-                    Decision.DROP, (), None, notes, parse_cycles,
-                    executed_fns, executed_cycles, header, ctx, None,
-                )
-            if result.decision in (Decision.FORWARD, Decision.DELIVER):
-                fate = result
-
-        # Line 18: end processing -- assemble the outcome.
-        if fate is None and self.state.default_port is not None:
-            fate = OperationResult.forward(
-                self.state.default_port, note="static egress (default port)"
-            )
-            notes.append("static egress (default port)")
-        if fate is None:
-            return self._finish(
-                Decision.DROP, (), None,
-                notes + ["no forwarding decision"], parse_cycles,
-                executed_fns, executed_cycles, header, ctx, None,
-            )
-        out_packet = None
-        if fate.decision is Decision.FORWARD:
-            out_header = DipHeader(
-                fns=header.fns,
-                locations=ctx.locations.to_bytes(),
-                next_header=header.next_header,
-                hop_limit=header.hop_limit - 1,
-                parallel=header.parallel,
-                reserved=header.reserved,
-            )
-            out_packet = DipPacket(header=out_header, payload=packet.payload)
-        return self._finish(
-            fate.decision, fate.ports, out_packet, notes, parse_cycles,
-            executed_fns, executed_cycles, header, ctx, None,
-        )
-
-    # ------------------------------------------------------------------
-    # batch fast path
-    # ------------------------------------------------------------------
-    def process_batch(
+    def walk(
         self,
-        packets,
+        packet: DipPacket,
+        program: Program,
         ingress_port: int = 0,
         now: float = 0.0,
         collect_notes: bool = False,
-    ) -> List[ProcessResult]:
-        """Run Algorithm 1 over a batch of packets, amortizing program work.
-
-        Decision-identical to calling :meth:`process` per packet (same
-        decisions, ports, rewritten bytes, cycles and scratch; proven by
-        ``tests/engine/test_process_batch.py``), but header parse,
-        FN-triple decode, module dispatch and the parallelism/conflict
-        analysis happen once per *distinct FN program* instead of once
-        per packet.
-
-        Parameters
-        ----------
-        packets:
-            ``DipPacket`` instances or raw packet ``bytes``.
-        collect_notes:
-            When True the per-FN trace notes are produced exactly like
-            the per-packet path; the default skips their formatting
-            cost (fate-relevant notes -- drops, limit violations -- are
-            kept either way).
-        """
-        if self._programs_version != self.registry.version:
-            self._programs.clear()
-            self._programs_version = self.registry.version
-        if self.flow_cache is not None:
-            try:
-                return self._process_batch_cached(
-                    packets, ingress_port, now, collect_notes
-                )
-            finally:
-                if self.telemetry:
-                    self._tel_flush()
-        out: List[ProcessResult] = []
-        telemetry = self.telemetry
-        try:
-            if telemetry:
-                # Same walk + accumulation as the instrumented wrapper,
-                # inlined so the batch loop skips one call frame per
-                # packet (benchmarks/test_telemetry_overhead.py).
-                plain = RouterProcessor._process_compiled
-                cycles_append = self._tel_pending_cycles.append
-                programs_append = self._tel_pending_programs.append
-                decisions_append = self._tel_pending_decisions.append
-                for packet in packets:
-                    try:
-                        if isinstance(packet, (bytes, bytearray)):
-                            packet, program = self._decode_raw(bytes(packet))
-                        else:
-                            program = self._compiled(packet.header.fns)
-                        result = plain(
-                            self, packet, program, ingress_port, now,
-                            collect_notes,
-                        )
-                    except Exception as exc:
-                        if not self.quarantine:
-                            raise
-                        out.append(poison_result(exc))
-                        continue
-                    out.append(result)
-                    cycles_append(result.cycles)
-                    programs_append(program)
-                    decisions_append(result.decision)
-            else:
-                for packet in packets:
-                    try:
-                        if isinstance(packet, (bytes, bytearray)):
-                            packet, program = self._decode_raw(bytes(packet))
-                        else:
-                            program = self._compiled(packet.header.fns)
-                        out.append(
-                            self._process_compiled(
-                                packet, program, ingress_port, now,
-                                collect_notes,
-                            )
-                        )
-                    except Exception as exc:
-                        if not self.quarantine:
-                            raise
-                        out.append(poison_result(exc))
-        finally:
-            if telemetry:
-                self._tel_flush()
-        return out
-
-    def _compiled(
-        self, fns: Tuple[FieldOperation, ...], raw_key: Optional[bytes] = None
-    ) -> _CompiledProgram:
-        program = self._programs.get(fns)
-        if program is None:
-            program = _CompiledProgram(
-                fns, self.registry, self.cost_model, self._is_path_critical
-            )
-            self._programs[fns] = program
-        if raw_key is not None:
-            self._programs[raw_key] = program
-        return program
-
-    def _decode_raw(self, data: bytes):
-        """Decode one raw packet, reusing cached FN-definition decodes."""
-        from repro.core.header import BASIC_HEADER_SIZE, MAX_LOC_LEN
-        from repro.core.fn import FN_ENCODED_SIZE
-
-        if len(data) >= BASIC_HEADER_SIZE:
-            fn_num = data[2]
-            defs_end = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * fn_num
-            program = self._programs.get(data[BASIC_HEADER_SIZE:defs_end])
-            if program is not None and len(data) >= defs_end:
-                parameter = int.from_bytes(data[4:6], "big")
-                loc_len = (parameter >> 1) & MAX_LOC_LEN
-                if len(data) >= defs_end + loc_len:
-                    header = _fast_header(
-                        program.fns,
-                        data[defs_end : defs_end + loc_len],
-                        int.from_bytes(data[0:2], "big"),
-                        data[3],
-                        bool(parameter & 1),
-                        (parameter >> 11) & 0x1F,
-                    )
-                    packet = object.__new__(DipPacket)
-                    object.__setattr__(packet, "header", header)
-                    object.__setattr__(
-                        packet, "payload", data[defs_end + loc_len :]
-                    )
-                    return packet, program
-        # Miss (or malformed): the reference decoder raises the exact
-        # codec errors and populates the cache for the next packet.
-        packet = DipPacket.decode(data)
-        from repro.core.header import BASIC_HEADER_SIZE as _BASE
-
-        defs_end = _BASE + 6 * len(packet.header.fns)
-        program = self._compiled(
-            packet.header.fns, raw_key=data[_BASE:defs_end]
-        )
-        return packet, program
-
-    def _process_compiled(
-        self,
-        packet: DipPacket,
-        program: _CompiledProgram,
-        ingress_port: int,
-        now: float,
-        collect_notes: bool,
     ) -> ProcessResult:
-        """One packet walk over a compiled program (mirrors process()).
+        """Algorithm 1 lines 4-18 for one packet over its lowered program.
 
-        The per-packet budget accounting is inlined (plain integer
-        locals instead of a :class:`LimitTracker`); the rare violation
-        paths rebuild a tracker so the error text stays byte-identical
-        to the reference interpreter's.
+        ``program`` must be ``self.programs``' program for
+        ``packet.header.fns``.  With ``collect_notes`` off the per-FN
+        trace notes are skipped (fate-relevant notes -- drops, limit
+        violations -- are kept either way).  The per-packet budgets of
+        Section 2.4 are plain integer locals; the violation texts match
+        :class:`repro.core.limits.LimitTracker`'s byte for byte.
         """
         header = packet.header
         if program.max_field_end > len(header.locations) * 8:
@@ -670,15 +238,15 @@ class RouterProcessor:
         max_cycles = limits.max_cycles
         max_state = limits.max_state_bytes
         if limits.max_fn_count and program.fn_num > limits.max_fn_count:
-            try:
-                LimitTracker(limits).check_fn_count(program.fn_num)
-            except ProcessingLimitError as exc:
-                return ProcessResult(
-                    decision=Decision.DROP,
-                    notes=(str(exc),),
-                    scratch=ctx.scratch,
-                    failure="limit",
-                )
+            return ProcessResult(
+                decision=Decision.DROP,
+                notes=(
+                    f"packet carries {program.fn_num} FNs "
+                    f"(limit {limits.max_fn_count})",
+                ),
+                scratch=ctx.scratch,
+                failure="limit",
+            )
         if cost_model is not None:
             parse_cycles = cost_model.parse_cycles(
                 header.header_length, packet.size
@@ -707,7 +275,7 @@ class RouterProcessor:
         out_packet: Optional[DipPacket] = None
 
         for action, fn, operation, fn_cycles in program.steps:
-            if action == _STEP_EXECUTE:
+            if action == STEP_EXECUTE:
                 if cost_model is not None:
                     cycles_used += fn_cycles
                     if max_cycles and cycles_used > max_cycles:
@@ -744,13 +312,13 @@ class RouterProcessor:
                     break
                 if decision is Decision.FORWARD or decision is Decision.DELIVER:
                     fate = result
-            elif action == _STEP_HOST_SKIP:
+            elif action == STEP_HOST_SKIP:
                 if collect_notes:
                     notes.append(f"{fn}: skipped (host operation)")
-            elif action == _STEP_IGNORE:
+            elif action == STEP_IGNORE:
                 if collect_notes:
                     notes.append(f"{fn}: unsupported FN ignored")
-            else:  # _STEP_UNSUPPORTED
+            else:  # STEP_UNSUPPORTED
                 notes.append(f"{fn}: unsupported path-critical FN")
                 return ProcessResult(
                     decision=Decision.UNSUPPORTED,
@@ -763,6 +331,7 @@ class RouterProcessor:
                     failure="unsupported",
                 )
 
+        # Line 18: end processing -- assemble the outcome.
         if final is None:
             if fate is None and state.default_port is not None:
                 fate = OperationResult.forward(
@@ -776,8 +345,14 @@ class RouterProcessor:
                 final = fate.decision
                 ports = fate.ports
                 if final is Decision.FORWARD:
-                    out_packet = _fast_output_packet(
-                        header, ctx.locations.to_bytes(), packet.payload
+                    out_packet = _fast_packet(
+                        header.fns,
+                        ctx.locations.to_bytes(),
+                        header.next_header,
+                        header.hop_limit - 1,
+                        header.parallel,
+                        header.reserved,
+                        packet.payload,
                     )
 
         if cost_model is None:
@@ -801,97 +376,236 @@ class RouterProcessor:
         return result
 
     # ------------------------------------------------------------------
-    # telemetry (repro.telemetry) -- installed only when enabled
+    # batch path, with the optional flow decision cache in front
     # ------------------------------------------------------------------
-    def _process_compiled_instrumented(
-        self, packet, program, ingress_port, now, collect_notes
-    ) -> ProcessResult:
-        """The compiled walk plus metric recording (telemetry on only).
+    def process_batch(
+        self,
+        packets,
+        ingress_port: int = 0,
+        now: float = 0.0,
+        collect_notes: bool = False,
+    ) -> List[ProcessResult]:
+        """Run Algorithm 1 over a batch of packets, amortizing program work.
 
-        Installed as an instance attribute shadowing
-        :meth:`_process_compiled` so the disabled path (the default)
-        pays nothing -- not even a branch.  Flow-cache *hits* bypass
-        this on purpose: the op counters measure pipeline executions,
-        and a hit is exactly a walk that did not happen (the cache's
-        own hit counter tells that story).
+        Decision-identical to calling :meth:`process` per packet (same
+        decisions, ports, rewritten bytes, cycles and scratch; proven by
+        ``tests/engine/test_process_batch.py``), but FN-triple decode,
+        module dispatch and the parallelism/conflict analysis happen
+        once per *distinct FN program* instead of once per packet.
+
+        With a ``flow_cache`` attached, packets of pure programs are
+        answered from -- or seed -- an exact-match entry keyed on the
+        read-field values; stateful programs (any impure executed
+        operation), expired hop limits and out-of-range target fields
+        *bypass* to the walk.  A steady-state hit on raw bytes
+        materializes neither the input header nor the input packet
+        object -- only the rewritten output packet -- and is not
+        counted as a walk by telemetry (the cache's own hit counter
+        tells that story).
+
+        Parameters
+        ----------
+        packets:
+            ``DipPacket`` instances or raw packet ``bytes``.
+        collect_notes:
+            When True the per-FN trace notes are produced exactly like
+            the per-packet path; the default skips their formatting
+            cost (fate-relevant notes -- drops, limit violations -- are
+            kept either way).
         """
-        result = RouterProcessor._process_compiled(
-            self, packet, program, ingress_port, now, collect_notes
-        )
-        # Per-packet cost: three list appends.  The registry work
-        # (bucket math, labelled-counter lookups) happens once per
-        # batch in _tel_flush().
-        self._tel_pending_cycles.append(result.cycles)
-        self._tel_pending_programs.append(program)
-        self._tel_pending_decisions.append(result.decision)
-        return result
+        programs = self.programs
+        programs.sync()
+        programs_get = programs.get
+        cache = self.flow_cache
+        # A materialized sequence runs no caller code between packets,
+        # so one generation check covers the whole batch; a lazy
+        # iterable can mutate decision-relevant state between yields
+        # and is re-checked per packet.
+        per_packet_sync = not isinstance(packets, (list, tuple))
+        if cache is not None:
+            cache.sync(self.state_token())
+            entries_get = cache._entries.get  # one dict probe per packet
+            move_to_end = cache._entries.move_to_end
+        cost_model = self.cost_model
+        walk = self.walk
+        walked = self._tel_walked if self.telemetry else None
+        new = object.__new__
+        set_attr = object.__setattr__
+        out: List[ProcessResult] = []
+        append = out.append
+        try:
+            for packet in packets:
+                if per_packet_sync:
+                    programs.sync()
+                    if cache is not None:
+                        cache.sync(self.state_token())
+                try:
+                    # Prelude, per input kind: the packet's program,
+                    # locations, header scalars and payload.
+                    program = None
+                    if isinstance(packet, (bytes, bytearray)):
+                        data = bytes(packet)
+                        if len(data) >= BASIC_HEADER_SIZE:
+                            defs_end = (
+                                BASIC_HEADER_SIZE + FN_ENCODED_SIZE * data[2]
+                            )
+                            parameter = (data[4] << 8) | data[5]
+                            total = defs_end + ((parameter >> 1) & MAX_LOC_LEN)
+                            if len(data) >= total:
+                                program = programs_get(
+                                    data[BASIC_HEADER_SIZE:defs_end]
+                                )
+                        if program is None:
+                            # First sight of the program, or malformed
+                            # bytes: the reference decoder raises the
+                            # exact codec errors.
+                            packet = DipPacket.decode(data)
+                    if program is None:
+                        in_packet = packet
+                        header = packet.header
+                        fns = header.fns
+                        program = programs_get(fns) or programs.lookup(fns)
+                        locations = header.locations
+                        next_header = header.next_header
+                        hop_limit = header.hop_limit
+                        parallel = header.parallel
+                        reserved = header.reserved
+                        payload = packet.payload
+                        total = (
+                            BASIC_HEADER_SIZE
+                            + FN_ENCODED_SIZE * program.fn_num
+                            + len(locations)
+                        )
+                        size = total + len(payload)
+                    else:
+                        in_packet = None  # built only if it must be walked
+                        locations = data[defs_end:total]
+                        next_header = (data[0] << 8) | data[1]
+                        hop_limit = data[3]
+                        parallel = bool(parameter & 1)
+                        reserved = (parameter >> 11) & 0x1F
+                        payload = data[total:]
+                        size = len(data)
 
-    def _tel_flush(self) -> None:
-        """Drain the pending telemetry accumulators into the registry.
+                    # Flow cache: bypass test -> key -> probe.
+                    key = entry = None
+                    if cache is not None:
+                        if (
+                            not program.cacheable
+                            or hop_limit == 0
+                            or program.max_field_end > len(locations) * 8
+                        ):
+                            cache.bypasses += 1
+                        else:
+                            # parse_cycles varies with packet size and
+                            # feeds both the cycle totals and the budget
+                            # checks, so it is part of the key.
+                            parse_cycles = (
+                                cost_model.parse_cycles(total, size)
+                                if cost_model is not None
+                                else 0
+                            )
+                            if program.read_cover == len(locations):
+                                values = locations
+                            elif program.read_slices is not None:
+                                values = tuple(
+                                    locations[a:b]
+                                    for a, b in program.read_slices
+                                )
+                            else:
+                                view = BitView(locations)
+                                values = tuple(
+                                    view.get_uint(loc, length)
+                                    for loc, length in program.reads
+                                )
+                            key = (
+                                program,
+                                values,
+                                parse_cycles,
+                                parallel,
+                                ingress_port,
+                                collect_notes,
+                            )
+                            entry = entries_get(key)
 
-        Called once per batch (and by the columnar specializer after
-        its bulk feed).  Cycle observations collapse by distinct value
-        before touching the histogram; op executions expand each
-        program's per-key counts by how many packets walked it (same
-        attribution as the per-packet path: an early-exit drop still
-        counts the full program, DESIGN.md 3.8).
-        """
-        cycles = self._tel_pending_cycles
-        if cycles:
-            observe_count = self._tel_cycles.observe_count
-            for value, count in Counter(cycles).items():
-                observe_count(value, count)
-            cycles.clear()
-        programs = self._tel_pending_programs
-        ops = self._tel_pending_ops
-        if programs:
-            for program, packets in Counter(programs).items():
-                for key, count in program.op_counts.items():
-                    ops[key] = ops.get(key, 0) + count * packets
-            programs.clear()
-        if ops:
-            op_counters = self._tel_op_counters
-            for key, count in ops.items():
-                counter = op_counters.get(key)
-                if counter is None:
-                    counter = self.telemetry.counter(
-                        "processor_fn_ops_total",
-                        "operation-module executions by FN key",
-                        labels=(("key", _key_label(key)),),
-                    )
-                    op_counters[key] = counter
-                counter.inc(count)
-            ops.clear()
-        decisions = self._tel_pending_decisions
-        if decisions:
-            decision_counters = self._tel_decision_counters
-            for decision, count in Counter(decisions).items():
-                counter = decision_counters.get(decision)
-                if counter is None:
-                    counter = self.telemetry.counter(
-                        "processor_decisions_total",
-                        "packet fates decided by the FN walk",
-                        labels=(("decision", decision.value),),
-                    )
-                    decision_counters[decision] = counter
-                counter.inc(count)
-            decisions.clear()
+                    if entry is None:
+                        # No cache, bypass or miss: walk, then seed.
+                        if key is not None:
+                            cache.misses += 1
+                        if in_packet is None:
+                            in_packet = _fast_packet(
+                                program.fns, locations, next_header,
+                                hop_limit, parallel, reserved, payload,
+                            )
+                        result = walk(
+                            in_packet, program, ingress_port, now,
+                            collect_notes,
+                        )
+                        if walked is not None:
+                            walked.append((program, result))
+                        if key is not None:
+                            template = template_from_result(result, locations)
+                            if template is not None:
+                                cache.put(key, template)
+                    else:
+                        # Hit: rebuild the result from the template.
+                        move_to_end(key)
+                        cache.hits += 1
+                        out_packet = None
+                        if entry.has_packet:
+                            if entry.loc_splices is not None:
+                                buffer = bytearray(locations)
+                                for offset, replacement in entry.loc_splices:
+                                    buffer[
+                                        offset : offset + len(replacement)
+                                    ] = replacement
+                                locations = bytes(buffer)
+                            out_packet = _fast_packet(
+                                program.fns, locations, next_header,
+                                hop_limit - 1, parallel, reserved, payload,
+                            )
+                        result = new(ProcessResult)
+                        set_attr(result, "decision", entry.decision)
+                        set_attr(result, "ports", entry.ports)
+                        set_attr(result, "packet", out_packet)
+                        set_attr(result, "notes", entry.notes)
+                        set_attr(result, "cycles", entry.cycles)
+                        set_attr(
+                            result, "cycles_sequential", entry.cycles_sequential
+                        )
+                        set_attr(
+                            result, "cycles_parallel", entry.cycles_parallel
+                        )
+                        set_attr(
+                            result, "unsupported_key", entry.unsupported_key
+                        )
+                        set_attr(result, "scratch", dict(entry.scratch))
+                        set_attr(result, "failure", entry.failure)
+                    append(result)
+                except Exception as exc:
+                    if not self.quarantine:
+                        raise
+                    append(poison_result(exc))
+        finally:
+            if walked:
+                self._tel_flush()
+        return out
 
-    # ------------------------------------------------------------------
-    # flow-level decision cache (repro.core.flowcache)
-    # ------------------------------------------------------------------
-    def _state_token(self) -> tuple:
+    def state_token(self) -> tuple:
         """Generation token covering everything a pure walk may read.
 
         Any decision-relevant mutation moves at least one component:
         module installs/removals bump ``registry.version``, FIB edits
         bump the per-table ``generation`` counters, locality/limits/
         default-port changes show up directly or via
-        ``NodeState.generation``.
+        ``NodeState.generation``.  ``programs.generation`` rides along
+        so whatever is keyed on program objects (flow-cache entries,
+        columnar kernels) is flushed whenever the programs are dropped.
         """
         state = self.state
         return (
             self.registry.version,
+            self.programs.generation,
             state.generation,
             state.fib_v4.generation,
             state.fib_v6.generation,
@@ -903,346 +617,70 @@ class RouterProcessor:
             len(state.local_v6),
         )
 
-    def _process_batch_cached(
-        self,
-        packets,
-        ingress_port: int,
-        now: float,
-        collect_notes: bool,
-    ) -> List[ProcessResult]:
-        """The batch loop with the decision cache in front (hot path).
-
-        Raw packets are keyed straight off the wire bytes: a steady
-        -state hit materializes neither the input header nor the input
-        packet object -- only the rewritten output packet.  Anything off
-        the straight line (``DipPacket`` inputs, program-cache misses,
-        malformed data, bypass conditions) drops to
-        :meth:`_process_cached`, which is decision-identical by
-        construction.
-        """
-        from repro.core.fn import FN_ENCODED_SIZE
-        from repro.core.header import BASIC_HEADER_SIZE, MAX_LOC_LEN
-
-        cache = self.flow_cache
-        # A materialized sequence runs no caller code between packets,
-        # so one generation check covers the whole batch; a lazy
-        # iterable can mutate decision-relevant state between yields
-        # and is re-checked per packet.
-        per_packet_sync = not isinstance(packets, (list, tuple))
-        if not per_packet_sync:
-            cache.sync(self._state_token())
-        cost_model = self.cost_model
-        entries = cache._entries  # one dict probe per packet
-        entries_get = entries.get
-        move_to_end = entries.move_to_end
-        programs_get = self._programs.get
-        process_cached = self._process_cached
-        new = object.__new__
-        set_attr = object.__setattr__
-        out: List[ProcessResult] = []
-        append = out.append
-        quarantine = self.quarantine
-        for packet in packets:
-            if per_packet_sync:
-                cache.sync(self._state_token())
-            if not isinstance(packet, (bytes, bytearray)):
-                try:
-                    program = self._compiled(packet.header.fns)
-                    append(
-                        process_cached(
-                            packet, program, ingress_port, now, collect_notes
-                        )
-                    )
-                except Exception as exc:
-                    if not quarantine:
-                        raise
-                    append(poison_result(exc))
-                continue
-            data = bytes(packet)
-            fast = len(data) >= BASIC_HEADER_SIZE
-            if fast:
-                defs_end = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * data[2]
-                program = programs_get(data[BASIC_HEADER_SIZE:defs_end])
-                parameter = int.from_bytes(data[4:6], "big")
-                loc_len = (parameter >> 1) & MAX_LOC_LEN
-                total = defs_end + loc_len
-                hop_limit = data[3]
-                fast = (
-                    program is not None
-                    and len(data) >= total
-                    and program.cacheable
-                    and hop_limit != 0
-                    and program.max_field_end <= loc_len * 8
-                )
-            if not fast:
-                # Program-cache miss, truncated data (exact codec errors
-                # surface from the reference decoder) or a bypass
-                # condition: the generic per-packet path handles -- and
-                # counts -- all of them.
-                try:
-                    packet, program = self._decode_raw(data)
-                    append(
-                        process_cached(
-                            packet, program, ingress_port, now, collect_notes
-                        )
-                    )
-                except Exception as exc:
-                    if not quarantine:
-                        raise
-                    append(poison_result(exc))
-                continue
-            locations = data[defs_end:total]
-            parallel = bool(parameter & 1)
-            parse_cycles = (
-                cost_model.parse_cycles(total, len(data))
-                if cost_model is not None
-                else 0
-            )
-            if program.read_cover == loc_len:
-                values = locations
-            else:
-                slices = program.read_slices
-                if slices is not None:
-                    values = tuple(locations[a:b] for a, b in slices)
-                else:
-                    view = BitView(locations)
-                    values = tuple(
-                        view.get_uint(loc, length)
-                        for loc, length in program.reads
-                    )
-            key = (
-                program,
-                values,
-                parse_cycles,
-                parallel,
-                ingress_port,
-                collect_notes,
-            )
-            entry = entries_get(key)
-            if entry is None:
-                cache.misses += 1
-                in_packet = new(DipPacket)
-                set_attr(
-                    in_packet,
-                    "header",
-                    _fast_header(
-                        program.fns,
-                        locations,
-                        int.from_bytes(data[0:2], "big"),
-                        hop_limit,
-                        parallel,
-                        (parameter >> 11) & 0x1F,
-                    ),
-                )
-                set_attr(in_packet, "payload", data[total:])
-                try:
-                    result = self._process_compiled(
-                        in_packet, program, ingress_port, now, collect_notes
-                    )
-                except Exception as exc:
-                    if not quarantine:
-                        raise
-                    append(poison_result(exc))
-                    continue
-                template = template_from_result(result, locations)
-                if template is not None:
-                    cache.put(key, template)
-                append(result)
-                continue
-            move_to_end(key)
-            cache.hits += 1
-            out_packet = None
-            if entry.has_packet:
-                loc_splices = entry.loc_splices
-                if loc_splices is None:
-                    out_locations = locations
-                else:
-                    buffer = bytearray(locations)
-                    for offset, replacement in loc_splices:
-                        buffer[offset : offset + len(replacement)] = (
-                            replacement
-                        )
-                    out_locations = bytes(buffer)
-                out_packet = new(DipPacket)
-                set_attr(
-                    out_packet,
-                    "header",
-                    _fast_header(
-                        program.fns,
-                        out_locations,
-                        int.from_bytes(data[0:2], "big"),
-                        hop_limit - 1,
-                        parallel,
-                        (parameter >> 11) & 0x1F,
-                    ),
-                )
-                set_attr(out_packet, "payload", data[total:])
-            result = new(ProcessResult)
-            set_attr(result, "decision", entry.decision)
-            set_attr(result, "ports", entry.ports)
-            set_attr(result, "packet", out_packet)
-            set_attr(result, "notes", entry.notes)
-            set_attr(result, "cycles", entry.cycles)
-            set_attr(result, "cycles_sequential", entry.cycles_sequential)
-            set_attr(result, "cycles_parallel", entry.cycles_parallel)
-            set_attr(result, "unsupported_key", entry.unsupported_key)
-            set_attr(result, "scratch", dict(entry.scratch))
-            set_attr(result, "failure", entry.failure)
-            append(result)
-        return out
-
-    def _process_cached(
-        self,
-        packet: DipPacket,
-        program: _CompiledProgram,
-        ingress_port: int,
-        now: float,
-        collect_notes: bool,
-    ) -> ProcessResult:
-        """One packet through the flow cache (decision-identical).
-
-        Stateful programs (any impure executed operation), expired hop
-        limits and out-of-range target fields bypass to the slow path;
-        everything else is answered from -- or seeds -- an exact-match
-        entry keyed on the read-field values.  The caller
-        (:meth:`_process_batch_cached`) has already synced the cache
-        against the state token.
-        """
-        cache = self.flow_cache
-        header = packet.header
-        locations = header.locations
-        if (
-            not program.cacheable
-            or header.hop_limit == 0
-            or program.max_field_end > len(locations) * 8
-        ):
-            cache.bypasses += 1
-            return self._process_compiled(
-                packet, program, ingress_port, now, collect_notes
-            )
-        cost_model = self.cost_model
-        # parse_cycles varies with packet size and feeds both the cycle
-        # totals and the budget checks, so it is part of the key.
-        parse_cycles = (
-            cost_model.parse_cycles(header.header_length, packet.size)
-            if cost_model is not None
-            else 0
-        )
-        if program.read_cover == len(locations):
-            values = locations
-        elif program.read_slices is not None:
-            values = tuple(locations[a:b] for a, b in program.read_slices)
-        else:
-            view = BitView(locations)
-            values = tuple(
-                view.get_uint(loc, length) for loc, length in program.reads
-            )
-        key = (
-            program,
-            values,
-            parse_cycles,
-            header.parallel,
-            ingress_port,
-            collect_notes,
-        )
-        entry = cache.get(key)
-        if entry is None:
-            cache.misses += 1
-            result = self._process_compiled(
-                packet, program, ingress_port, now, collect_notes
-            )
-            template = template_from_result(result, locations)
-            if template is not None:
-                cache.put(key, template)
-            return result
-        cache.hits += 1
-        out_packet = None
-        if entry.has_packet:
-            if entry.loc_splices is None:
-                out_locations = locations
-            else:
-                buffer = bytearray(locations)
-                for offset, replacement in entry.loc_splices:
-                    buffer[offset : offset + len(replacement)] = replacement
-                out_locations = bytes(buffer)
-            out_packet = _fast_output_packet(
-                header, out_locations, packet.payload
-            )
-        result = object.__new__(ProcessResult)
-        set_attr = object.__setattr__
-        set_attr(result, "decision", entry.decision)
-        set_attr(result, "ports", entry.ports)
-        set_attr(result, "packet", out_packet)
-        set_attr(result, "notes", entry.notes)
-        set_attr(result, "cycles", entry.cycles)
-        set_attr(result, "cycles_sequential", entry.cycles_sequential)
-        set_attr(result, "cycles_parallel", entry.cycles_parallel)
-        set_attr(result, "unsupported_key", entry.unsupported_key)
-        set_attr(result, "scratch", dict(entry.scratch))
-        set_attr(result, "failure", entry.failure)
-        return result
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _is_path_critical(self, key: int) -> bool:
-        """Would *any* standard module for this key be path-critical?
-
-        The node does not have the module, so it judges from the key's
-        standardized semantics (Table 1); unknown keys are assumed safe
-        to ignore, matching Section 2.4.
-        """
-        return key in (
-            OperationKey.PARM,
-            OperationKey.MAC,
-            OperationKey.MARK,
-            OperationKey.VERIFY,
-        )
-
     def invalidate_program_cache(self) -> None:
-        """Drop every compiled program (e.g. after swapping cost models)."""
-        self._programs.clear()
-        self._programs_version = self.registry.version
-        # Compiled-program objects are flow-cache key components, so a
-        # rebuild must flush the decision cache too.
+        """Drop every lowered program (e.g. after swapping cost models)."""
+        self.programs.cost_model = self.cost_model
+        self.programs.clear()
+        # Program objects are flow-cache key components, so a rebuild
+        # must flush the decision cache too.
         if self.flow_cache is not None:
             self.flow_cache.clear()
 
-    def _finish(
-        self,
-        decision: Decision,
-        ports: Tuple[int, ...],
-        out_packet: Optional[DipPacket],
-        notes: List[str],
-        parse_cycles: int,
-        executed_fns: List[FieldOperation],
-        executed_cycles: List[int],
-        header: DipHeader,
-        ctx: OperationContext,
-        unsupported_key: Optional[int],
-        failure: Optional[str] = None,
-    ) -> ProcessResult:
-        sequential = parse_cycles + sum(executed_cycles)
-        parallel = parse_cycles
-        if executed_fns:
-            levels = parallel_levels(executed_fns)
-            per_level: Dict[int, int] = {}
-            for level, cycles in zip(levels, executed_cycles):
-                per_level[level] = max(per_level.get(level, 0), cycles)
-            parallel += sum(per_level.values())
-        effective = parallel if header.parallel else sequential
-        return ProcessResult(
-            decision=decision,
-            ports=ports,
-            packet=out_packet,
-            notes=tuple(notes),
-            cycles=effective,
-            cycles_sequential=sequential,
-            cycles_parallel=parallel,
-            unsupported_key=unsupported_key,
-            scratch=ctx.scratch,
-            failure=failure,
-        )
+    # ------------------------------------------------------------------
+    # telemetry (repro.telemetry) -- allocated only when enabled
+    # ------------------------------------------------------------------
+    def record_walks(
+        self, program: Program, results: Iterable[ProcessResult]
+    ) -> None:
+        """Account ``results`` as walks of ``program`` and fold them in.
+
+        The bulk feed for back ends that decide packets without calling
+        :meth:`walk` (the columnar kernels): one cycles observation, one
+        decision count and one program's worth of op counts per result,
+        exactly what ``process_batch`` records per walked packet.  A
+        no-op with telemetry off.
+        """
+        if self.telemetry:
+            self._tel_walked.extend((program, result) for result in results)
+            self._tel_flush()
+
+    def _tel_flush(self) -> None:
+        """Fold the pending walks into the registry (once per batch).
+
+        Cycle observations collapse by distinct value before touching
+        the histogram; op executions expand each program's per-key
+        counts by how many packets walked it (an early-exit drop still
+        counts the full program, DESIGN.md 3.8).
+        """
+        walked = self._tel_walked
+        observe_count = self._tel_cycles.observe_count
+        for value, count in Counter(r.cycles for _, r in walked).items():
+            observe_count(value, count)
+        ops: Dict[int, int] = {}
+        for program, packets in Counter(p for p, _ in walked).items():
+            for key, count in program.op_counts.items():
+                ops[key] = ops.get(key, 0) + count * packets
+        for key, count in ops.items():
+            counter = self._tel_op_counters.get(key)
+            if counter is None:
+                counter = self._tel_op_counters[key] = self.telemetry.counter(
+                    "processor_fn_ops_total",
+                    "operation-module executions by FN key",
+                    labels=(("key", _key_label(key)),),
+                )
+            counter.inc(count)
+        for decision, count in Counter(r.decision for _, r in walked).items():
+            counter = self._tel_decision_counters.get(decision)
+            if counter is None:
+                counter = self._tel_decision_counters[decision] = (
+                    self.telemetry.counter(
+                        "processor_decisions_total",
+                        "packet fates decided by the FN walk",
+                        labels=(("decision", decision.value),),
+                    )
+                )
+            counter.inc(count)
+        walked.clear()
 
 
 def _op_failure(exc: BaseException) -> Optional[str]:
@@ -1275,47 +713,30 @@ def _key_label(key: int) -> str:
         return f"key-{key}"
 
 
-# ----------------------------------------------------------------------
-# batch-path constructors
-# ----------------------------------------------------------------------
-def _fast_header(
+def _fast_packet(
     fns: Tuple[FieldOperation, ...],
     locations: bytes,
     next_header: int,
     hop_limit: int,
     parallel: bool,
     reserved: int,
-) -> DipHeader:
-    """Build a DipHeader from pre-validated parts, skipping __post_init__.
+    payload: bytes,
+) -> DipPacket:
+    """Build a DipPacket from pre-validated parts, skipping __post_init__.
 
     Every value either comes off the wire through field masks that
     enforce the header's ranges, or from an already-validated header, so
     re-running the dataclass validation per packet is pure overhead.
     """
-    header = object.__new__(DipHeader)
     set_attr = object.__setattr__
+    header = object.__new__(DipHeader)
     set_attr(header, "fns", fns)
     set_attr(header, "locations", locations)
     set_attr(header, "next_header", next_header)
     set_attr(header, "hop_limit", hop_limit)
     set_attr(header, "parallel", parallel)
     set_attr(header, "reserved", reserved)
-    return header
-
-
-def _fast_output_packet(
-    header: DipHeader, locations: bytes, payload: bytes
-) -> DipPacket:
-    """The rewritten packet a FORWARD decision emits (hop limit -1)."""
-    out_header = _fast_header(
-        header.fns,
-        locations,
-        header.next_header,
-        header.hop_limit - 1,
-        header.parallel,
-        header.reserved,
-    )
     packet = object.__new__(DipPacket)
-    object.__setattr__(packet, "header", out_header)
-    object.__setattr__(packet, "payload", payload)
+    set_attr(packet, "header", header)
+    set_attr(packet, "payload", payload)
     return packet

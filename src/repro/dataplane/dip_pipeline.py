@@ -1,9 +1,10 @@
 """Execute DIP packets the way the Tofino prototype does (Section 4.1).
 
-:class:`repro.core.processor.RouterProcessor` is the *reference*
-interpreter (a software loop over the FNs).  This module is the
-*hardware-shaped* execution path, built from the dataplane pieces the
-way the paper describes its prototype:
+:class:`repro.core.processor.RouterProcessor` is the software walk (a
+loop over a lowered FN program); the deliberately naive *reference*
+interpreter is :class:`repro.conformance.reference.ReferenceInterpreter`.
+This module is the *hardware-shaped* execution path, built from the
+dataplane pieces the way the paper describes its prototype:
 
 - the packet is parsed by the unrolled DIP parse graph
   (:func:`repro.dataplane.parser.dip_parse_graph`) into a PHV -- no
@@ -21,7 +22,8 @@ way the paper describes its prototype:
   packet buffer).
 
 ``tests/dataplane/test_dip_pipeline.py`` proves this path decides
-exactly like the reference interpreter for every protocol realization.
+exactly like ``RouterProcessor`` for every protocol realization, and
+the conformance matrix holds both to the reference interpreter.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.core.fn import FieldOperation
 from repro.core.header import DipHeader
 from repro.core.operations.base import Decision, OperationContext
 from repro.core.packet import DipPacket
+from repro.core.program import is_path_critical
 from repro.core.registry import OperationRegistry, default_registry
 from repro.core.state import NodeState
 from repro.dataplane.parser import dip_parse_graph
@@ -159,7 +162,7 @@ class DipPipeline:
             stage_cursor += 1
             entry = table.match(fn.key)
             if entry is None:
-                if self._path_critical(fn.key):
+                if is_path_critical(fn.key):
                     result.decision = Decision.UNSUPPORTED
                     result.unsupported_key = fn.key
                     result.notes.append(
@@ -221,15 +224,4 @@ class DipPipeline:
             field_len=phv.get(f"fn_len{suffix}"),
             key=key_field & 0x7FFF,
             tag=bool(key_field & 0x8000),
-        )
-
-    @staticmethod
-    def _path_critical(key: int) -> bool:
-        from repro.core.fn import OperationKey
-
-        return key in (
-            OperationKey.PARM,
-            OperationKey.MAC,
-            OperationKey.MARK,
-            OperationKey.VERIFY,
         )

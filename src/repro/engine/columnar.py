@@ -3,8 +3,8 @@
 A DIP composition is a *static program* over shared L3 core functions
 (Section 3): the FN-definition region fixes which operations run, in
 which order, over which header fields.  The scalar batch path already
-exploits that by compiling per-program analysis once
-(:class:`~repro.core.processor._CompiledProgram`); this module takes
+exploits that by lowering each program once
+(:class:`~repro.core.program.Program`); this module takes
 the next step the paper's P4 comparison implies and compiles *pure*
 compositions into columnar numpy kernels over struct-of-arrays packet
 fields:
@@ -25,8 +25,10 @@ fields:
 
 Kernels are cached per FN-definition bytes and keyed off the same
 generation token the flow cache and the reconfig protocol use
-(:meth:`RouterProcessor._state_token`), so ``/reconfig`` hot-swaps and
-FIB/locality edits invalidate compiled kernels for free.
+(:meth:`RouterProcessor.state_token`), so ``/reconfig`` hot-swaps and
+FIB/locality edits invalidate compiled kernels for free -- and, because
+the token carries the program cache's generation, the kernel cache is
+bounded by the same constant as the programs it was lowered from.
 
 The specializer is optional everywhere: without numpy (or for any
 composition outside the supported pure subset) every packet takes the
@@ -45,18 +47,18 @@ try:  # numpy ships with the benchmark toolchain but stays optional
 except Exception:  # pragma: no cover - numpy-less deployment
     _np = None
 
-from repro.core.fn import FN_ENCODED_SIZE, FieldOperation
+from repro.core.fn import FN_ENCODED_SIZE
 from repro.core.header import BASIC_HEADER_SIZE, DipHeader
 from repro.core.operations.base import Decision
 from repro.core.operations.match import Match32Operation
 from repro.core.operations.source import SourceOperation
 from repro.core.packet import DipPacket
-from repro.core.processor import (
-    _STEP_EXECUTE,
-    _STEP_HOST_SKIP,
-    _STEP_IGNORE,
-    ProcessResult,
-    RouterProcessor,
+from repro.core.processor import ProcessResult, RouterProcessor
+from repro.core.program import (
+    STEP_EXECUTE,
+    STEP_HOST_SKIP,
+    STEP_IGNORE,
+    Program,
 )
 
 _MISSING = object()
@@ -134,31 +136,6 @@ def _lpm_intervals(fib):
         _np.asarray(starts, dtype=_np.int64),
         _np.asarray(ports, dtype=_np.int64),
     )
-
-
-def _result(
-    decision, ports, packet, notes, cycles, seq, par, scratch, failure
-):
-    """ProcessResult without dataclass __init__ (slow-path constructor).
-
-    The kernel's hot loop inlines this as a wholesale ``__dict__``
-    assignment (one dict literal instead of ten ``__setattr__`` calls);
-    this helper keeps the same trick available to non-loop call sites.
-    """
-    result = object.__new__(ProcessResult)
-    object.__setattr__(result, "__dict__", {
-        "decision": decision,
-        "ports": ports,
-        "packet": packet,
-        "notes": notes,
-        "cycles": cycles,
-        "cycles_sequential": seq,
-        "cycles_parallel": par,
-        "unsupported_key": None,
-        "scratch": scratch,
-        "failure": failure,
-    })
-    return result
 
 
 class _Kernel:
@@ -446,10 +423,6 @@ class _Kernel:
                     "failure": None,
                 })
                 out[idxs[j]] = r
-        if spec._results is not None:
-            spec._results.append(
-                (eff_l, self.program, fate_l, fb.tolist(), hop0.tolist(), k)
-            )
         return fallback
 
     def _build_notes(self, records, undecided_l, static, k):
@@ -463,7 +436,7 @@ class _Kernel:
         done = [False] * k
         record_iter = iter(records)
         for action, label, variants in self.note_steps:
-            if action == _STEP_EXECUTE:
+            if action == STEP_EXECUTE:
                 record = next(record_iter)
                 if record is None:  # source step: one shared note
                     for j in range(k):
@@ -516,12 +489,15 @@ class ColumnarSpecializer:
     def __init__(self, processor: RouterProcessor) -> None:
         self.processor = processor
         self.stats = ColumnarStats()
+        # None marks a program the compiler refused.  The whole cache
+        # lives and dies with the processor's state token (_sync).
         self._kernels: Dict[bytes, Optional[_Kernel]] = {}
         self._token: Optional[tuple] = None
         self._port_tuples: Dict[int, tuple] = {}
-        # Bulk-telemetry feed: per-kernel-run tuples drained into the
-        # processor's pending-telemetry accumulator; None = off.
-        self._results: Optional[list] = None
+
+    def __len__(self) -> int:
+        """Live kernel-cache entries (compiled or refused programs)."""
+        return len(self._kernels)
 
     # ------------------------------------------------------------------
     def process_batch(
@@ -534,18 +510,7 @@ class ColumnarSpecializer:
         processor = self.processor
         if not isinstance(packets, list):
             packets = list(packets)
-        if processor._programs_version != processor.registry.version:
-            processor._programs.clear()
-            processor._programs_version = processor.registry.version
-        token = processor._state_token()
-        if token != self._token:
-            if self._kernels:
-                self.stats.invalidations += 1
-            self._kernels.clear()
-            self._token = token
-        telemetry = processor.telemetry
-        if telemetry and self._results is None:
-            self._results = []
+        self._sync()
 
         n = len(packets)
         out: List[Optional[ProcessResult]] = [None] * n
@@ -583,19 +548,10 @@ class ColumnarSpecializer:
                                 == np.frombuffer(first, np.uint8)[cols]
                             ).all()
                         ):
-                            rejected = kernel.run(
-                                self,
-                                packets,
-                                range(n),
-                                out,
-                                collect_notes,
-                                (joined, buf, sizes, offs),
+                            self._run(
+                                kernel, packets, range(n), out, fallback,
+                                collect_notes, (joined, buf, sizes, offs),
                             )
-                            fallback.extend(rejected)
-                            self.stats.vectorized_packets += (
-                                n - len(rejected)
-                            )
-                            self.stats.fallback_packets += len(rejected)
                             grouped = True
 
         if not grouped:
@@ -627,12 +583,7 @@ class ColumnarSpecializer:
                     fallback.extend(idxs)
                     self.stats.fallback_packets += len(idxs)
                     continue
-                rejected = kernel.run(
-                    self, packets, idxs, out, collect_notes
-                )
-                fallback.extend(rejected)
-                self.stats.vectorized_packets += len(idxs) - len(rejected)
-                self.stats.fallback_packets += len(rejected)
+                self._run(kernel, packets, idxs, out, fallback, collect_notes)
 
         if fallback:
             fallback.sort()
@@ -644,38 +595,53 @@ class ColumnarSpecializer:
             )
             for i, result in zip(fallback, scalar):
                 out[i] = result
-        if telemetry:
-            self._flush_telemetry()
         return out
 
     # ------------------------------------------------------------------
+    def _sync(self) -> None:
+        """Drop every kernel when the processor's state token moved."""
+        token = self.processor.state_token()
+        if token != self._token:
+            if self._kernels:
+                self.stats.invalidations += 1
+            self._kernels.clear()
+            self._token = token
+
+    def _run(
+        self, kernel, packets, idxs, out, fallback, collect_notes, columns=None
+    ) -> None:
+        """One kernel run plus its bookkeeping: stats, the rows handed
+        back to the scalar path, and -- telemetry on -- the decided rows
+        recorded as walks of the kernel's program (rows handed back are
+        recorded by the scalar path itself)."""
+        rejected = kernel.run(
+            self, packets, idxs, out, collect_notes, columns
+        )
+        fallback.extend(rejected)
+        self.stats.vectorized_packets += len(idxs) - len(rejected)
+        self.stats.fallback_packets += len(rejected)
+        if self.processor.telemetry:
+            self.processor.record_walks(
+                kernel.program,
+                [out[i] for i in idxs if out[i] is not None],
+            )
+
     def _kernel_for(self, key: bytes) -> Optional[_Kernel]:
         kernel = self._kernels.get(key, _MISSING)
         if kernel is not _MISSING:
             return kernel
-        processor = self.processor
-        program = processor._programs.get(key)
-        if program is None:
-            try:
-                fns = tuple(
-                    FieldOperation.decode(key[i : i + FN_ENCODED_SIZE])
-                    for i in range(0, len(key), FN_ENCODED_SIZE)
-                )
-            except Exception:
-                # The reference decoder will raise the exact error.
-                self._kernels[key] = None
-                self.stats.kernel_refusals += 1
-                return None
-            program = processor._compiled(fns, raw_key=key)
-        kernel = self._compile(program)
-        self._kernels[key] = kernel
+        program = self.processor.programs.lookup_defs(key)
+        # Lowering one more program can overflow the program cache,
+        # which moves the token: the kernels go with their programs.
+        self._sync()
+        kernel = self._kernels[key] = self._compile(program)
         if kernel is None:
             self.stats.kernel_refusals += 1
         else:
             self.stats.kernels_compiled += 1
         return kernel
 
-    def _compile(self, program) -> Optional[_Kernel]:
+    def _compile(self, program: Program) -> Optional[_Kernel]:
         """Lower one compiled program to a kernel; None = scalar only."""
         if _np is None or not program.cacheable:
             return None
@@ -689,7 +655,7 @@ class ColumnarSpecializer:
         plan = []
         note_steps = []
         for action, fn, operation, _cycles in program.steps:
-            if action == _STEP_EXECUTE:
+            if action == STEP_EXECUTE:
                 if isinstance(operation, Match32Operation):
                     if fn.field_len != 32 or fn.field_loc & 7:
                         return None
@@ -697,7 +663,7 @@ class ColumnarSpecializer:
                     label = str(fn)
                     note_steps.append(
                         (
-                            _STEP_EXECUTE,
+                            STEP_EXECUTE,
                             label,
                             (
                                 f"{label}: local IPv4 address",
@@ -722,7 +688,7 @@ class ColumnarSpecializer:
                     )
                     note_steps.append(
                         (
-                            _STEP_EXECUTE,
+                            STEP_EXECUTE,
                             str(fn),
                             f"{fn}: source address recorded "
                             f"({fn.field_len} bits)",
@@ -730,15 +696,15 @@ class ColumnarSpecializer:
                     )
                 else:
                     return None
-            elif action == _STEP_HOST_SKIP:
+            elif action == STEP_HOST_SKIP:
                 note_steps.append(
-                    (_STEP_HOST_SKIP, None, f"{fn}: skipped (host operation)")
+                    (STEP_HOST_SKIP, None, f"{fn}: skipped (host operation)")
                 )
-            elif action == _STEP_IGNORE:
+            elif action == STEP_IGNORE:
                 note_steps.append(
-                    (_STEP_IGNORE, None, f"{fn}: unsupported FN ignored")
+                    (STEP_IGNORE, None, f"{fn}: unsupported FN ignored")
                 )
-            else:  # _STEP_UNSUPPORTED: scalar path owns the exact result
+            else:  # STEP_UNSUPPORTED: scalar path owns the exact result
                 return None
 
         kernel = _Kernel.__new__(_Kernel)
@@ -792,44 +758,3 @@ class ColumnarSpecializer:
             kernel.total_fn_cycles = 0
             kernel.cum_seq = kernel.cum_par = None
         return kernel
-
-    # ------------------------------------------------------------------
-    def _flush_telemetry(self) -> None:
-        """Feed the kernel runs' bulk metrics into the processor's
-        pending-telemetry accumulator, then flush once for the batch.
-
-        Mirrors the instrumented scalar walk: one cycles observation
-        and one decision count per decided packet, one program's worth
-        of op counts per decided packet (hop-expired drops included,
-        matching the scalar accounting), nothing for packets the
-        kernel handed back to the scalar path (they were counted by
-        the instrumented walk themselves).
-        """
-        processor = self.processor
-        runs = self._results
-        self._results = []
-        if runs:
-            cycles = processor._tel_pending_cycles
-            ops = processor._tel_pending_ops
-            decisions = processor._tel_pending_decisions
-            for eff_l, program, fate_l, fb_l, hop0_l, k in runs:
-                decided = 0
-                for j in range(k):
-                    if fb_l[j]:
-                        continue
-                    decided += 1
-                    if hop0_l[j]:
-                        cycles.append(0)
-                        decisions.append(Decision.DROP)
-                    else:
-                        cycles.append(eff_l[j])
-                        kind = fate_l[j]
-                        if kind == _FATE_FORWARD:
-                            decisions.append(Decision.FORWARD)
-                        elif kind == _FATE_DELIVER:
-                            decisions.append(Decision.DELIVER)
-                        else:
-                            decisions.append(Decision.DROP)
-                for key, count in program.op_counts.items():
-                    ops[key] = ops.get(key, 0) + count * decided
-        processor._tel_flush()

@@ -85,13 +85,15 @@ def measure_throughput(
 ) -> Dict[str, object]:
     """pkts/s of one processing mode over a prepared packet batch.
 
-    Modes: ``per-packet`` (the reference Algorithm 1 interpreter),
+    Modes: ``per-packet`` (the reference wire decode plus
+    :meth:`RouterProcessor.process` per packet: the same walk as the
+    batch path, with full trace notes and no raw-bytes prelude),
     ``batch`` (:meth:`RouterProcessor.process_batch`), ``columnar``
     (the batch specializer of :mod:`repro.engine.columnar` in front of
     the same processor), ``engine`` (the full dispatch/ring/shard
     path).  ``flow_cache`` puts the flow-level decision cache in front
-    of the ``batch`` and ``engine`` modes (the per-packet reference
-    path never uses it).  ``shm``/``columnar`` shape the engine mode's
+    of the ``batch`` and ``engine`` modes (``process`` never uses
+    it).  ``shm``/``columnar`` shape the engine mode's
     :class:`EngineConfig`; the engine is measured with *persistent*
     workers (started before the timed runs, closed after) so the
     numbers describe the serving steady state, not fork cost.

@@ -300,8 +300,8 @@ class TestPurityClassification:
         processor.process_batch(
             [DipPacket(header=pure_header), DipPacket(header=impure_header)]
         )
-        pure_program = processor._compiled(pure_header.fns)
-        impure_program = processor._compiled(impure_header.fns)
+        pure_program = processor.programs.lookup(pure_header.fns)
+        impure_program = processor.programs.lookup(impure_header.fns)
         assert pure_program.cacheable
         assert pure_program.reads == ((0, 32), (32, 32))
         assert pure_program.read_slices == ((0, 4), (4, 8))
@@ -314,6 +314,6 @@ class TestPurityClassification:
 
         processor = RouterProcessor(NodeState(node_id="unaligned"))
         fns = (FieldOperation(3, 13, OperationKey.MATCH_32),)
-        program = processor._compiled(fns)
+        program = processor.programs.lookup(fns)
         assert program.reads == ((3, 13),)
         assert program.read_slices is None

@@ -6,7 +6,7 @@ Hypothesis warms a specializer over random pure IPv4 flows until
 kernels exist, then applies a random :class:`RegistryMutation`.
 Whatever the mutation was, if it moved ``registry.version`` the very
 next batch must run on *freshly compiled* kernels: the generation
-token (:meth:`RouterProcessor._state_token`) changed, so the kernel
+token (:meth:`RouterProcessor.state_token`) changed, so the kernel
 cache flushes before any lookup.  Stale kernels would bake dropped
 operation modules, old FIB interval tables and old locality sets into
 "pure" decisions -- exactly the staleness the reconfig protocol

@@ -94,6 +94,39 @@ class TestCompositionEquivalence:
             )
         assert cached.flow_cache.hits > 0
 
+    @pytest.mark.parametrize("kind", ["raw", "packets", "interleaved"])
+    def test_input_kind_is_invisible(self, kind):
+        """One stream fed as wire bytes, as ``DipPacket``s, or mixed:
+        same results and same hit/miss/bypass accounting -- both input
+        kinds go through one cache front."""
+        # Pure flows (repeat -> hits), a stateful program and an
+        # expired hop limit (both bypass), in one stream.
+        stream = list(make_dip_ipv4_zipf_workload(packet_count=40, seed=9).packets)
+        stream += make_ndn_interest_workload(packet_count=6, seed=9).packets
+        stream.append(build_ipv4_packet(0x0A000001, 1, hop_limit=0))
+        fed = [
+            packet
+            if kind == "packets" or (kind == "interleaved" and index % 2)
+            else packet.encode()
+            for index, packet in enumerate(stream)
+        ]
+        cost_model = CycleCostModel()
+        reference = RouterProcessor(
+            dip32_state_factory(seed=9), cost_model=cost_model
+        )
+        cache = FlowDecisionCache(capacity=1024)
+        cached = RouterProcessor(
+            dip32_state_factory(seed=9), cost_model=cost_model, flow_cache=cache
+        )
+        for _ in range(2):
+            assert cached.process_batch(fed, collect_notes=True) == (
+                reference.process_batch(stream, collect_notes=True)
+            )
+        flows = len({packet.header.locations for packet in stream[:40]})
+        assert (cache.hits, cache.misses, cache.bypasses) == (
+            2 * 40 - flows, flows, 2 * 7
+        )
+
     def test_engine_outcomes_identical(self):
         packets = [
             packet.encode()
@@ -270,6 +303,26 @@ class TestStaleness:
         results = processor.process_batch(stream_back())
         assert results[0].ports == (5,)
         assert results[1].ports == (2,)
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_registry_mutation_between_packets_of_one_batch(self, cached):
+        """A generator that unregisters a module mid-batch: the next
+        packet must be walked over a freshly lowered program, with or
+        without a flow cache in front."""
+        processor = RouterProcessor(
+            make_state(),
+            flow_cache=FlowDecisionCache(capacity=64) if cached else None,
+        )
+        processor.process_batch([self.PACKET, self.PACKET])
+
+        def stream():
+            yield self.PACKET  # walked with F_32_match installed
+            processor.registry.unregister(OperationKey.MATCH_32)
+            yield self.PACKET  # must see the module gone
+
+        results = processor.process_batch(stream())
+        assert results[0].ports == (2,)
+        assert results[1].decision is Decision.DROP
 
     def test_invalidate_program_cache_flushes(self):
         cache = FlowDecisionCache(capacity=64)

@@ -15,9 +15,12 @@ Two families:
 
 import pytest
 
+from repro.core.flowcache import FlowDecisionCache
 from repro.core.processor import RouterProcessor
 from repro.dataplane.costs import CycleCostModel
 from repro.engine import EngineConfig, ForwardingEngine
+from repro.engine.columnar import ColumnarSpecializer
+from repro.realize.ip import build_ipv4_packet
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads.generators import (
     make_dip_ipv4_workload,
@@ -95,6 +98,85 @@ class TestProcessorEquivalence:
         assert cycles.sum == pytest.approx(
             sum(result.cycles for result in plain)
         )
+
+
+def processor_metrics(registry):
+    """(op counts, decision counts, cycles count, cycles sum) recorded."""
+    snap = registry.snapshot()
+    cycles = snap.histograms["processor_fn_cycles"]
+    return (
+        {
+            name.partition("key=")[2].strip('"}'): value
+            for name, value in snap.counters.items()
+            if name.startswith("processor_fn_ops_total") and value
+        },
+        {
+            name.partition("decision=")[2].strip('"}'): value
+            for name, value in snap.counters.items()
+            if name.startswith("processor_decisions_total") and value
+        },
+        cycles.count,
+        cycles.sum,
+    )
+
+
+class TestWhatIsRecorded:
+    """Telemetry counts walks: what ``walk`` or a kernel decided, once."""
+
+    def test_process_records_nothing(self):
+        registry = MetricsRegistry()
+        processor = RouterProcessor(
+            dip32_state_factory(), cost_model=CycleCostModel(),
+            telemetry=registry,
+        )
+        for packet in make_dip_ipv4_workload(packet_count=5, seed=3).packets:
+            processor.process(packet)
+            processor.process(packet.encode())
+        # Nothing may be left pending for the next batch's flush either.
+        processor.process_batch([])
+        assert processor_metrics(registry) == ({}, {}, 0, 0)
+
+    def test_mixed_batch_counts(self):
+        """One batch through every way a packet can be decided."""
+        registry = MetricsRegistry()
+        processor = RouterProcessor(
+            dip32_state_factory(),
+            cost_model=CycleCostModel(),
+            flow_cache=FlowDecisionCache(capacity=64),
+            telemetry=registry,
+            quarantine=True,
+        )
+        pure = make_dip_ipv4_workload(packet_count=6, seed=7).packets
+        stateful = make_ndn_interest_workload(packet_count=2, seed=7).packets
+        expired = build_ipv4_packet(0x0A000001, 1, hop_limit=0)
+        batch = [
+            pure[0],             # DipPacket: scalar path, cache miss, walked
+            pure[0],             # same again: cache hit, not a walk
+            pure[1].encode(),    # wire bytes of a pure program: kernel
+            pure[2].encode(),
+            pure[3].encode(),
+            expired.encode(),    # kernel's hop-expired row
+            expired,             # scalar: bypass, walked (hop expired)
+            stateful[0].encode(),  # impure: kernel refuses, bypass, walked
+            stateful[1],
+            pure[4].encode()[:9],  # truncated: quarantined, not a walk
+        ]
+        results = ColumnarSpecializer(processor).process_batch(batch)
+        assert [result.decision.value for result in results[-3:]] == [
+            "drop", "drop", "error",
+        ]
+        ops, decisions, count, total = processor_metrics(registry)
+        # 6 walks of the 2-FN IPv4 program (miss, 3 kernel rows, 2 hop
+        # -expired: program-attributed), 2 of the 1-FN NDN program.
+        assert ops == {"MATCH_32": 6, "SOURCE": 6, "FIB": 2}
+        # Drops: 2 hop-expired + 2 unrouted names.  (Counts and cycle
+        # sum are the ones the pre-merge code paths recorded.)
+        assert decisions == {"forward": 4, "drop": 4}
+        assert count == 8
+        walked = [results[i] for i in (0, 2, 3, 4, 5, 6, 7, 8)]
+        assert total == sum(result.cycles for result in walked)
+        cache = processor.flow_cache
+        assert (cache.hits, cache.misses, cache.bypasses) == (1, 1, 3)
 
 
 class TestEngineEquivalence:
