@@ -16,11 +16,10 @@ every example):
    dead-lettered + shed`, client replies == client sends), that the
    hot-swap actually changed live decisions, and that the PIT/CS
    stayed within their configured bounds the whole time;
-5. record sustained pkts/s, p99 batch latency and shed fraction in
-   the committed `BENCH_serve.json` ledger.
+5. print sustained pkts/s, p99 batch latency and shed fraction.
 
 Usage: ``PYTHONPATH=src python examples/serve_content_delivery.py
-[--seconds 60] [--no-ledger]``
+[--seconds 60]``
 """
 
 import argparse
@@ -30,7 +29,6 @@ import json
 from repro.serve import ServeConfig
 from repro.serve.client import run_load
 from repro.serve.daemon import ServingDaemon
-from repro.workloads.reporting import update_bench_json
 
 CONTENT_COUNT = 512
 PIT_CAPACITY = 512
@@ -114,10 +112,6 @@ async def scenario(seconds: float):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=60.0)
-    parser.add_argument(
-        "--no-ledger", action="store_true",
-        help="skip updating BENCH_serve.json",
-    )
     args = parser.parse_args()
     client, summary, before, after = asyncio.run(scenario(args.seconds))
 
@@ -147,21 +141,6 @@ def main() -> int:
     print("\n== sustained ==")
     print(f"  {pkts:,.0f} pkts/s over {summary['uptime_seconds']:.1f}s, "
           f"p99 batch {p99_ms:.3f}ms, shed {shed_fraction:.2%}")
-    if not args.no_ledger:
-        update_bench_json(
-            "BENCH_serve.json",
-            "SERVE: daemon under Zipf content-delivery load",
-            ["metric", "value"],
-            [
-                ["sustained pkts/s", f"{pkts:,.0f}"],
-                ["p99 batch latency", f"{p99_ms:.3f}ms"],
-                ["shed fraction", f"{shed_fraction:.4f}"],
-                ["offered", f"{summary['offered']}"],
-                ["run seconds", f"{summary['uptime_seconds']:.1f}"],
-                ["live reconfigs", f"{summary['reconfigs']}"],
-            ],
-        )
-        print("  ledger -> BENCH_serve.json")
     print("\nOK")
     return 0
 

@@ -267,6 +267,7 @@ def _build_engine(args, out, telemetry: bool):
 
 def cmd_engine(args, out) -> int:
     """Run the sharded forwarding engine over a DIP-32 batch."""
+    from repro.telemetry.export import write_prometheus, write_trace_jsonl
     from repro.workloads.reporting import Reporter, emit_payload, format_table
 
     # Either export flag implies telemetry; the run itself is otherwise
@@ -345,14 +346,11 @@ def cmd_engine(args, out) -> int:
             )
 
     emit_payload(args.json, report.to_dict, render, out=out)
-    reporter = Reporter(out=out)
     if args.metrics_out:
-        path = reporter.write_metrics(
-            engine.metrics.snapshot(), args.metrics_out
-        )
+        path = write_prometheus(engine.metrics.snapshot(), args.metrics_out)
         out.write(f"  metrics written to {path}\n")
     if args.trace_out:
-        path = reporter.write_trace(engine.tracer.spans, args.trace_out)
+        path = write_trace_jsonl(engine.tracer.spans, args.trace_out)
         out.write(f"  trace written to {path} ({len(engine.tracer)} spans)\n")
     return 0
 

@@ -409,25 +409,3 @@ class FlowDecisionCache:
             capacity=self.capacity,
             peak_size=self.peak_size,
         )
-
-    def publish(self, registry) -> None:
-        """Sync the hot-path integers into a telemetry registry.
-
-        The cache keeps plain ``int`` counters so hits cost no method
-        call; this copies their cumulative values into registry
-        counters/gauges at snapshot time (a no-op on the falsy
-        :data:`~repro.telemetry.NULL_REGISTRY`), keeping
-        :class:`FlowCacheStats` as the derived view it always was.
-        """
-        if not registry:
-            return
-        registry.counter("flowcache_hits_total").set_total(self.hits)
-        registry.counter("flowcache_misses_total").set_total(self.misses)
-        registry.counter("flowcache_bypasses_total").set_total(self.bypasses)
-        registry.counter("flowcache_evictions_total").set_total(self.evictions)
-        registry.counter("flowcache_invalidations_total").set_total(
-            self.invalidations
-        )
-        registry.gauge("flowcache_size").set(len(self._entries))
-        registry.gauge("flowcache_capacity").set(self.capacity)
-        registry.gauge("flowcache_peak_size").set(self.peak_size)

@@ -80,16 +80,17 @@ class EngineConfig:
     (:class:`repro.core.flowcache.FlowDecisionCache`, bounded by
     ``flow_cache_capacity`` entries per shard) in front of every
     shard's processor; stateful programs bypass it, so it is safe for
-    any workload and off by default only to keep the PR 1 baseline
-    measurable.
+    any workload.  It is off by default so the plain engine walks
+    Algorithm 1 for every packet, as the paper does, and the cache
+    stays an opt-in extension.
 
     ``telemetry`` turns on the unified metrics/tracing layer
     (:mod:`repro.telemetry`): a live :class:`MetricsRegistry` plus a
     :class:`Tracer` on :attr:`ForwardingEngine.metrics` /
     :attr:`ForwardingEngine.tracer`.  Off by default -- the disabled
-    path uses the falsy null objects and must stay within 5% of the
-    uninstrumented throughput (DESIGN.md 3.8; measured by
-    ``benchmarks/test_telemetry_overhead.py``).
+    path holds only the falsy null objects (pinned by
+    ``tests/engine/test_telemetry_equivalence.py``) and is budgeted at
+    5% of the uninstrumented throughput (DESIGN.md 3.8).
     """
 
     num_shards: int = 4

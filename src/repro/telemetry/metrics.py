@@ -88,16 +88,6 @@ class Counter:
         """Add ``amount`` (monotonic by convention, not enforced)."""
         self.value += amount
 
-    def set_total(self, value: int) -> None:
-        """Overwrite with an externally accumulated cumulative total.
-
-        For components that keep their own hot-path integers (e.g.
-        :class:`~repro.core.flowcache.FlowDecisionCache`) and sync them
-        into the registry at snapshot time instead of paying a method
-        call per event.
-        """
-        self.value = value
-
     def __bool__(self) -> bool:
         return True
 
@@ -456,9 +446,6 @@ class NullCounter:
     value = 0
 
     def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set_total(self, value: int) -> None:
         pass
 
     def __bool__(self) -> bool:

@@ -1,15 +1,15 @@
-"""One reporting surface for benchmarks, the CLI and telemetry exports.
+"""Text tables and per-run artifacts for the paper benchmarks and the CLI.
 
-:class:`Reporter` is the single sink every consumer writes through:
-aligned text tables (the paper's Figure 2 / Table 2 shapes), per-run
-JSON artifacts behind ``REPRO_REPORT_DIR``, the committed benchmark
-ledger (``BENCH_engine.json``), and the telemetry exporters (Prometheus
-text, JSONL traces) from :mod:`repro.telemetry.export`.
+:class:`Reporter` renders aligned text tables (the paper's Figure 2 /
+Table 2 shapes) and, when ``REPRO_REPORT_DIR`` is set, leaves a
+``.txt`` + ``.json`` artifact of each table behind; it never merges
+into an existing file.  :func:`emit_payload` is the CLI's ``--json``
+twin policy.  Telemetry files (Prometheus text, JSONL traces) are written
+by :mod:`repro.telemetry.export` directly.
 
-The original module-level helpers (``format_table``, ``print_table``,
-``write_report_json``, ``update_bench_json``, ``report_slug``) remain
-as thin wrappers over a default :class:`Reporter`, so existing callers
-keep working unchanged.
+The module-level helpers (``format_table``, ``print_table``,
+``write_report_json``) are thin wrappers over a default
+:class:`Reporter`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import os
 import re
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO
+from typing import Any, Callable, List, Optional, Sequence, TextIO
 
 
 def emit_payload(
@@ -63,7 +63,7 @@ def emit_payload(
 
 
 class Reporter:
-    """Renders and persists benchmark/telemetry output.
+    """Renders text tables and their per-run artifacts.
 
     Parameters
     ----------
@@ -182,93 +182,9 @@ class Reporter:
             handle.write("\n")
         return path
 
-    def update_ledger(
-        self,
-        path: str,
-        title: str,
-        headers: Sequence[str],
-        rows: Sequence[Sequence[object]],
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> str:
-        """Merge benchmark rows into a committed JSON file; returns it.
-
-        Unlike :meth:`write_json` (per-run artifacts), this maintains a
-        single tracked file (e.g. ``BENCH_engine.json`` at the repo
-        root) that successive benchmark runs update in place: rows
-        merge by their first-column label, so a partial run refreshes
-        only the rows it measured.  A missing or unparsable existing
-        file is simply rebuilt.  ``meta`` records machine/run context
-        (shard count, CPU count) next to the rows; keys merge over any
-        existing meta so independent benchmarks can each contribute.
-        """
-        payload: Dict[str, Any] = {
-            "title": title, "headers": list(headers), "rows": []
-        }
-        old_meta: Dict[str, Any] = {}
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                existing = json.load(handle)
-            if (
-                isinstance(existing, dict)
-                and isinstance(existing.get("rows"), list)
-                and existing.get("headers") == payload["headers"]
-            ):
-                payload["rows"] = [
-                    list(row)
-                    for row in existing["rows"]
-                    if isinstance(row, list)
-                ]
-                if isinstance(existing.get("meta"), dict):
-                    old_meta = existing["meta"]
-        except (OSError, ValueError):
-            pass
-        merged = {row[0]: row for row in payload["rows"] if row}
-        for row in rows:
-            str_row = [str(cell) for cell in row]
-            merged[str_row[0]] = str_row
-        payload["rows"] = list(merged.values())
-        if meta or old_meta:
-            payload["meta"] = {**old_meta, **(meta or {})}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        return path
-
-    @staticmethod
-    def read_ledger_value(
-        path: str, label: str, column: int
-    ) -> Optional[str]:
-        """One cell from a ledger: the row with first column ``label``.
-
-        Returns None when the file, row or column is missing -- callers
-        (the overhead benchmark's regression gate) treat that as "no
-        baseline recorded yet".
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            for row in payload.get("rows", []):
-                if row and str(row[0]) == label and len(row) > column:
-                    return str(row[column])
-        except (OSError, ValueError):
-            pass
-        return None
-
     # ------------------------------------------------------------------
-    # telemetry exports
+    # telemetry tables
     # ------------------------------------------------------------------
-    def write_metrics(self, snapshot, path: str) -> str:
-        """Write a metrics snapshot in Prometheus text format."""
-        from repro.telemetry.export import write_prometheus
-
-        return write_prometheus(snapshot, path)
-
-    def write_trace(self, spans, path: str) -> str:
-        """Write trace spans as JSONL."""
-        from repro.telemetry.export import write_trace_jsonl
-
-        return write_trace_jsonl(spans, path)
-
     def stats_table(self, title: str, snapshot) -> None:
         """Pretty-print a metrics snapshot as a (metric, type, value)
         table -- the human half of ``repro stats``."""
@@ -291,11 +207,6 @@ def format_table(
     return Reporter.format_table(headers, rows)
 
 
-def report_slug(title: str) -> str:
-    """The filename stem a titled report is written under."""
-    return Reporter.slug(title)
-
-
 def write_report_json(
     title: str,
     headers: Sequence[str],
@@ -304,17 +215,6 @@ def write_report_json(
 ) -> Optional[str]:
     """See :meth:`Reporter.write_json`."""
     return _DEFAULT.write_json(title, headers, rows, report_dir)
-
-
-def update_bench_json(
-    path: str,
-    title: str,
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    meta: Optional[Dict[str, Any]] = None,
-) -> str:
-    """See :meth:`Reporter.update_ledger`."""
-    return _DEFAULT.update_ledger(path, title, headers, rows, meta=meta)
 
 
 def print_table(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Sequence
@@ -16,56 +15,21 @@ class SweepPoint:
     outputs: Dict[str, Any]
 
 
-def _aggregate_outputs(
-    runs: List[Dict[str, Any]], aggregate: str
-) -> Dict[str, Any]:
-    """Fold repeated measurements into one output dict.
-
-    Numeric outputs aggregate with ``min`` (best run: least timing
-    noise) or ``median``; non-numeric outputs (labels, modes) take the
-    first run's value, which every repeat shares by construction.
-    """
-    if aggregate == "min":
-        fold = min
-    elif aggregate == "median":
-        fold = statistics.median
-    else:
-        raise ValueError(f"unknown aggregate {aggregate!r}")
-    outputs: Dict[str, Any] = {}
-    for key, first in runs[0].items():
-        if isinstance(first, (int, float)) and not isinstance(first, bool):
-            outputs[key] = fold(run[key] for run in runs)
-        else:
-            outputs[key] = first
-    return outputs
-
-
 def run_sweep(
     param_grid: Dict[str, Sequence[Any]],
     measure: Callable[..., Dict[str, Any]],
-    repeats: int = 1,
-    aggregate: str = "min",
 ) -> List[SweepPoint]:
     """Run ``measure(**params)`` over the cartesian parameter grid.
 
     ``measure`` returns a dict of named outputs; the sweep preserves
-    grid order (first parameter varies slowest).  With ``repeats > 1``
-    every grid point is measured that many times and the numeric
-    outputs are folded with ``aggregate`` ("min" or "median"); the
-    default single run returns the measurement as-is.
+    grid order (first parameter varies slowest).
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     names = list(param_grid)
     points: List[SweepPoint] = []
 
     def recurse(index: int, chosen: Dict[str, Any]) -> None:
         if index == len(names):
-            if repeats == 1:
-                outputs = measure(**chosen)
-            else:
-                runs = [measure(**chosen) for _ in range(repeats)]
-                outputs = _aggregate_outputs(runs, aggregate)
+            outputs = measure(**chosen)
             points.append(SweepPoint(params=dict(chosen), outputs=outputs))
             return
         name = names[index]

@@ -1,33 +1,35 @@
 """Engine throughput workload: DIP-32 forwarding at batch scale.
 
-This module owns two things the engine benchmarks and CLI share:
-
 - :func:`dip32_state_factory` -- a *module-level* (picklable) factory
   rebuilding the DIP-32 benchmark node state, so the engine's
-  multiprocessing shards can construct identical private FIBs from a
-  seed instead of receiving live objects over a pipe;
-- :func:`run_throughput_sweep` -- the per-packet / batched / engine
-  comparison behind ``python -m repro engine`` and
-  ``benchmarks/test_engine_throughput.py``.
+  multiprocessing shards, the serving daemon and the CLI can construct
+  identical private FIBs from a seed instead of receiving live objects
+  over a pipe;
+- :func:`make_engine_packets` / :func:`make_zipf_engine_packets` --
+  the encoded uniform and Zipf-skewed packet batches matching it;
+- :func:`measure_throughput` -- the per-packet / batch / engine ladder
+  ``examples/engine_throughput.py`` prints.
+
+Importing this module must not load numpy: the serving daemon imports
+the state factory, and only the columnar kernel needs numpy.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.flowcache import FlowDecisionCache
 from repro.core.packet import DipPacket
 from repro.core.processor import RouterProcessor
 from repro.core.state import NodeState
 from repro.engine import EngineConfig, ForwardingEngine
-from repro.engine.columnar import ColumnarSpecializer
 from repro.workloads.generators import (
     make_dip_ipv4_workload,
     make_dip_ipv4_zipf_workload,
     populate_dip_ipv4_routes,
 )
-from repro.workloads.sweeps import run_sweep, time_callable
+from repro.workloads.sweeps import time_callable
 
 
 def dip32_state_factory(
@@ -76,27 +78,23 @@ def measure_throughput(
     packets: List[bytes],
     mode: str = "per-packet",
     num_shards: int = 4,
-    backend: str = "serial",
-    batch_size: int = 64,
     repeats: int = 3,
     flow_cache: bool = False,
-    shm: bool = True,
-    columnar: bool = False,
 ) -> Dict[str, object]:
     """pkts/s of one processing mode over a prepared packet batch.
 
     Modes: ``per-packet`` (the reference wire decode plus
     :meth:`RouterProcessor.process` per packet: the same walk as the
     batch path, with full trace notes and no raw-bytes prelude),
-    ``batch`` (:meth:`RouterProcessor.process_batch`), ``columnar``
-    (the batch specializer of :mod:`repro.engine.columnar` in front of
-    the same processor), ``engine`` (the full dispatch/ring/shard
-    path).  ``flow_cache`` puts the flow-level decision cache in front
-    of the ``batch`` and ``engine`` modes (``process`` never uses
-    it).  ``shm``/``columnar`` shape the engine mode's
-    :class:`EngineConfig`; the engine is measured with *persistent*
-    workers (started before the timed runs, closed after) so the
-    numbers describe the serving steady state, not fork cost.
+    ``batch`` (:meth:`RouterProcessor.process_batch`), ``engine`` (the
+    full dispatch/ring/shard path on ``num_shards`` serial shards).
+    ``flow_cache`` puts the flow-level decision cache in front of the
+    ``batch`` and ``engine`` modes (``process`` never uses it).  The
+    engine is started before the timed runs and closed after, so the
+    numbers describe the serving steady state, not start-up cost.
+    Best-of-``repeats`` after one warm-up run; a quick in-process
+    illustration, not a benchmark (``bench/run.py`` is the one
+    harness).
     """
     cleanup = None
     if mode == "per-packet":
@@ -115,25 +113,10 @@ def measure_throughput(
         def work() -> None:
             processor.process_batch(packets)
 
-    elif mode == "columnar":
-        specializer = ColumnarSpecializer(
-            RouterProcessor(dip32_state_factory())
-        )
-
-        def work() -> None:
-            specializer.process_batch(packets)
-
     elif mode == "engine":
         engine = ForwardingEngine(
             dip32_state_factory,
-            config=EngineConfig(
-                num_shards=num_shards,
-                backend=backend,
-                batch_size=batch_size,
-                flow_cache=flow_cache,
-                shm=shm,
-                columnar=columnar,
-            ),
+            config=EngineConfig(num_shards=num_shards, flow_cache=flow_cache),
         )
         engine.start()
         cleanup = engine.close
@@ -155,27 +138,3 @@ def measure_throughput(
         "pkts_per_second": len(packets) / seconds if seconds > 0 else 0.0,
         "seconds": seconds,
     }
-
-
-def run_throughput_sweep(
-    packet_count: int = 1000,
-    packet_size: int = 128,
-    num_shards: int = 4,
-    repeats: int = 3,
-    modes: Optional[List[str]] = None,
-    flow_cache: bool = False,
-):
-    """Sweep processing modes over one packet batch (min-of-N timing)."""
-    packets = make_engine_packets(
-        packet_size=packet_size, packet_count=packet_count
-    )
-    return run_sweep(
-        {"mode": modes or ["per-packet", "batch", "engine"]},
-        lambda mode: measure_throughput(
-            packets,
-            mode=mode,
-            num_shards=num_shards,
-            repeats=repeats,
-            flow_cache=flow_cache,
-        ),
-    )

@@ -9,9 +9,12 @@ Two families:
   registry;
 - **engine equivalence** -- a telemetry-enabled
   :class:`ForwardingEngine` produces the same per-packet outcomes as a
-  disabled one, records stage spans, and the disabled engine carries
-  the falsy null objects (no spans, empty snapshot).
+  disabled one, records stage spans, and the disabled engine and its
+  shard workers carry only the falsy null objects (no spans, empty
+  snapshot, no registry on any processor).
 """
+
+import gc
 
 import pytest
 
@@ -20,8 +23,10 @@ from repro.core.processor import RouterProcessor
 from repro.dataplane.costs import CycleCostModel
 from repro.engine import EngineConfig, ForwardingEngine
 from repro.engine.columnar import ColumnarSpecializer
+from repro.engine.workers import ShardWorker
 from repro.realize.ip import build_ipv4_packet
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.telemetry.tracing import NULL_TRACER
 from repro.workloads.generators import (
     make_dip_ipv4_workload,
     make_dip_ipv4_zipf_workload,
@@ -228,6 +233,26 @@ class TestEngineEquivalence:
         assert not engine.tracer
         assert len(engine.tracer) == 0
         assert engine.metrics.snapshot().counters == {}
+
+    def test_disabled_engine_allocates_no_telemetry(self):
+        """The disabled engine and every shard worker hold only the
+        shared null objects, and no processor carries a registry."""
+        engine, _ = self.run_engine(telemetry=False)
+        assert engine.metrics is NULL_REGISTRY
+        assert engine.tracer is NULL_TRACER
+        # The workers sit behind the transport seam; find them by the
+        # shard state the public accessor hands out.
+        states = [engine.shard_state(shard) for shard in range(3)]
+        workers = [
+            candidate
+            for candidate in gc.get_objects()
+            if isinstance(candidate, ShardWorker)
+            and any(candidate.processor.state is state for state in states)
+        ]
+        assert len(workers) == 3
+        for worker in workers:
+            assert worker.tracer is NULL_TRACER
+            assert worker.processor.telemetry is None
 
     def test_second_run_accumulates(self):
         engine, _ = self.run_engine(telemetry=True)

@@ -11,16 +11,12 @@ compatibility the netsim relies on.
 
 import pytest
 
-from repro.core.flowcache import FlowCacheStats, FlowDecisionCache
+from repro.core.flowcache import FlowCacheStats
 from repro.core.operations.base import Decision
 from repro.engine.engine import EngineReport, PacketOutcome, ShardReport
 from repro.engine.rings import Ring, RingStats
 from repro.netsim.stats import NodeStats, TraceRecorder
-from repro.telemetry.metrics import (
-    Instrumented,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
+from repro.telemetry.metrics import Instrumented, MetricsSnapshot
 from repro.telemetry.tracing import Tracer
 
 
@@ -191,24 +187,6 @@ class TestEngineReportMerge:
         assert 'engine_shard_packets_total{shard="0"}' in snap.counters
         assert 'engine_ring_enqueued_total{shard="0"}' in snap.counters
         assert "flowcache_hits_total" in snap.counters
-
-
-class TestFlowCachePublish:
-    def test_publish_syncs_hot_path_integers(self):
-        cache = FlowDecisionCache(capacity=8)
-        cache.bypasses = 3  # hot path writes plain ints
-        registry = MetricsRegistry()
-        cache.publish(registry)
-        snap = registry.snapshot()
-        assert snap.counters["flowcache_bypasses_total"] == 3
-        assert snap.gauges["flowcache_capacity"] == 8
-
-    def test_publish_to_falsy_registry_is_noop(self):
-        from repro.telemetry.metrics import NULL_REGISTRY
-
-        cache = FlowDecisionCache(capacity=8)
-        cache.publish(NULL_REGISTRY)  # must not raise
-        cache.publish(None)
 
 
 class TestTraceRecorderIsTracer:

@@ -87,13 +87,11 @@ class TestBucketExponent:
 
 
 class TestCounterGauge:
-    def test_counter_inc_and_set_total(self):
+    def test_counter_inc(self):
         counter = Counter("c_total")
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
-        counter.set_total(42)
-        assert counter.value == 42
 
     def test_gauge_set_inc_dec(self):
         gauge = Gauge("g")

@@ -90,38 +90,6 @@ class TestRunSweep:
         points = run_sweep({}, lambda: {"ok": True})
         assert len(points) == 1 and points[0].outputs["ok"]
 
-    def test_repeats_min_aggregation(self):
-        readings = iter([5.0, 3.0, 4.0])
-        points = run_sweep(
-            {"n": [1]},
-            lambda n: {"seconds": next(readings), "label": "x"},
-            repeats=3,
-        )
-        assert points[0].outputs["seconds"] == 3.0
-        assert points[0].outputs["label"] == "x"  # non-numeric: first run
-
-    def test_repeats_median_aggregation(self):
-        readings = iter([5.0, 3.0, 4.0])
-        points = run_sweep(
-            {"n": [1]},
-            lambda n: {"seconds": next(readings)},
-            repeats=3,
-            aggregate="median",
-        )
-        assert points[0].outputs["seconds"] == 4.0
-
-    def test_repeats_bool_not_aggregated(self):
-        points = run_sweep(
-            {"n": [1]}, lambda n: {"ok": True}, repeats=2
-        )
-        assert points[0].outputs["ok"] is True
-
-    def test_repeats_validation(self):
-        with pytest.raises(ValueError):
-            run_sweep({}, lambda: {}, repeats=0)
-        with pytest.raises(ValueError):
-            run_sweep({}, lambda: {"x": 1}, repeats=2, aggregate="max")
-
 
 class TestHelpers:
     def test_time_callable_positive(self):
