@@ -1,10 +1,9 @@
-"""Command-line interface: packet dissection and paper-table printing.
+"""Command-line interface: packet dissection and the paper's experiments.
 
 Usage::
 
     python -m repro decode 00010240...        # dissect a DIP packet
-    python -m repro table2                    # Table 2 reproduction
-    python -m repro fig2                      # cycle-model Figure 2
+    python -m repro paper [ID ...] [--out DIR]  # Figure 2, Table 2, ablations
     python -m repro keys                      # known operation keys
     python -m repro engine --metrics-out m.prom --trace-out t.jsonl
     python -m repro stats [--json]            # telemetry snapshot
@@ -138,77 +137,19 @@ def cmd_lint(args, out) -> int:
     return 1 if has_errors else 0
 
 
-def _print_table2(out) -> int:
-    from repro.crypto.keys import RouterKey
-    from repro.protocols.ip.ipv4 import IPV4_HEADER_SIZE
-    from repro.protocols.ip.ipv6 import IPV6_HEADER_SIZE
-    from repro.protocols.opt import negotiate_session
-    from repro.realize.derived import build_ndn_opt_interest
-    from repro.realize.ip import build_ipv4_packet, build_ipv6_packet
-    from repro.realize.ndn import build_interest_packet
-    from repro.realize.opt import build_opt_packet
-    from repro.workloads.reporting import format_table
+def cmd_paper(args, out) -> int:
+    """``repro paper``: every paper table as a self-checking experiment."""
+    from repro.workloads.paper import EXPERIMENTS, reproduce
 
-    session = negotiate_session(
-        "s", "d", [RouterKey("r0")], RouterKey("d"), nonce=b"cli"
-    )
-    rows = [
-        ["IPv6 forwarding", 40, IPV6_HEADER_SIZE],
-        ["IPv4 forwarding", 20, IPV4_HEADER_SIZE],
-        ["DIP-128 forwarding", 50,
-         build_ipv6_packet(1, 2).header.header_length],
-        ["DIP-32 forwarding", 26,
-         build_ipv4_packet(1, 2).header.header_length],
-        ["NDN forwarding", 16,
-         build_interest_packet("/n").header.header_length],
-        ["OPT forwarding", 98,
-         build_opt_packet(session, b"p").header.header_length],
-        ["NDN+OPT forwarding", 108,
-         build_ndn_opt_interest("/n", session, b"p").header.header_length],
-    ]
-    out.write(
-        format_table(["network function", "paper (B)", "measured (B)"], rows)
-        + "\n"
-    )
-    return 0
-
-
-def _print_fig2(out) -> int:
-    from repro.dataplane.costs import CycleCostModel
-    from repro.workloads.generators import (
-        FIGURE2_SIZES,
-        make_dip_ipv4_workload,
-        make_dip_ipv6_workload,
-        make_ndn_interest_workload,
-        make_ndn_opt_workload,
-        make_opt_workload,
-    )
-    from repro.workloads.reporting import format_table
-
-    makers = {
-        "DIP-IPv4": make_dip_ipv4_workload,
-        "DIP-IPv6": make_dip_ipv6_workload,
-        "NDN": make_ndn_interest_workload,
-        "OPT": make_opt_workload,
-        "NDN+OPT": make_ndn_opt_workload,
-    }
-    rows = []
-    for name, maker in makers.items():
-        row = [name]
-        for size in FIGURE2_SIZES:
-            workload = maker(
-                packet_size=size, packet_count=50,
-                cost_model=CycleCostModel(),
-            )
-            row.append(f"{workload.mean_cycles():.0f}")
-        rows.append(row)
-    out.write(
-        format_table(
-            ["protocol"] + [f"{s}B" for s in FIGURE2_SIZES], rows
+    unknown = sorted(set(args.ids) - set(EXPERIMENTS))
+    if unknown:
+        out.write(
+            f"paper: unknown experiments: {unknown} "
+            f"(known: {list(EXPERIMENTS)})\n"
         )
-        + "\n"
-    )
-    return 0
+        return 2
+    ids = args.ids or list(EXPERIMENTS)
+    return 0 if reproduce(ids, out, out_dir=args.out) else 1
 
 
 def _build_engine(args, out, telemetry: bool):
@@ -268,7 +209,7 @@ def _build_engine(args, out, telemetry: bool):
 def cmd_engine(args, out) -> int:
     """Run the sharded forwarding engine over a DIP-32 batch."""
     from repro.telemetry.export import write_prometheus, write_trace_jsonl
-    from repro.workloads.reporting import Reporter, emit_payload, format_table
+    from repro.workloads.reporting import emit_payload, format_table
 
     # Either export flag implies telemetry; the run itself is otherwise
     # identical (tests/engine/test_telemetry_equivalence.py).
@@ -340,10 +281,6 @@ def cmd_engine(args, out) -> int:
             cache_table = format_table(["counter", "value"], cache_rows)
             for line in cache_table.splitlines():
                 out.write(f"    {line}\n")
-            # JSON twin (written when REPRO_REPORT_DIR is configured).
-            Reporter(out=out).write_json(
-                "engine flow cache", ["counter", "value"], cache_rows
-            )
 
     emit_payload(args.json, report.to_dict, render, out=out)
     if args.metrics_out:
@@ -921,8 +858,19 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     decode.add_argument("hex", nargs="+", help="packet bytes in hex")
     lint = sub.add_parser("lint", help="lint a DIP packet's FN composition")
     lint.add_argument("hex", nargs="+", help="packet bytes in hex")
-    sub.add_parser("table2", help="print the Table 2 reproduction")
-    sub.add_parser("fig2", help="print the cycle-model Figure 2")
+    paper = sub.add_parser(
+        "paper",
+        help="run the paper's experiments and check their shapes "
+        "(exit 1 if any FAILS)",
+    )
+    paper.add_argument(
+        "ids", nargs="*", metavar="ID", help="experiment ids (default: all)"
+    )
+    paper.add_argument(
+        "--out",
+        metavar="DIR",
+        help="write DIR/<ID>.txt per table and DIR/paper.json",
+    )
     sub.add_parser("keys", help="list the installed operation keys")
     def add_engine_args(p) -> None:
         p.add_argument("--packets", type=int, default=2000)
@@ -1342,10 +1290,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return cmd_decode(args, out)
     if args.command == "lint":
         return cmd_lint(args, out)
-    if args.command == "table2":
-        return _print_table2(out)
-    if args.command == "fig2":
-        return _print_fig2(out)
+    if args.command == "paper":
+        return cmd_paper(args, out)
     if args.command == "keys":
         return _print_keys(out)
     if args.command == "engine":

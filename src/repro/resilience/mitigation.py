@@ -403,6 +403,17 @@ class MitigationGate:
         if count > 0 and self.config.breaker_window:
             self._window_bad += count
 
+    def observe_outcomes(self, outcomes) -> None:
+        """:meth:`observe_bad` for an engine run's outcomes: its ERROR
+        verdicts are the batch paths' poison quarantines."""
+        self.observe_bad(
+            sum(
+                1
+                for outcome in outcomes
+                if outcome is not None and outcome.decision is Decision.ERROR
+            )
+        )
+
     def poll_breaker(self) -> Optional[str]:
         """The pending breaker transition ("trip"/"recover"), consumed.
 
@@ -504,16 +515,8 @@ class MitigatedEngine:
             if verdict is ADMIT
         ]
         report = self.engine.run(admitted, now=now)
-        # Engine-side quarantines feed the breaker too (ERROR outcomes
-        # are the batch paths' poison verdicts).
-        gate.observe_bad(
-            sum(
-                1
-                for outcome in report.outcomes
-                if outcome is not None
-                and outcome.decision is Decision.ERROR
-            )
-        )
+        # Engine-side quarantines feed the breaker too.
+        gate.observe_outcomes(report.outcomes)
         transition = gate.poll_breaker()
         if transition == "trip":
             self._breaker_restore = self.engine.set_degrade(

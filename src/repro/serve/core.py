@@ -304,9 +304,12 @@ class ServeCore:
         stamp = self.engine.clock() if now is None else now
         report = self.engine.run(batch, now=stamp)
         if self.gate is not None:
-            # Breaker transitions actuate here -- flush owns the
-            # engine, the gate (locked) only records verdicts.
+            # Walk-side quarantines feed the breaker window, as on
+            # MitigatedEngine.  Breaker transitions actuate here --
+            # flush owns the engine, the gate (locked) only records
+            # verdicts.
             with self._lock:
+                self.gate.observe_outcomes(report.outcomes)
                 transition = self.gate.poll_breaker()
                 policy = self.gate.config.breaker_policy
             if transition == "trip":

@@ -1,4 +1,4 @@
-"""Benchmark workload generation, sweeps, and reporting."""
+"""Benchmark workload generation and reporting."""
 
 from repro.workloads.generators import (
     ProtocolWorkload,
@@ -13,7 +13,6 @@ from repro.workloads.generators import (
     make_xia_workload,
 )
 from repro.workloads.reporting import format_table, print_table
-from repro.workloads.sweeps import run_sweep
 
 __all__ = [
     "ProtocolWorkload",
@@ -28,5 +27,4 @@ __all__ = [
     "make_xia_workload",
     "format_table",
     "print_table",
-    "run_sweep",
 ]

@@ -1,0 +1,817 @@
+"""The paper's evaluation as declared experiments: ``repro paper``.
+
+Every table of the evaluation (Figure 2, Table 2) and of the ablations
+in EXPERIMENTS.md is one :class:`Experiment`: an id, the table's title
+and headers, a ``run()`` that returns the rows, and a ``check`` that
+returns the shape claims the rows break -- an empty list means the
+claim HOLDS.
+
+Deterministic experiments (header arithmetic, the cycle model, virtual
+time) render byte-identically on every host; their text is committed
+as ``results/<ID>.txt``.  Wall-clock cells are a :class:`Timing`: the
+median and interquartile range of ``REPEATS`` timed calls after one
+warm-up call.  Wall-clock tables are host-specific, so each run records
+its host next to them.
+
+Import this module lazily: ``repro.workloads`` must not pull it in,
+because the serving daemon imports ``repro.workloads.throughput``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import random
+import statistics
+import time
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Sequence, TextIO, Tuple
+
+from repro.core.fn import FieldOperation, OperationKey
+from repro.core.header import DipHeader
+from repro.core.operations.fib import digest_name
+from repro.core.operations.passport import passport_tag
+from repro.core.packet import DipPacket
+from repro.core.processor import Decision, RouterProcessor
+from repro.core.state import NodeState
+from repro.crypto.keys import RouterKey
+from repro.dataplane.compiler import compile_fn_program
+from repro.dataplane.costs import CycleCostModel
+from repro.dataplane.pipeline import PipelineConfig
+from repro.protocols.dps.csfq import CsfqCore, EdgeRateEstimator
+from repro.protocols.ip.fib import LpmTable
+from repro.protocols.ip.ipv4 import IPV4_HEADER_SIZE
+from repro.protocols.ip.ipv6 import IPV6_HEADER_SIZE
+from repro.protocols.netfence.policer import AimdPolicer
+from repro.protocols.opt import (
+    initialize_header,
+    negotiate_session,
+    process_hop,
+    verify_packet,
+)
+from repro.realize.derived import build_ndn_opt_interest
+from repro.realize.dps import build_dps_packet
+from repro.realize.epic import build_epic_packet
+from repro.realize.extensions import with_telemetry, with_telemetry_array
+from repro.realize.ip import (
+    build_ipv4_header,
+    build_ipv4_packet,
+    build_ipv6_packet,
+)
+from repro.realize.ndn import build_interest_packet
+from repro.realize.netfence import build_netfence_packet
+from repro.realize.opt import build_opt_packet
+from repro.workloads.generators import (
+    FIGURE2_SIZES,
+    make_dip_ipv4_workload,
+    make_dip_ipv6_workload,
+    make_native_ipv4_workload,
+    make_native_ipv6_workload,
+    make_ndn_interest_workload,
+    make_ndn_opt_workload,
+    make_opt_workload,
+)
+from repro.workloads.reporting import format_table
+
+#: Timed calls per wall-clock cell (after one untimed warm-up call).
+REPEATS = 5
+
+Rows = List[List[object]]
+
+
+@dataclass(frozen=True)
+class Timing:
+    """One wall-clock cell: median and IQR of ``REPEATS`` samples."""
+
+    median: float
+    iqr: float
+
+    def __str__(self) -> str:
+        return f"{self.median:.1f} ±{self.iqr:.1f}"
+
+
+def timed(fn: Callable[[], object], scale: float) -> Timing:
+    """Time ``fn`` ``REPEATS`` times; samples are seconds × ``scale``."""
+    fn()
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        samples.append((time.perf_counter() - start) * scale)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return Timing(median, q3 - q1)
+
+
+def failed(claims) -> List[str]:
+    """The messages of the ``(holds, message)`` claims that do not hold."""
+    return [message for holds, message in claims if not holds]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One declared experiment.
+
+    ``tables`` holds a ``(title, headers)`` pair per table; ``run()``
+    returns one rows list per table, and ``check(*tables)`` returns the
+    failed shape claims.  The first table is written as ``<id>.txt``,
+    a second one as ``<id>-<suffix>.txt``.
+    """
+
+    id: str
+    tables: Tuple[Tuple[str, Tuple[str, ...]], ...]
+    run: Callable[[], Tuple[Rows, ...]]
+    check: Callable[..., List[str]]
+    deterministic: bool
+    suffixes: Tuple[str, ...] = ()
+
+    def stems(self) -> List[str]:
+        return [self.id] + [f"{self.id}-{s}" for s in self.suffixes]
+
+
+def render(title: str, headers: Sequence[str], rows: Rows) -> str:
+    """One table as committed under ``results/``."""
+    return f"== {title} ==\n" + format_table(headers, rows) + "\n"
+
+
+# ----------------------------------------------------------------------
+# FIG2: per-packet processing time (wall clock and cycle model)
+# ----------------------------------------------------------------------
+FIG2_PACKETS = 200
+FIG2_MAKERS = {
+    "IPv4 (baseline)": make_native_ipv4_workload,
+    "IPv6 (baseline)": make_native_ipv6_workload,
+    "DIP-IPv4": make_dip_ipv4_workload,
+    "DIP-IPv6": make_dip_ipv6_workload,
+    "NDN": make_ndn_interest_workload,
+    "OPT": make_opt_workload,
+    "NDN+OPT": make_ndn_opt_workload,
+}
+DIP_PROTOCOLS = ("DIP-IPv4", "DIP-IPv6", "NDN", "OPT", "NDN+OPT")
+SIZE_HEADERS = ("protocol",) + tuple(f"{s}B" for s in FIGURE2_SIZES)
+
+
+def run_fig2() -> Tuple[Rows]:
+    rows = []
+    for protocol, maker in FIG2_MAKERS.items():
+        row: List[object] = [protocol]
+        for size in FIGURE2_SIZES:
+            workload = maker(packet_size=size, packet_count=FIG2_PACKETS)
+            row.append(timed(workload.run_all, 1e6 / FIG2_PACKETS))
+        rows.append(row)
+    return (rows,)
+
+
+def check_fig2(rows: Rows) -> List[str]:
+    us = {row[0]: [cell.median for cell in row[1:]] for row in rows}
+    claims = []
+    for i, size in enumerate(FIGURE2_SIZES):
+        base = min(us["IPv4 (baseline)"][i], us["IPv6 (baseline)"][i])
+        # DIP forwarding within a small factor of the baseline...
+        for protocol in ("DIP-IPv4", "NDN"):
+            claims.append((us[protocol][i] < 5 * base,
+                           f"{protocol} < 5 × IP baseline at {size}B"))
+        # ...while the MAC-bearing protocols sit clearly above it.
+        claims.append((us["OPT"][i] > 2 * us["DIP-IPv4"][i],
+                       f"OPT > 2 × DIP-IPv4 at {size}B"))
+        claims.append((us["NDN+OPT"][i] > 2 * us["NDN"][i],
+                       f"NDN+OPT > 2 × NDN at {size}B"))
+    return failed(claims)
+
+
+def run_fig2_cycles() -> Tuple[Rows]:
+    rows = []
+    for protocol in DIP_PROTOCOLS:
+        row: List[object] = [protocol]
+        for size in FIGURE2_SIZES:
+            workload = FIG2_MAKERS[protocol](
+                packet_size=size,
+                packet_count=100,
+                cost_model=CycleCostModel(),
+            )
+            row.append(f"{workload.mean_cycles():.0f}")
+        rows.append(row)
+    return (rows,)
+
+
+def check_fig2_cycles(rows: Rows) -> List[str]:
+    cycles = {row[0]: [float(cell) for cell in row[1:]] for row in rows}
+    claims = []
+    for i, size in enumerate(FIGURE2_SIZES):
+        ip4 = cycles["DIP-IPv4"][i]
+        claims.append((
+            ip4 < cycles["NDN"][i] < cycles["DIP-IPv6"][i] * 2,
+            f"DIP-IPv4 < NDN < 2 × DIP-IPv6 at {size}B",
+        ))
+        claims.append((cycles["OPT"][i] > 4 * ip4,
+                       f"OPT > 4 × DIP-IPv4 at {size}B"))
+        claims.append((cycles["NDN+OPT"][i] > cycles["OPT"][i],
+                       f"NDN+OPT > OPT at {size}B"))
+    # mild size slope: 1500B costs more than 128B but far less than 2x
+    for protocol, series in cycles.items():
+        claims.append((series[0] < series[-1] < 2 * series[0],
+                       f"{protocol}: 128B < 1500B < 2 × 128B"))
+    return failed(claims)
+
+
+# ----------------------------------------------------------------------
+# TAB2: header size overhead, byte-exact
+# ----------------------------------------------------------------------
+PAPER_TABLE2 = {
+    "IPv6 forwarding": 40,
+    "IPv4 forwarding": 20,
+    "DIP-128 forwarding": 50,
+    "DIP-32 forwarding": 26,
+    "NDN forwarding": 16,
+    "OPT forwarding": 98,
+    "NDN+OPT forwarding": 108,
+}
+
+
+def run_table2() -> Tuple[Rows]:
+    session = negotiate_session(
+        "s", "d", [RouterKey("r0")], RouterKey("d"), nonce=b"t2"
+    )
+    measured = {
+        "IPv6 forwarding": IPV6_HEADER_SIZE,
+        "IPv4 forwarding": IPV4_HEADER_SIZE,
+        "DIP-128 forwarding": build_ipv6_packet(1, 2).header.header_length,
+        "DIP-32 forwarding": build_ipv4_packet(1, 2).header.header_length,
+        "NDN forwarding": build_interest_packet("/n").header.header_length,
+        "OPT forwarding": build_opt_packet(session, b"p").header.header_length,
+        "NDN+OPT forwarding": build_ndn_opt_interest(
+            "/n", session, b"p"
+        ).header.header_length,
+    }
+    return ([
+        [name, paper, measured[name],
+         "OK" if paper == measured[name] else "MISMATCH"]
+        for name, paper in PAPER_TABLE2.items()
+    ],)
+
+
+def check_table2(rows: Rows) -> List[str]:
+    return failed(
+        (measured == paper, f"{name}: {measured} B, paper {paper} B")
+        for name, paper, measured, _ in rows
+    )
+
+
+# ----------------------------------------------------------------------
+# ABL-PAR: the modular-parallelism flag
+# ----------------------------------------------------------------------
+def composed_packet(parallel: bool) -> DipPacket:
+    """IPv4 forwarding + two telemetry counters (disjoint fields)."""
+    header = with_telemetry(with_telemetry(build_ipv4_header(0x0A000001, 2)))
+    header = DipHeader(
+        fns=header.fns,
+        locations=header.locations,
+        hop_limit=header.hop_limit,
+        parallel=parallel,
+    )
+    return DipPacket(header=header)
+
+
+def run_parallel() -> Tuple[Rows]:
+    def cycles(packet: DipPacket, state: NodeState) -> tuple:
+        processor = RouterProcessor(state, cost_model=CycleCostModel())
+        result = processor.process(packet)
+        return result.cycles_sequential, result.cycles_parallel
+
+    ip_state = NodeState(node_id="abl-par")
+    ip_state.fib_v4.insert(0x0A000000, 8, 1)
+    session = negotiate_session(
+        "s", "d", [RouterKey("abl-par-opt")], RouterKey("d"), nonce=b"pp"
+    )
+    opt_state = NodeState(node_id="abl-par-opt")
+    opt_state.opt_positions[session.session_id] = 0
+    opt_state.default_port = 1
+    comp_seq, comp_par = cycles(composed_packet(True), ip_state)
+    opt_seq, opt_par = cycles(
+        build_opt_packet(session, b"p", parallel=True), opt_state
+    )
+    return ([
+        ["IPv4+telemetry x2 (disjoint)", comp_seq, comp_par,
+         f"{comp_seq / comp_par:.2f}x"],
+        ["OPT chain (dependent)", opt_seq, opt_par,
+         f"{opt_seq / opt_par:.2f}x"],
+    ],)
+
+
+def check_parallel(rows: Rows) -> List[str]:
+    (_, comp_seq, comp_par, _), (_, opt_seq, opt_par, _) = rows
+    # Disjoint composition gains; the dependent OPT chain cannot.
+    return failed([
+        (comp_par < comp_seq, "disjoint composition: parallel < sequential"),
+        (opt_par == opt_seq, "OPT chain: parallel == sequential"),
+    ])
+
+
+# ----------------------------------------------------------------------
+# ABL-MAC: 2EM vs AES for F_MAC
+# ----------------------------------------------------------------------
+def run_mac() -> Tuple[Rows]:
+    rows = []
+    for backend in ("2em", "aes"):
+        workload = make_opt_workload(packet_size=128, packet_count=100,
+                                     backend=backend)
+        cycle_workload = make_opt_workload(
+            packet_size=128, packet_count=10, backend=backend,
+            cost_model=CycleCostModel(mac_backend=backend),
+        )
+        session = negotiate_session(
+            "s", "d", [RouterKey("mac")], RouterKey("d"), nonce=b"m"
+        )
+        fns = build_opt_packet(session, b"p").header.fns
+        # AES needs a second pipeline pass (packet resubmission).
+        config = PipelineConfig(allow_recirculation=backend == "aes")
+        passes = compile_fn_program(fns, config, mac_backend=backend).passes
+        rows.append([
+            backend,
+            timed(workload.run_all, 1e6 / 100),
+            f"{cycle_workload.mean_cycles():.0f}",
+            passes,
+        ])
+    return (rows,)
+
+
+def check_mac(rows: Rows) -> List[str]:
+    wall = {row[0]: row[1].median for row in rows}
+    # the paper's direction: AES is the more expensive backend
+    return failed([(wall["aes"] > wall["2em"], "AES slower than 2EM (wall)")])
+
+
+# ----------------------------------------------------------------------
+# ABL-FIB: LPM lookup vs table size
+# ----------------------------------------------------------------------
+ROUTE_COUNTS = (100, 1_000, 10_000, 100_000)
+LOOKUPS = 2_000
+
+
+def run_fib_scale() -> Tuple[Rows]:
+    rows = []
+    for route_count in ROUTE_COUNTS:
+        rng = random.Random(9)
+        table = LpmTable(32)
+        for _ in range(route_count):
+            prefix_len = rng.randint(8, 24)
+            prefix = rng.getrandbits(prefix_len) << (32 - prefix_len)
+            table.insert(prefix, prefix_len, rng.randint(0, 15))
+        addresses = [rng.getrandbits(32) for _ in range(LOOKUPS)]
+
+        def run(table=table, addresses=addresses):
+            for address in addresses:
+                table.lookup(address)
+
+        rows.append([route_count, timed(run, 1e9 / LOOKUPS)])
+    return (rows,)
+
+
+def check_fib_scale(rows: Rows) -> List[str]:
+    # sub-linear growth: 1000x more routes must NOT cost 100x more.
+    smallest, largest = rows[0][1].median, rows[-1][1].median
+    return failed([(largest < 100 * smallest,
+                    "10^5 routes < 100 × the cost of 10^2")])
+
+
+# ----------------------------------------------------------------------
+# ABL-PASS: the cost of the F_pass content-poisoning defense
+# ----------------------------------------------------------------------
+PASS_LABEL = b"\x31" * 16
+PASS_KEY = b"\x42" * 16
+PASS_PACKETS = 200
+
+
+def fpass_workload(enabled: bool) -> Callable[[], object]:
+    """NDN data packets carrying F_pass records, PIT pre-armed."""
+    rng = random.Random(11)
+    state = NodeState(node_id="fpass-router")
+    state.passport_enabled = enabled
+    state.passport_keys[PASS_LABEL] = PASS_KEY
+    packets = []
+    digests = [rng.getrandbits(32) for _ in range(PASS_PACKETS)]
+    in_ports = {d: rng.randint(1, 15) for d in digests}
+    for digest in digests:
+        payload = digest.to_bytes(4, "big") * 8
+        header = DipHeader(
+            fns=(
+                FieldOperation(32, 256, OperationKey.PASS),
+                FieldOperation(0, 32, OperationKey.PIT),
+            ),
+            locations=(
+                digest.to_bytes(4, "big")
+                + PASS_LABEL
+                + passport_tag(PASS_KEY, PASS_LABEL, payload)
+            ),
+        )
+        packets.append(DipPacket(header=header, payload=payload))
+    processor = RouterProcessor(state)
+
+    def run():
+        for packet in packets:
+            digest = int.from_bytes(packet.header.locations[:4], "big")
+            state.pit.insert(digest_name(digest), in_port=in_ports[digest])
+            result = processor.process(packet, ingress_port=0)
+            if result.decision is not Decision.FORWARD:
+                raise AssertionError(f"F_pass workload: {result.decision}")
+
+    return run
+
+
+def run_fpass() -> Tuple[Rows]:
+    cost = {
+        enabled: timed(fpass_workload(enabled), 1e6 / PASS_PACKETS)
+        for enabled in (False, True)
+    }
+    return ([
+        ["off", cost[False]],
+        ["on", cost[True]],
+        ["overhead", f"{cost[True].median / cost[False].median:.2f}x"],
+    ],)
+
+
+def check_fpass(rows: Rows) -> List[str]:
+    # the defense is real work: measurably more expensive when on
+    return failed([(rows[1][1].median > rows[0][1].median,
+                    "F_pass on costs more than off")])
+
+
+# ----------------------------------------------------------------------
+# ABL-HOPS: OPT header growth and verification cost vs path length
+# ----------------------------------------------------------------------
+HOPS = (1, 2, 4, 8)
+HOPS_PAYLOAD = b"multi-hop payload"
+
+
+def run_opt_hops() -> Tuple[Rows]:
+    rows = []
+    for hops in HOPS:
+        routers = [RouterKey(f"hop-{hops}-{i}") for i in range(hops)]
+        session = negotiate_session(
+            "s", "d", routers, RouterKey("d"), nonce=bytes([hops])
+        )
+        size = build_opt_packet(session, HOPS_PAYLOAD).header.header_length
+        header = initialize_header(session, HOPS_PAYLOAD, timestamp=2)
+        for index, key in enumerate(session.hop_keys):
+            header = process_hop(
+                header, key, index, session.previous_label_for(index)
+            )
+        verify = timed(
+            lambda: verify_packet(session, header, HOPS_PAYLOAD), 1e6
+        )
+        rows.append([hops, size, verify])
+    return (rows,)
+
+
+def check_opt_hops(rows: Rows) -> List[str]:
+    # exact header arithmetic: Table 2's 98 B at one hop, +16 B per hop
+    claims = [(size == 98 + 16 * (hops - 1),
+               f"{hops} hop(s): {size} B == 98 + 16·(hops−1)")
+              for hops, size, _ in rows]
+    # verification work grows with the path
+    claims.append((rows[-1][2].median > rows[0][2].median,
+                   "verify at 8 hops costs more than at 1"))
+    return failed(claims)
+
+
+# ----------------------------------------------------------------------
+# ABL-NF: NetFence-over-DIP AIMD policing (virtual time)
+# ----------------------------------------------------------------------
+NF_DST = 0x0A000001
+
+
+def run_netfence() -> Tuple[Rows]:
+    rows = []
+    for name, period in (("conformant (40 kB/s)", 0.025),
+                         ("flooder (400 kB/s)", 0.0025)):
+        state = NodeState(node_id="nf-access")
+        state.fib_v4.insert(0x0A000000, 8, 2)
+        state.policer = AimdPolicer(initial_rate=50_000, burst_seconds=0.25)
+        processor = RouterProcessor(state)
+        delivered = 0
+        sent = 0
+        now = 0.0
+        while now < 2.0:
+            now += period
+            sent += 1
+            packet = build_netfence_packet(
+                NF_DST, 2, sender_id=1, payload=b"x" * 900
+            )
+            if processor.process(packet, now=now).decision is Decision.FORWARD:
+                delivered += 1
+        rows.append([name, sent, delivered, f"{delivered / sent:.0%}"])
+    return (rows,)
+
+
+def check_netfence(rows: Rows) -> List[str]:
+    (_, c_sent, c_passed, _), (_, f_sent, f_passed, _) = rows
+    return failed([
+        (c_passed / c_sent > 0.95, "conformant sender keeps > 95%"),
+        (f_passed / f_sent < 0.25, "flooder keeps < 25%"),
+    ])
+
+
+# ----------------------------------------------------------------------
+# ABL-DPS: core-stateless fair queueing (virtual time)
+# ----------------------------------------------------------------------
+DPS_CAPACITY = 100_000.0
+
+
+def run_dps() -> Tuple[Rows]:
+    state = NodeState(node_id="dps-core")
+    state.fib_v4.insert(0x0A000000, 8, 1)
+    state.csfq = CsfqCore(capacity=DPS_CAPACITY)
+    processor = RouterProcessor(state)
+    edge = EdgeRateEstimator()
+    flows = {1: (8, 500), 2: (2, 500), 3: (1, 1000)}
+    sent = {f: 0 for f in flows}
+    forwarded = {f: 0 for f in flows}
+    now = 0.0
+    for i in range(12_000):
+        now += 0.0005
+        for flow, (period, size) in flows.items():
+            if i % period:
+                continue
+            sent[flow] += size
+            rate = edge.observe(flow, size, now)
+            packet = build_dps_packet(
+                NF_DST, flow, rate, payload=b"z" * (size - 50)
+            )
+            if processor.process(packet, now=now).decision is Decision.FORWARD:
+                forwarded[flow] += size
+    duration = 12_000 * 0.0005
+    rows: Rows = [
+        [flow,
+         f"{sent[flow] / duration / 1000:.0f}",
+         f"{forwarded[flow] / duration / 1000:.1f}",
+         f"{forwarded[flow] / sent[flow]:.0%}"]
+        for flow in flows
+    ]
+    rows.append(
+        ["sum", f"{sum(sent.values()) / duration / 1000:.0f}",
+         f"{sum(forwarded.values()) / duration / 1000:.1f}",
+         f"(capacity {DPS_CAPACITY / 1000:.0f})"]
+    )
+    return (rows,)
+
+
+def check_dps(rows: Rows) -> List[str]:
+    shares = [float(row[2]) for row in rows[:-1]]
+    return failed([
+        (max(shares) < 3 * min(shares), "max share < 3 × min share"),
+        (sum(shares) < 1.5 * DPS_CAPACITY / 1000,
+         "forwarded total < 1.5 × capacity"),
+    ])
+
+
+# ----------------------------------------------------------------------
+# ABL-EPIC: OPT vs EPIC header economy and forgery travel distance
+# ----------------------------------------------------------------------
+def epic_session(hops: int, nonce: bytes):
+    routers = [RouterKey(f"abl-{nonce.hex()}-{i}") for i in range(hops)]
+    return negotiate_session("s", "d", routers, RouterKey("d"), nonce=nonce)
+
+
+def run_epic() -> Tuple[Rows, Rows]:
+    economy = []
+    for hops in HOPS:
+        session = epic_session(hops, nonce=bytes([hops]))
+        opt_size = build_opt_packet(session, b"p").header.header_length
+        epic_size = build_epic_packet(session, b"p").header.header_length
+        economy.append([hops, opt_size, epic_size, opt_size - epic_size])
+
+    # How far does a forged packet get before being dropped?  It is
+    # built with the attacker's keys but injected into the honest
+    # routers' path (they derive the real keys).
+    session = epic_session(4, nonce=b"tv")
+    forged_session = negotiate_session(
+        "attacker", "d",
+        [RouterKey(f"fake-{i}") for i in range(4)],
+        RouterKey("d"), nonce=b"fk",
+    )
+    travelled = {}
+    for name, builder in (("OPT", build_opt_packet),
+                          ("EPIC", build_epic_packet)):
+        packet = builder(forged_session, b"payload")
+        travelled[name] = 0
+        for index, node_id in enumerate(session.path_ids):
+            state = NodeState(node_id=node_id)
+            state.opt_positions[forged_session.session_id] = index
+            state.default_port = 1
+            state.neighbor_labels[0] = "s"
+            result = RouterProcessor(state).process(packet)
+            if result.decision is not Decision.FORWARD:
+                break
+            packet = result.packet
+            travelled[name] += 1
+    forgery = [
+        ["OPT", travelled["OPT"],
+         "destination (F_ver)" if travelled["OPT"] == 4 else "router"],
+        ["EPIC", travelled["EPIC"],
+         "first router (F_epic)" if travelled["EPIC"] == 0 else "router"],
+    ]
+    return economy, forgery
+
+
+def check_epic(economy: Rows, forgery: Rows) -> List[str]:
+    saved = [row[3] for row in economy]
+    return failed([
+        (saved[0] > 0, "EPIC header smaller at 1 hop"),
+        # EPIC's short per-hop MACs: the gap grows 12 B per hop
+        (saved[-1] - saved[0] == (128 - 32) // 8 * (HOPS[-1] - HOPS[0]),
+         "saving grows 12 B per hop"),
+        # OPT forwards forgeries all the way; EPIC kills them at hop 0.
+        (forgery[0][1] == 4, "OPT forgery reaches the destination"),
+        (forgery[1][1] == 0, "EPIC forgery dies at the first router"),
+    ])
+
+
+# ----------------------------------------------------------------------
+# ABL-TEL: in-band telemetry composition overhead
+# ----------------------------------------------------------------------
+TEL_VARIANTS = {
+    "plain": lambda: build_ipv4_header(NF_DST, 2),
+    "+F_tel": lambda: with_telemetry(build_ipv4_header(NF_DST, 2)),
+    "+F_tel_array(4)": lambda: with_telemetry_array(
+        build_ipv4_header(NF_DST, 2), slots=4
+    ),
+    "+F_tel_array(8)": lambda: with_telemetry_array(
+        build_ipv4_header(NF_DST, 2), slots=8
+    ),
+}
+
+
+def run_telemetry() -> Tuple[Rows]:
+    rows = []
+    for variant, builder in TEL_VARIANTS.items():
+        state = NodeState(node_id="tel-router")
+        state.fib_v4.insert(0x0A000000, 8, 1)
+        processor = RouterProcessor(state)
+        packet = DipPacket(header=builder())
+
+        def run(processor=processor, packet=packet):
+            for _ in range(200):
+                processor.process(packet)
+
+        rows.append(
+            [variant, packet.header.header_length, timed(run, 1e6 / 200)]
+        )
+    return (rows,)
+
+
+def check_telemetry(rows: Rows) -> List[str]:
+    sizes = [row[1] for row in rows]
+    costs = [row[2].median for row in rows]
+    return failed([
+        # exact header arithmetic
+        (sizes[0] == 26, "plain DIP-32 is 26 B"),
+        (sizes[1] == 26 + 6 + 4, "+F_tel adds an FN triple and a counter"),
+        (sizes[2] == 26 + 6 + 2 + 32, "+F_tel_array(4) adds 4 slots"),
+        # pay-as-you-go: the plain header pays nothing for the feature
+        (costs[0] <= min(costs) * 1.5, "plain within 1.5 × the cheapest"),
+    ])
+
+
+# ----------------------------------------------------------------------
+# the index
+# ----------------------------------------------------------------------
+EXPERIMENTS: Dict[str, Experiment] = {
+    e.id: e
+    for e in (
+        Experiment(
+            "FIG2",
+            (("Figure 2: packet processing time (us/packet, software "
+              "router)", SIZE_HEADERS),),
+            run_fig2, check_fig2, deterministic=False,
+        ),
+        Experiment(
+            "FIG2-CYCLES",
+            (("Figure 2 (cycle model): processing cost (model "
+              "cycles/packet)", SIZE_HEADERS),),
+            run_fig2_cycles, check_fig2_cycles, deterministic=True,
+        ),
+        Experiment(
+            "TAB2",
+            (("Table 2: packet header size overhead (bytes)",
+              ("network function", "paper", "measured", "")),),
+            run_table2, check_table2, deterministic=True,
+        ),
+        Experiment(
+            "ABL-PAR",
+            (("ABL-PAR: modular parallelism (model cycles/packet)",
+              ("workload", "sequential", "parallel", "speedup")),),
+            run_parallel, check_parallel, deterministic=True,
+        ),
+        Experiment(
+            "ABL-MAC",
+            (("ABL-MAC: 2EM vs AES for F_MAC",
+              ("backend", "us/packet (wall)", "cycles/packet (model)",
+               "pipeline passes")),),
+            run_mac, check_mac, deterministic=False,
+        ),
+        Experiment(
+            "ABL-FIB",
+            (("ABL-FIB: LPM lookup vs table size", ("routes", "ns/lookup")),),
+            run_fib_scale, check_fib_scale, deterministic=False,
+        ),
+        Experiment(
+            "ABL-PASS",
+            (("ABL-PASS: F_pass defense cost (NDN data path)",
+              ("F_pass", "us/packet")),),
+            run_fpass, check_fpass, deterministic=False,
+        ),
+        Experiment(
+            "ABL-HOPS",
+            (("ABL-HOPS: OPT vs path length",
+              ("hops", "DIP header bytes", "verify us (host)")),),
+            run_opt_hops, check_opt_hops, deterministic=False,
+        ),
+        Experiment(
+            "ABL-NF",
+            (("ABL-NF: AIMD policing at the access router (2 s, 50 kB/s "
+              "allowance)", ("sender", "sent", "passed", "fraction")),),
+            run_netfence, check_netfence, deterministic=True,
+        ),
+        Experiment(
+            "ABL-DPS",
+            (("ABL-DPS: CSFQ fairness at a 100 kB/s bottleneck",
+              ("flow", "offered kB/s", "forwarded kB/s", "kept")),),
+            run_dps, check_dps, deterministic=True,
+        ),
+        Experiment(
+            "ABL-EPIC",
+            (("ABL-EPIC: header bytes, OPT vs EPIC",
+              ("hops", "OPT (B)", "EPIC (B)", "saved")),
+             ("ABL-EPIC: hops traversed by a forged packet (4-hop path)",
+              ("protocol", "hops traversed", "dropped by"))),
+            run_epic, check_epic, deterministic=True,
+            suffixes=("FORGERY",),
+        ),
+        Experiment(
+            "ABL-TEL",
+            (("ABL-TEL: telemetry composition overhead",
+              ("header", "bytes", "us/packet")),),
+            run_telemetry, check_telemetry, deterministic=False,
+        ),
+    )
+}
+
+
+def host() -> Dict[str, object]:
+    """What a wall-clock table was measured on."""
+    return {
+        "platform": platform.platform(),
+        "python": (f"{platform.python_implementation()} "
+                   f"{platform.python_version()}"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def reproduce(ids: Sequence[str], out: TextIO, out_dir=None) -> bool:
+    """Run the named experiments, print each table and its verdict.
+
+    With ``out_dir``, also write ``<stem>.txt`` per table and one
+    ``paper.json`` (rows, verdicts, host).  Returns whether every
+    experiment HOLDS.
+    """
+    machine = host()
+    out.write(
+        f"host: {machine['platform']}, {machine['python']}, "
+        f"{machine['cpu_count']} CPUs; wall-clock cells are median "
+        f"±IQR of {REPEATS} repeats\n"
+    )
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    record = {}
+    for experiment in (EXPERIMENTS[i] for i in ids):
+        tables = experiment.run()
+        failures = experiment.check(*tables)
+        verdict = "FAILS: " + "; ".join(failures) if failures else "HOLDS"
+        for stem, (title, headers), rows in zip(
+            experiment.stems(), experiment.tables, tables
+        ):
+            text = render(title, headers, rows)
+            out.write("\n" + text)
+            if out_dir is not None:
+                path = os.path.join(out_dir, f"{stem}.txt")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+        out.write(f"{experiment.id}: {verdict}\n")
+        record[experiment.id] = {
+            "deterministic": experiment.deterministic,
+            "holds": not failures,
+            "failures": failures,
+            "tables": [
+                {"title": title, "headers": list(headers), "rows": rows}
+                for (title, headers), rows in zip(experiment.tables, tables)
+            ],
+        }
+    if out_dir is not None:
+        path = os.path.join(out_dir, "paper.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(
+                {"host": machine, "repeats": REPEATS, "experiments": record},
+                handle, indent=2, default=asdict,
+            )
+            handle.write("\n")
+    return all(entry["holds"] for entry in record.values())

@@ -281,3 +281,12 @@ class TestConflictAnalysis:
             FieldOperation(64, 64, 4),
         ]
         assert parallel_levels(fns) == [0, 1, 2]
+
+    def test_dependency_analysis_orders_opt(self):
+        """The conflict analysis keeps the OPT chain strictly ordered."""
+        fns = [
+            FieldOperation(128, 128, OperationKey.PARM),
+            FieldOperation(0, 416, OperationKey.MAC),
+            FieldOperation(288, 128, OperationKey.MARK),
+        ]
+        assert parallel_levels(fns) == [0, 1, 2]

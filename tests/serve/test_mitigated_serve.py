@@ -222,6 +222,39 @@ def test_breaker_trip_actuates_engine_degrade_through_flush():
         core.close()
 
 
+def test_walk_side_quarantines_trip_the_breaker_through_flush():
+    # No sampling: the gate admits truncated headers, the walk turns
+    # them into ERROR outcomes, and flush feeds those into the window.
+    config = MitigationConfig(
+        sample_every=0,
+        breaker_window=8,
+        breaker_trip_rate=0.5,
+        breaker_recover_rate=0.05,
+        breaker_policy="pass-to-host",
+    )
+    core = make_core(config, batch_max=8)
+    try:
+        truncated = [
+            wire[:10] for wire in legit_wires(0, 8, stream="serve-walk")
+        ]
+        for i, wire in enumerate(truncated):
+            assert core.submit_ex(wire, i) == "queued"
+        collected = []
+        core.flush(now=0.0, collect=collected)
+        assert all(
+            outcome.decision.value == "error" for _, outcome in collected
+        )
+        assert not core.gate.tripped
+        # The next window closes over those errors and trips.
+        for i, wire in enumerate(legit_wires(0, 8, stream="serve-kick")):
+            core.submit_ex(wire, i)
+        assert core.gate.tripped
+        core.flush(now=0.0)
+        assert core.engine.degrade == "pass-to-host"
+    finally:
+        core.close()
+
+
 def test_serve_config_mitigation_flag_builds_a_gate():
     core = ServeCore(
         ServeConfig(shards=1, batch_max=8, ring_capacity=64,

@@ -1,4 +1,4 @@
-"""Tests for the command-line dissector and table printers."""
+"""Tests for the command-line dissector and paper tables."""
 
 import io
 
@@ -116,16 +116,18 @@ class TestLint:
 
 class TestTables:
     def test_table2_matches_paper(self):
-        code, text = run_cli("table2")
+        code, text = run_cli("paper", "TAB2")
         assert code == 0
         for row in ("40", "20", "50", "26", "16", "98", "108"):
             assert row in text
+        assert "TAB2: HOLDS" in text
 
     def test_fig2_prints_series(self):
-        code, text = run_cli("fig2")
+        code, text = run_cli("paper", "FIG2-CYCLES")
         assert code == 0
         for protocol in ("DIP-IPv4", "NDN", "OPT", "NDN+OPT"):
             assert protocol in text
+        assert "FIG2-CYCLES: HOLDS" in text
 
     def test_keys_lists_operations(self):
         code, text = run_cli("keys")
