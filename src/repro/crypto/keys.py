@@ -10,9 +10,15 @@ tags on receipt).
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from typing import Dict, Iterable, List
 
 from repro.crypto.prf import KEY_SIZE, derive_key
+
+# F_parm derives a key for whatever session ID the wire carries, so a
+# stream of spoofed IDs must not grow a router's key cache without bound
+# (the same bound as the program cache, PROGRAM_CACHE_BOUND).
+DYNAMIC_KEY_CACHE_BOUND = 4096
 
 
 def secret_from_seed(seed: str) -> bytes:
@@ -26,6 +32,9 @@ def secret_from_seed(seed: str) -> bytes:
 
 class RouterKey:
     """A router's local secret plus its per-session dynamic-key cache.
+
+    The cache is an LRU of at most ``DYNAMIC_KEY_CACHE_BOUND`` sessions;
+    an evicted session simply re-derives the same key.
 
     Parameters
     ----------
@@ -41,16 +50,19 @@ class RouterKey:
         self._secret = local_secret or secret_from_seed(f"router:{node_id}")
         if len(self._secret) != KEY_SIZE:
             raise ValueError(f"local secret must be {KEY_SIZE} bytes")
-        self._dynamic_cache: Dict[bytes, bytes] = {}
+        self._dynamic_cache: "OrderedDict[bytes, bytes]" = OrderedDict()
 
     def dynamic_key(self, session_id: bytes) -> bytes:
         """Derive (and cache) the dynamic key for ``session_id``."""
-        cached = self._dynamic_cache.get(session_id)
-        if cached is None:
-            cached = derive_key(
-                self._secret, session_id, self.node_id.encode("utf-8")
-            )
-            self._dynamic_cache[session_id] = cached
+        cache = self._dynamic_cache
+        cached = cache.get(session_id)
+        if cached is not None:
+            cache.move_to_end(session_id)
+            return cached
+        cached = derive_key(self._secret, session_id, self.node_id.encode("utf-8"))
+        cache[session_id] = cached
+        if len(cache) > DYNAMIC_KEY_CACHE_BOUND:
+            cache.popitem(last=False)
         return cached
 
     def clear_cache(self) -> None:

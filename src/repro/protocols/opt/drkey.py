@@ -14,6 +14,7 @@ deployment) and returns the host-side session object.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Sequence
 
@@ -22,11 +23,13 @@ from repro.crypto.prf import KEY_SIZE, derive_key
 from repro.protocols.opt.session import OptSession
 
 
+@functools.lru_cache(maxsize=1024)
 def label_digest(node_id: str) -> bytes:
     """Fixed-length (16-byte) public label for a node identifier.
 
     Used as the "previous validator node label" that F_parm loads and
-    F_MAC mixes into the per-hop tag (Section 3, OPT paragraph).
+    F_MAC mixes into the per-hop tag (Section 3, OPT paragraph).  Labels
+    come from neighbour configuration, so a small memo covers them.
     """
     return hashlib.sha256(f"label:{node_id}".encode("utf-8")).digest()[:KEY_SIZE]
 

@@ -5,13 +5,11 @@ from repro.util.bytesutil import (
     bytes_to_int,
     hexdump,
     int_to_bytes,
-    xor_bytes,
 )
 
 __all__ = [
     "BitView",
     "bytes_to_int",
     "int_to_bytes",
-    "xor_bytes",
     "hexdump",
 ]

@@ -15,13 +15,6 @@ def bytes_to_int(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 def hexdump(data: bytes, width: int = 16) -> str:
     """Render bytes as a classic offset/hex/ASCII dump for debugging."""
     lines = []

@@ -41,14 +41,25 @@ class TestEvenMansour2:
     def test_matches_construction(self):
         """E(k,x) = k ^ P2(k ^ P1(k ^ x)) -- spot-check the layering."""
         from repro.crypto.permutation import FeistelPermutation
-        from repro.util.bytesutil import xor_bytes
+
+        def as_int(block):
+            return int.from_bytes(block, "big")
+
+        def as_block(value):
+            return value.to_bytes(16, "big")
 
         block = b"\x77" * 16
+        k = as_int(KEY)
         p1, p2 = FeistelPermutation(1), FeistelPermutation(2)
-        expected = xor_bytes(
-            p2.apply(xor_bytes(p1.apply(xor_bytes(block, KEY)), KEY)), KEY
-        )
+        inner = as_int(p1.apply(as_block(as_int(block) ^ k))) ^ k
+        expected = as_block(as_int(p2.apply(as_block(inner))) ^ k)
         assert EvenMansour2(KEY).encrypt_block(block) == expected
+
+    def test_wrong_block_size_rejected(self):
+        with pytest.raises(ValueError):
+            EvenMansour2(KEY).encrypt_block(b"short")
+        with pytest.raises(ValueError):
+            EvenMansour2(KEY).decrypt_block(bytes(17))
 
     @given(
         key=st.binary(min_size=16, max_size=16),

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.crypto.keys import KeyStore, RouterKey, secret_from_seed
+from repro.crypto.keys import (
+    DYNAMIC_KEY_CACHE_BOUND,
+    KeyStore,
+    RouterKey,
+    secret_from_seed,
+)
+from repro.crypto.prf import derive_key
 
 
 class TestSecretFromSeed:
@@ -47,6 +53,31 @@ class TestRouterKey:
         first = router.dynamic_key(session)
         router.clear_cache()
         assert router.dynamic_key(session) == first
+
+    def test_spoofed_sessions_keep_cache_bounded(self):
+        """F_parm derives a key for any session ID on the wire; a flood
+        of distinct IDs must not grow the cache past its bound."""
+        router = RouterKey("r1")
+        sessions = [
+            i.to_bytes(16, "big") for i in range(2 * DYNAMIC_KEY_CACHE_BOUND)
+        ]
+        for session in sessions:
+            router.dynamic_key(session)
+        assert len(router._dynamic_cache) <= DYNAMIC_KEY_CACHE_BOUND
+        evicted = sessions[0]
+        assert evicted not in router._dynamic_cache
+        assert router.dynamic_key(evicted) == derive_key(
+            secret_from_seed("router:r1"), evicted, b"r1"
+        )
+
+    def test_recently_used_session_survives_eviction(self):
+        router = RouterKey("r1")
+        hot = b"\xff" * 16
+        router.dynamic_key(hot)
+        for i in range(DYNAMIC_KEY_CACHE_BOUND):
+            router.dynamic_key(i.to_bytes(16, "big"))
+            router.dynamic_key(hot)
+        assert hot in router._dynamic_cache
 
 
 class TestKeyStore:

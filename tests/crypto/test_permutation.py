@@ -55,3 +55,18 @@ class TestFeistelPermutation:
         perm = FeistelPermutation(index=3)
         assert perm.invert(perm.apply(block)) == block
         assert perm.apply(perm.invert(block)) == block
+
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.binary(min_size=BLOCK, max_size=BLOCK),
+    )
+    def test_property_int_core_matches_bytes_wrapper(self, index, block):
+        perm = FeistelPermutation(index)
+        value = int.from_bytes(block, "big")
+        halves = (value >> 64, value & ((1 << 64) - 1))
+
+        def join(pair):
+            return ((pair[0] << 64) | pair[1]).to_bytes(BLOCK, "big")
+
+        assert join(perm.apply_pair(*halves)) == perm.apply(block)
+        assert join(perm.invert_pair(*halves)) == perm.invert(block)

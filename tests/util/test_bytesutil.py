@@ -1,14 +1,12 @@
 """Tests for byte-string helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.util.bytesutil import (
     bytes_to_int,
     hexdump,
     int_to_bytes,
     pad_to,
-    xor_bytes,
 )
 
 
@@ -26,23 +24,6 @@ class TestIntConversion:
     def test_overflow_rejected(self):
         with pytest.raises(OverflowError):
             int_to_bytes(256, 1)
-
-
-class TestXor:
-    def test_xor_basic(self):
-        assert xor_bytes(b"\xff\x00", b"\x0f\x0f") == b"\xf0\x0f"
-
-    def test_xor_identity(self):
-        assert xor_bytes(b"abc", b"\x00\x00\x00") == b"abc"
-
-    def test_xor_length_mismatch(self):
-        with pytest.raises(ValueError):
-            xor_bytes(b"ab", b"abc")
-
-    @given(st.binary(min_size=1, max_size=64))
-    def test_property_self_inverse(self, data):
-        mask = bytes((b + 1) % 256 for b in data)
-        assert xor_bytes(xor_bytes(data, mask), mask) == data
 
 
 class TestHexdump:
