@@ -1214,7 +1214,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     conformance.add_argument(
         "--executors",
         metavar="A,B",
-        help="comma-separated executor subset (default: full matrix)",
+        help="comma-separated cell names, any of the full product "
+        "(e.g. engine-process/packets; default: the tier-1 matrix, "
+        "repro.conformance.DEFAULT_EXECUTORS)",
     )
     conformance.add_argument(
         "--max-seconds",

@@ -6,9 +6,10 @@ them.  This package proves the repo's executors agree:
 
 - :mod:`repro.conformance.reference` -- the deliberately naive
   Algorithm 1 interpreter every optimization is measured against;
-- :mod:`repro.conformance.executors` -- the normalized executor matrix
-  (process / batch / flow cache / engine backends / degrade policies /
-  PISA pipeline);
+- :mod:`repro.conformance.executors` -- the normalized executor matrix,
+  declared as axes (front x input kind x host x degrade policy, plus
+  the PISA pipeline): :data:`DEFAULT_EXECUTORS` and the full product
+  :data:`ALL_CELLS`;
 - :mod:`repro.conformance.differ` -- per-packet + state diffing into a
   structured :class:`DivergenceReport`;
 - :mod:`repro.conformance.fuzzer` -- seeded wire fuzzing with automatic
@@ -34,16 +35,18 @@ from repro.conformance.differ import (
     diff_case,
 )
 from repro.conformance.executors import (
+    ALL_CELLS,
     DEFAULT_EXECUTORS,
     EXECUTOR_NAMES,
+    Cell,
     ExecutionResult,
     ExecutorSpec,
     WireOutcome,
     executors_by_name,
-    outcome_from_exception,
     outcome_from_result,
     run_reference,
     state_fingerprint,
+    wire_outcomes,
 )
 from repro.conformance.fuzzer import fuzz_wires, run_fuzz, shrink_case
 from repro.conformance.reference import ReferenceInterpreter
@@ -57,7 +60,9 @@ from repro.conformance.scenarios import (
 )
 
 __all__ = [
+    "ALL_CELLS",
     "ALL_SCENARIOS",
+    "Cell",
     "DEFAULT_EXECUTORS",
     "Divergence",
     "DivergenceReport",
@@ -75,7 +80,6 @@ __all__ = [
     "executors_by_name",
     "fuzz_wires",
     "load_corpus",
-    "outcome_from_exception",
     "outcome_from_result",
     "replay_corpus",
     "replay_vector",
@@ -87,4 +91,5 @@ __all__ = [
     "scenario_wires",
     "shrink_case",
     "state_fingerprint",
+    "wire_outcomes",
 ]

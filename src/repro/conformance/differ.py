@@ -8,14 +8,15 @@ record every disagreement as a :class:`Divergence`.
 
 Comparison domain rules (DESIGN.md 3.10):
 
-- a ``None`` outcome from an executor means "out of my domain" (the
-  PISA pipeline's unroll budget, engine backpressure drops) and is
-  skipped, but then the executor's state is excluded too;
+- a ``domain_limited`` executor (the PISA pipeline) is not compared on
+  a packet it returns ``None`` for (its unroll budget) or one the
+  reference dropped for a processing-limit violation; once it skips a
+  packet its state is excluded too (the skipped walk never happened);
+- anywhere else a ``None`` outcome is a lost packet: an ``outcome``
+  divergence;
 - executors running under a degrade policy are compared against the
   *transformed* reference expectation (:func:`degraded_expectation`),
-  mirroring ``ShardWorker._degraded_outcome`` exactly;
-- executors with ``skip_limit_failures`` are never compared on packets
-  the reference dropped for a processing-limit violation.
+  mirroring ``ShardWorker._degraded_outcome`` exactly.
 """
 
 from __future__ import annotations
@@ -172,19 +173,12 @@ def _fmt(value: object, limit: int = 300) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _outcome_fields(
+def _outcome_differs(
     expected: WireOutcome, got: WireOutcome, compare_reason: bool
-) -> Optional[str]:
-    """The first differing WireOutcome field label, or None."""
-    if expected.decision != got.decision:
-        return "decision"
-    if expected.ports != got.ports:
-        return "ports"
-    if expected.packet != got.packet:
-        return "packet"
-    if compare_reason and expected.reason != got.reason:
-        return "reason"
-    return None
+) -> bool:
+    if not compare_reason:
+        expected, got = expected[:3], got[:3]  # decision, ports, packet
+    return expected != got
 
 
 def diff_case(
@@ -234,10 +228,9 @@ def diff_case(
         for index, wire in enumerate(wires):
             expected = reference.outcomes[index]
             got = result.outcomes[index]
-            if got is None:
-                skipped = True
-                continue
-            if spec.skip_limit_failures and expected.reason == "limit":
+            if spec.domain_limited and (
+                got is None or expected.reason == "limit"
+            ):
                 skipped = True
                 continue
             if spec.degrade is not None:
@@ -245,8 +238,9 @@ def diff_case(
                     wire, expected, spec.degrade, default_port
                 )
             report.comparisons += 1
-            differing = _outcome_fields(expected, got, spec.compare_reason)
-            if differing is not None:
+            if got is None or _outcome_differs(
+                expected, got, spec.compare_reason
+            ):
                 record(spec.name, index, "outcome", expected, got, wire)
                 continue
             if (

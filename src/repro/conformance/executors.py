@@ -1,12 +1,17 @@
 """The differential executor matrix: every way this repo runs a packet.
 
-Each :class:`ExecutorSpec` wraps one optimized execution path behind a
-single normalized interface: feed it a :class:`Scenario` plus a list of
-wire-encoded packets, get back a :class:`WireOutcome` per packet (what
-happened on the wire), optional per-packet notes and model-cycle
-triples, and a structural fingerprint of the node state after the run.
+The matrix is declared as four axes -- front x input kind x host x
+degrade policy -- plus the standalone PISA ``dataplane`` cell (DESIGN.md
+3.10 tabulates them).  Each :class:`Host` declares the axis values it
+supports and has one runner; a cell's name and comparison rules are
+derived from its axis values (:func:`cell_spec`), never set by hand.
+:data:`ALL_CELLS` is the supported product, :data:`DEFAULT_EXECUTORS`
+the declared subset tier-1, the CLI and the fuzzer run.
 
-Normalization rules (the "equivalence" contract, DESIGN.md 3.10):
+Every cell turns a :class:`Scenario` plus wire-encoded packets into a
+:class:`WireOutcome` per packet, optional notes and model-cycle
+triples, and a node-state fingerprint.  Normalization rules (the
+"equivalence" contract):
 
 - A packet whose processing *raises* (truncated header, field range
   violation) normalizes to ``("error", (), None, ExceptionClassName)``
@@ -24,18 +29,24 @@ Normalization rules (the "equivalence" contract, DESIGN.md 3.10):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.conformance.reference import ReferenceInterpreter
 from repro.conformance.scenarios import Scenario
 from repro.core.flowcache import FlowDecisionCache
 from repro.core.packet import DipPacket
-from repro.core.processor import ProcessResult, RouterProcessor
+from repro.core.processor import (
+    Decision,
+    ProcessResult,
+    RouterProcessor,
+    poison_result,
+)
 from repro.core.registry import default_registry
 from repro.core.state import NodeState
 from repro.dataplane.dip_pipeline import DipPipeline
 from repro.engine import EngineConfig, ForwardingEngine
-from repro.errors import PipelineConstraintError
+from repro.errors import CodecError, PipelineConstraintError
 
 
 class WireOutcome(NamedTuple):
@@ -51,10 +62,9 @@ class WireOutcome(NamedTuple):
 class ExecutionResult:
     """One executor's verdicts over one wire list.
 
-    ``outcomes[i] is None`` means the executor skipped packet *i* as
-    out of its domain (e.g. the PISA pipeline's unroll budget); the
-    differ does not count skipped packets against it, but state is then
-    excluded from comparison too (the skipped walk never happened).
+    ``outcomes[i] is None`` means the executor produced no verdict for
+    packet *i*: out of its domain on a ``domain_limited`` cell, a lost
+    packet everywhere else (see :func:`repro.conformance.differ.diff_case`).
     """
 
     outcomes: List[Optional[WireOutcome]]
@@ -73,17 +83,19 @@ def outcome_from_result(result: ProcessResult) -> WireOutcome:
     )
 
 
-def outcome_from_exception(exc: BaseException) -> WireOutcome:
-    """Normalize a raised exception to the quarantine verdict."""
-    return WireOutcome("error", (), None, type(exc).__name__)
-
-
-def exception_notes(exc: BaseException) -> Tuple[str, ...]:
-    return (f"quarantined: {type(exc).__name__}: {exc}",)
-
-
-def _cycles_of(result: ProcessResult) -> Tuple[int, int, int]:
-    return (result.cycles, result.cycles_sequential, result.cycles_parallel)
+def wire_outcomes(outcomes) -> List[Optional[WireOutcome]]:
+    """Engine ``PacketOutcome``s as WireOutcomes (None = never processed)."""
+    return [
+        None
+        if outcome is None
+        else WireOutcome(
+            outcome.decision.value,
+            tuple(outcome.ports),
+            outcome.packet,
+            outcome.reason,
+        )
+        for outcome in outcomes
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -127,8 +139,74 @@ def state_fingerprint(state: NodeState) -> dict:
 
 
 # ----------------------------------------------------------------------
-# executor runners
+# the axes
 # ----------------------------------------------------------------------
+FRONTS = ("process", "process-batch", "flow-cache", "columnar")
+INPUTS = ("raw", "packets", "interleaved")
+DEGRADES = ("none", "drop", "pass-to-host", "best-effort-ip")
+#: The fronts an engine worker can put before its walk.
+ENGINE_FRONTS = ("process-batch", "flow-cache", "columnar")
+
+
+class Cell(NamedTuple):
+    """One point of the matrix: a value per axis."""
+
+    front: str
+    input: str
+    host: str
+    degrade: str
+
+
+def _inputs(kind: str, wires: List[bytes]) -> list:
+    """The wires as the input axis hands them to the front.
+
+    A wire that does not decode stays raw bytes -- there is no
+    ``DipPacket`` for it -- so malformed traffic reaches every kind.
+    """
+    items = list(wires)
+    if kind != "raw":
+        step = 1 if kind == "packets" else 2
+        for index in range(step - 1, len(items), step):
+            try:
+                items[index] = DipPacket.decode(items[index])
+            except CodecError:
+                pass
+    return items
+
+
+def _results(
+    results: List[ProcessResult], state: NodeState
+) -> ExecutionResult:
+    return ExecutionResult(
+        [outcome_from_result(result) for result in results],
+        [result.notes for result in results],
+        # Quarantined packets never finished a walk; their zeroed
+        # cycle fields are bookkeeping, not semantics.
+        [
+            None
+            if result.decision is Decision.ERROR
+            else (
+                result.cycles,
+                result.cycles_sequential,
+                result.cycles_parallel,
+            )
+            for result in results
+        ],
+        state_fingerprint(state),
+    )
+
+
+def _each(process, items) -> List[ProcessResult]:
+    """One walk per packet; a raise becomes the quarantine verdict."""
+    results = []
+    for item in items:
+        try:
+            results.append(process(item))
+        except Exception as exc:
+            results.append(poison_result(exc))
+    return results
+
+
 def run_reference(
     scenario: Scenario, wires: List[bytes], cost_model: Optional[object] = None
 ) -> ExecutionResult:
@@ -136,175 +214,63 @@ def run_reference(
     interpreter = ReferenceInterpreter(
         scenario.state(), registry=scenario.registry(), cost_model=cost_model
     )
-    outcomes: List[Optional[WireOutcome]] = []
-    notes: List[Optional[Tuple[str, ...]]] = []
-    cycles: List[Optional[Tuple[int, int, int]]] = []
-    for wire in wires:
-        try:
-            result = interpreter.process(wire)
-        except Exception as exc:  # normalize to the quarantine verdict
-            outcomes.append(outcome_from_exception(exc))
-            notes.append(exception_notes(exc))
-            cycles.append(None)
-        else:
-            outcomes.append(outcome_from_result(result))
-            notes.append(result.notes)
-            cycles.append(_cycles_of(result))
-    return ExecutionResult(
-        outcomes, notes, cycles, state_fingerprint(interpreter.state)
+    return _results(_each(interpreter.process, wires), interpreter.state)
+
+
+def _engine_config(cell: Cell, **shape) -> EngineConfig:
+    return EngineConfig(
+        batch_size=16,
+        flow_cache=cell.front == "flow-cache",
+        columnar=cell.front == "columnar",
+        degrade=None if cell.degrade == "none" else cell.degrade,
+        **shape,
     )
 
 
-def _run_process(scenario, wires, cost_model) -> ExecutionResult:
-    processor = RouterProcessor(
-        scenario.state(), registry=scenario.registry(), cost_model=cost_model
-    )
-    outcomes: List[Optional[WireOutcome]] = []
-    notes: List[Optional[Tuple[str, ...]]] = []
-    cycles: List[Optional[Tuple[int, int, int]]] = []
-    for wire in wires:
-        try:
-            result = processor.process(wire)
-        except Exception as exc:
-            outcomes.append(outcome_from_exception(exc))
-            notes.append(exception_notes(exc))
-            cycles.append(None)
-        else:
-            outcomes.append(outcome_from_result(result))
-            notes.append(result.notes)
-            cycles.append(_cycles_of(result))
-    return ExecutionResult(
-        outcomes, notes, cycles, state_fingerprint(processor.state)
-    )
-
-
-def _run_batch(
-    scenario, wires, cost_model, flow_cache: bool, columnar: bool = False
-) -> ExecutionResult:
+# ----------------------------------------------------------------------
+# one runner per host
+# ----------------------------------------------------------------------
+def _run_bare(cell: Cell, scenario, wires, cost_model) -> ExecutionResult:
     processor = RouterProcessor(
         scenario.state(),
         registry=scenario.registry(),
         cost_model=cost_model,
-        flow_cache=FlowDecisionCache() if flow_cache else None,
+        flow_cache=FlowDecisionCache() if cell.front == "flow-cache" else None,
         quarantine=True,
     )
-    if columnar:
+    items = _inputs(cell.input, wires)
+    if cell.front == "process":
+        return _results(_each(processor.process, items), processor.state)
+    front = processor
+    if cell.front == "columnar":
+        # Falls back to the scalar walk for anything the kernels cannot
+        # express (or without numpy), so the cell is always meaningful.
         from repro.engine.columnar import ColumnarSpecializer
 
-        results = ColumnarSpecializer(processor).process_batch(
-            wires, collect_notes=True
-        )
-    else:
-        results = processor.process_batch(wires, collect_notes=True)
-    outcomes: List[Optional[WireOutcome]] = []
-    notes: List[Optional[Tuple[str, ...]]] = []
-    cycles: List[Optional[Tuple[int, int, int]]] = []
-    for result in results:
-        outcomes.append(outcome_from_result(result))
-        notes.append(result.notes)
-        # Quarantined packets never finished a walk; their zeroed
-        # cycle fields are bookkeeping, not semantics.
-        cycles.append(
-            None if result.decision.value == "error" else _cycles_of(result)
-        )
-    return ExecutionResult(
-        outcomes, notes, cycles, state_fingerprint(processor.state)
-    )
-
-
-def _run_process_batch(scenario, wires, cost_model) -> ExecutionResult:
-    return _run_batch(scenario, wires, cost_model, flow_cache=False)
-
-
-def _run_flow_cache(scenario, wires, cost_model) -> ExecutionResult:
-    return _run_batch(scenario, wires, cost_model, flow_cache=True)
-
-
-def _run_columnar(scenario, wires, cost_model) -> ExecutionResult:
-    """The batch specializer over the quarantining batch processor.
-
-    Falls back to the scalar path internally for anything the kernels
-    cannot express, so the executor is meaningful even without numpy
-    (it then *is* the scalar batch path, and the matrix still passes).
-    """
-    return _run_batch(
-        scenario, wires, cost_model, flow_cache=False, columnar=True
+        front = ColumnarSpecializer(processor)
+    return _results(
+        front.process_batch(items, collect_notes=True), processor.state
     )
 
 
 def _run_engine(
-    scenario,
-    wires,
-    cost_model,
-    backend: str = "serial",
-    num_shards: int = 1,
-    flow_cache: bool = False,
-    degrade: Optional[str] = None,
+    backend: str, num_shards: int, cell: Cell, scenario, wires, cost_model
 ) -> ExecutionResult:
-    config = EngineConfig(
-        num_shards=num_shards,
-        backend=backend,
-        batch_size=16,
-        flow_cache=flow_cache,
-        degrade=degrade,
-    )
     engine = ForwardingEngine(
         scenario.state_factory,
         cost_model=cost_model,
-        config=config,
+        config=_engine_config(cell, backend=backend, num_shards=num_shards),
         registry_factory=scenario.registry_factory,
     )
-    report = engine.run(wires)
-    outcomes: List[Optional[WireOutcome]] = [
-        (
-            WireOutcome(
-                outcome.decision.value,
-                tuple(outcome.ports),
-                outcome.packet,
-                outcome.reason,
-            )
-            if outcome is not None
-            else None
-        )
-        for outcome in report.outcomes
-    ]
-    state = None
-    if backend == "serial" and num_shards == 1:
-        state = state_fingerprint(engine.shard_state(0))
-    return ExecutionResult(outcomes, state=state)
-
-
-def _run_engine_serial(scenario, wires, cost_model):
-    return _run_engine(scenario, wires, cost_model)
-
-
-def _run_engine_sharded(scenario, wires, cost_model):
-    return _run_engine(scenario, wires, cost_model, num_shards=4)
-
-
-def _run_engine_flow_cache(scenario, wires, cost_model):
-    return _run_engine(scenario, wires, cost_model, flow_cache=True)
-
-
-def _run_engine_process(scenario, wires, cost_model):
-    return _run_engine(
-        scenario, wires, cost_model, backend="process", num_shards=2
+    report = engine.run(_inputs(cell.input, wires))
+    return ExecutionResult(
+        wire_outcomes(report.outcomes),
+        state=state_fingerprint(engine.shard_state(0))
+        if num_shards == 1 else None,
     )
 
 
-def _run_engine_degrade_drop(scenario, wires, cost_model):
-    return _run_engine(scenario, wires, cost_model, degrade="drop")
-
-
-def _run_engine_degrade_host(scenario, wires, cost_model):
-    return _run_engine(scenario, wires, cost_model, degrade="pass-to-host")
-
-
-def _run_engine_degrade_ip(scenario, wires, cost_model):
-    return _run_engine(scenario, wires, cost_model, degrade="best-effort-ip")
-
-
-def _run_serve(scenario, wires, cost_model) -> ExecutionResult:
+def _run_serve(cell: Cell, scenario, wires, cost_model) -> ExecutionResult:
     """The serving daemon's framing+batching path, driven synchronously.
 
     Wires go through :class:`repro.serve.core.ServeCore` exactly as
@@ -313,10 +279,10 @@ def _run_serve(scenario, wires, cost_model) -> ExecutionResult:
     sockets.  ``max_inflight`` is sized to the corpus and ``now`` is
     pinned to the timeless 0.0 so admission control and TTL expiry
     (the daemon's operational features) cannot alter Algorithm 1
-    verdicts; that equivalence is exactly what this executor proves.
-    Each reply is also round-tripped through the reply codec so a
-    decision that survives the engine but dies in framing still counts
-    as a divergence.
+    verdicts.  The verdict is read back from the encoded reply, so
+    codec drift is an ordinary divergence; only ``reason``, which the
+    reply format does not carry, comes from the engine outcome.  A
+    shed packet or an unreadable reply is a missing outcome.
     """
     from repro.serve.config import ServeConfig
     from repro.serve.core import ServeCore, decode_reply
@@ -328,40 +294,32 @@ def _run_serve(scenario, wires, cost_model) -> ExecutionResult:
             batch_max=16,
             max_inflight=max(len(wires), 1),
             ring_capacity=max(len(wires), 16),
-            flow_cache=False,
+            flow_cache=cell.front == "flow-cache",
         ),
         state_factory=scenario.state_factory,
         registry_factory=scenario.registry_factory,
         cost_model=cost_model,
     )
+    outcomes: List[Optional[WireOutcome]] = [None] * len(wires)
     try:
+        if cell.degrade != "none":
+            core.engine.set_degrade(cell.degrade)
         for index, wire in enumerate(wires):
-            if not core.submit(bytes(wire), index):
-                raise AssertionError(
-                    "serve executor shed a packet despite max_inflight "
-                    "== len(wires)"
-                )
+            core.submit(wire, index)
         collected: List[Tuple[int, object]] = []
         replies = core.drain(now=0.0, collect=collected)
-        outcomes: List[Optional[WireOutcome]] = [None] * len(wires)
-        for (index, outcome), (reply_index, payload) in zip(
-            collected, replies
-        ):
-            status, ports, _ = decode_reply(payload)
-            if (
-                index != reply_index
-                or status != outcome.decision.value
-                or ports != tuple(outcome.ports)
-            ):
-                raise AssertionError(
-                    f"serve reply codec disagrees with engine outcome "
-                    f"for packet {index}"
-                )
+        reasons = {
+            index: outcome.reason
+            for index, outcome in collected
+            if outcome is not None
+        }
+        for index, payload in replies:
+            try:
+                status, ports, packet = decode_reply(payload)
+            except ValueError:
+                continue
             outcomes[index] = WireOutcome(
-                outcome.decision.value,
-                tuple(outcome.ports),
-                outcome.packet,
-                outcome.reason,
+                status, ports, packet or None, reasons.get(index)
             )
         state = state_fingerprint(core.engine.shard_state(0))
     finally:
@@ -369,19 +327,16 @@ def _run_serve(scenario, wires, cost_model) -> ExecutionResult:
     return ExecutionResult(outcomes, state=state)
 
 
-def _run_fabric(scenario, wires, cost_model) -> ExecutionResult:
+def _run_fabric(cell: Cell, scenario, wires, cost_model) -> ExecutionResult:
     """An engine-backed router driven over the co-simulation fabric.
 
-    The corpus rides a two-component fabric scenario: a source host
-    injects every wire at virtual time 0 (per-channel sequence numbers
-    preserve input order through the synchronizer), a fabric router
-    runs them through a :class:`~repro.engine.ForwardingEngine` whose
-    clock is the fabric's virtual clock, and every egress loops back to
-    the source over the reverse channel.  Zero-latency channels are
-    legal here because the source closes its outputs after flushing
-    (the acyclic-termination rule); every walk then executes at
-    ``now == 0.0``, so PIT/CS timestamps match the timeless reference
-    interpreter exactly.  What this executor proves: the fabric's
+    A source host injects every wire at virtual time 0 (per-channel
+    sequence numbers keep input order through the synchronizer); the
+    router's engine walks them on the fabric's virtual clock and every
+    egress loops back to the source.  Zero-latency channels are legal
+    because the source closes its outputs after flushing (the
+    acyclic-termination rule), so every walk runs at ``now == 0.0``,
+    like the timeless reference interpreter.  This host proves the
     message protocol, conservative synchronizer and engine adapter are
     decision-transparent -- byte-identical verdicts, state and all.
     """
@@ -391,7 +346,7 @@ def _run_fabric(scenario, wires, cost_model) -> ExecutionResult:
 
     def make_source():
         injections = [
-            Inject(0.0, "source", 0, KIND_DIP, bytes(wire), len(wire), seq)
+            Inject(0.0, "source", 0, KIND_DIP, wire, len(wire), seq)
             for seq, wire in enumerate(wires)
         ]
         return HostComponent("source", injections)
@@ -402,7 +357,7 @@ def _run_fabric(scenario, wires, cost_model) -> ExecutionResult:
             scenario.state_factory,
             registry_factory=scenario.registry_factory,
             cost_model=cost_model,
-            config=EngineConfig(num_shards=1, backend="serial", batch_size=16),
+            config=_engine_config(cell, num_shards=1, backend="serial"),
             keep_outcomes=True,
         )
         # FIB egress ports are scenario-defined ints; loop every one of
@@ -419,25 +374,15 @@ def _run_fabric(scenario, wires, cost_model) -> ExecutionResult:
     )
     run.run()
     router = run.components["router"]
-    outcomes: List[Optional[WireOutcome]] = [
-        (
-            WireOutcome(
-                outcome.decision.value,
-                tuple(outcome.ports),
-                outcome.packet,
-                outcome.reason,
-            )
-            if outcome is not None
-            else None
-        )
-        for outcome in router.outcomes
-    ]
     return ExecutionResult(
-        outcomes, state=state_fingerprint(router.state())
+        wire_outcomes(router.outcomes),
+        state=state_fingerprint(router.state()),
     )
 
 
-def _run_dataplane(scenario, wires, cost_model) -> ExecutionResult:
+def _run_dataplane(
+    cell: Cell, scenario, wires, cost_model
+) -> ExecutionResult:
     registry = scenario.registry()
     pipeline = DipPipeline(
         scenario.state(),
@@ -446,40 +391,60 @@ def _run_dataplane(scenario, wires, cost_model) -> ExecutionResult:
     outcomes: List[Optional[WireOutcome]] = []
     for wire in wires:
         try:
-            packet = DipPacket.decode(bytes(wire))
-        except Exception as exc:
-            outcomes.append(outcome_from_exception(exc))
-            continue
-        if packet.header.fn_num > pipeline.max_fns:
-            # Beyond the parse graph's unroll budget: out of the PISA
-            # model's domain, not a divergence (DESIGN.md 3.10).
-            outcomes.append(None)
-            continue
-        try:
+            packet = DipPacket.decode(wire)
+            if packet.header.fn_num > pipeline.max_fns:
+                # Beyond the parse graph's unroll budget: out of the
+                # PISA model's domain, not a divergence.
+                outcomes.append(None)
+                continue
             result = pipeline.process(packet)
         except PipelineConstraintError:
             outcomes.append(None)
-            continue
         except Exception as exc:
-            outcomes.append(outcome_from_exception(exc))
-            continue
-        outcomes.append(
-            WireOutcome(
+            outcomes.append(outcome_from_result(poison_result(exc)))
+        else:
+            packet = result.packet
+            outcomes.append(WireOutcome(
                 result.decision.value,
                 tuple(result.ports),
-                (
-                    result.packet.encode()
-                    if result.packet is not None
-                    else None
-                ),
+                packet.encode() if packet is not None else None,
                 None,
-            )
-        )
+            ))
     return ExecutionResult(outcomes, state=state_fingerprint(pipeline.state))
 
 
+@dataclass(frozen=True)
+class Host:
+    """One host axis value: its runner and the values it supports."""
+
+    run: Callable[..., ExecutionResult]
+    fronts: Tuple[str, ...]
+    inputs: Tuple[str, ...] = INPUTS
+    degrades: Tuple[str, ...] = DEGRADES
+    #: Exactly one node state exists after the run and can be read.
+    one_shard: bool = True
+
+
+HOSTS: Dict[str, Host] = {
+    "bare": Host(_run_bare, FRONTS, degrades=("none",)),
+    "engine-serial": Host(partial(_run_engine, "serial", 1), ENGINE_FRONTS),
+    "engine-serial-sharded": Host(
+        partial(_run_engine, "serial", 4), ENGINE_FRONTS, one_shard=False
+    ),
+    "engine-process": Host(
+        partial(_run_engine, "process", 2), ENGINE_FRONTS, one_shard=False
+    ),
+    # Datagrams are bytes, and ServeConfig has no columnar switch.
+    "serve": Host(_run_serve, ("process-batch", "flow-cache"), ("raw",)),
+    "fabric": Host(_run_fabric, ENGINE_FRONTS, ("raw",)),
+    # The standalone PISA cell, outside the axes: the pipeline is its
+    # own front, parses wires itself and has no degrade policy.
+    "dataplane": Host(_run_dataplane, ("pisa",), ("raw",), ("none",)),
+}
+
+
 # ----------------------------------------------------------------------
-# the matrix
+# cell derivation
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ExecutorSpec:
@@ -498,56 +463,80 @@ class ExecutorSpec:
     #: Degrade policy the executor runs under; the differ transforms
     #: the reference expectation accordingly (workers._degraded_outcome).
     degrade: Optional[str] = None
-    #: Skip packets whose *reference* verdict is a processing-limit
-    #: drop: the PISA pipeline enforces no cycle/state budgets.
-    skip_limit_failures: bool = False
+    #: The executor models only part of Algorithm 1: a None outcome is
+    #: out of its domain, and so is a packet the reference dropped for
+    #: a processing limit (the PISA pipeline enforces no budgets).
+    domain_limited: bool = False
+    #: The matrix point this spec was derived from (None for ad-hoc
+    #: executors such as the test suite's mutants).
+    cell: Optional[Cell] = None
 
 
-DEFAULT_EXECUTORS: Tuple[ExecutorSpec, ...] = (
-    ExecutorSpec(
-        "process", _run_process, compare_notes=True, compare_cycles=True
-    ),
-    ExecutorSpec(
-        "process-batch",
-        _run_process_batch,
-        compare_notes=True,
-        compare_cycles=True,
-    ),
-    ExecutorSpec(
-        "flow-cache", _run_flow_cache, compare_notes=True, compare_cycles=True
-    ),
-    ExecutorSpec(
-        "columnar", _run_columnar, compare_notes=True, compare_cycles=True
-    ),
-    ExecutorSpec("engine-serial", _run_engine_serial),
-    ExecutorSpec(
-        "engine-serial-sharded", _run_engine_sharded, compare_state=False
-    ),
-    ExecutorSpec("engine-serial-flowcache", _run_engine_flow_cache),
-    ExecutorSpec(
-        "engine-process", _run_engine_process, compare_state=False
-    ),
-    ExecutorSpec(
-        "engine-degrade-drop", _run_engine_degrade_drop, degrade="drop"
-    ),
-    ExecutorSpec(
-        "engine-degrade-host",
-        _run_engine_degrade_host,
-        degrade="pass-to-host",
-    ),
-    ExecutorSpec(
-        "engine-degrade-ip",
-        _run_engine_degrade_ip,
-        degrade="best-effort-ip",
-    ),
-    ExecutorSpec(
-        "dataplane",
-        _run_dataplane,
-        compare_reason=False,
-        skip_limit_failures=True,
-    ),
-    ExecutorSpec("serve", _run_serve),
-    ExecutorSpec("fabric", _run_fabric),
+def cell_name(cell: Cell) -> str:
+    """``host/front/input/degrade``, leaving out bare, the host's first
+    front, ``raw`` and ``none``: ``process``, ``engine-serial``,
+    ``engine-serial/flow-cache``, ``engine-process/packets``."""
+    parts = [cell.front] if cell.host == "bare" else [cell.host]
+    if cell.host != "bare" and cell.front != HOSTS[cell.host].fronts[0]:
+        parts.append(cell.front)
+    parts += [
+        value for value in (cell.input, cell.degrade)
+        if value not in ("raw", "none")
+    ]
+    return "/".join(parts)
+
+
+def cell_spec(cell: Cell) -> ExecutorSpec:
+    host = HOSTS[cell.host]
+    bare = cell.host == "bare"
+    pisa = cell.host == "dataplane"
+    return ExecutorSpec(
+        cell_name(cell),
+        partial(host.run, cell),
+        compare_reason=not pisa,
+        compare_notes=bare,
+        compare_cycles=bare,
+        compare_state=host.one_shard,
+        degrade=None if cell.degrade == "none" else cell.degrade,
+        domain_limited=pisa,
+        cell=cell,
+    )
+
+
+#: Every supported combination, host by host.
+ALL_CELLS: Tuple[ExecutorSpec, ...] = tuple(
+    cell_spec(Cell(front, kind, name, degrade))
+    for name, host in HOSTS.items()
+    for front in host.fronts
+    for kind in host.inputs
+    for degrade in host.degrades
+)
+
+_BY_CELL = {spec.cell: spec for spec in ALL_CELLS}
+
+#: The matrix tier-1, the CLI and the fuzzer run: every configuration
+#: the repo has carried (DESIGN.md 3.10 maps the old executor names),
+#: plus one bare and one process-engine cell of the other input kinds.
+DEFAULT_EXECUTORS: Tuple[ExecutorSpec, ...] = tuple(
+    _BY_CELL[Cell(*axes)]
+    for axes in (
+        ("process", "raw", "bare", "none"),
+        ("process-batch", "raw", "bare", "none"),
+        ("flow-cache", "raw", "bare", "none"),
+        ("columnar", "raw", "bare", "none"),
+        ("process-batch", "raw", "engine-serial", "none"),
+        ("process-batch", "raw", "engine-serial-sharded", "none"),
+        ("flow-cache", "raw", "engine-serial", "none"),
+        ("process-batch", "raw", "engine-process", "none"),
+        ("process-batch", "raw", "engine-serial", "drop"),
+        ("process-batch", "raw", "engine-serial", "pass-to-host"),
+        ("process-batch", "raw", "engine-serial", "best-effort-ip"),
+        ("pisa", "raw", "dataplane", "none"),
+        ("process-batch", "raw", "serve", "none"),
+        ("process-batch", "raw", "fabric", "none"),
+        ("flow-cache", "interleaved", "bare", "none"),
+        ("process-batch", "packets", "engine-process", "none"),
+    )
 )
 
 EXECUTOR_NAMES: Tuple[str, ...] = tuple(
@@ -556,12 +545,13 @@ EXECUTOR_NAMES: Tuple[str, ...] = tuple(
 
 
 def executors_by_name(names) -> Tuple[ExecutorSpec, ...]:
-    """Resolve a name list against the matrix, preserving matrix order."""
+    """Resolve a name list against :data:`ALL_CELLS`, in its order."""
     wanted = set(names)
-    unknown = wanted - set(EXECUTOR_NAMES)
+    unknown = wanted - {spec.name for spec in ALL_CELLS}
     if unknown:
         raise ValueError(
             f"unknown executors: {sorted(unknown)} "
-            f"(known: {list(EXECUTOR_NAMES)})"
+            f"(default matrix: {list(EXECUTOR_NAMES)}; any of the "
+            f"{len(ALL_CELLS)} cells of ALL_CELLS is accepted)"
         )
-    return tuple(s for s in DEFAULT_EXECUTORS if s.name in wanted)
+    return tuple(spec for spec in ALL_CELLS if spec.name in wanted)

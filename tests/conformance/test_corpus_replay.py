@@ -5,16 +5,19 @@ repo's behavioral contract: each vector replays against the full
 executor matrix (:data:`repro.conformance.executors.DEFAULT_EXECUTORS`)
 and must produce zero divergences from the reference interpreter.
 Regression vectors (shrunk fuzzer finds, kept forever) ride in the
-``regressions`` group.
+``regressions`` group.  The slow tier replays the whole corpus through
+every supported cell (:data:`repro.conformance.executors.ALL_CELLS`).
 """
 
 import pytest
 
 from repro.conformance import (
+    ALL_CELLS,
     ALL_SCENARIOS,
     EXECUTOR_NAMES,
     SCENARIOS,
     load_corpus,
+    replay_corpus,
     replay_vector,
 )
 from repro.conformance.corpus import REGRESSION_GROUP
@@ -51,6 +54,14 @@ def test_regression_vectors_are_preserved():
     assert "pipeline-fieldrange-before-hoplimit" in names
 
 
+def describe(report):
+    return "\n".join(
+        f"{d.vector} {d.executor} packet {d.index} [{d.aspect}]: "
+        f"expected {d.expected}, got {d.got}"
+        for d in report.divergences
+    )
+
+
 @pytest.mark.parametrize(
     "vector", VECTORS, ids=lambda v: f"{v.group}/{v.name}"
 )
@@ -58,8 +69,11 @@ def test_vector_replays_clean_through_every_executor(vector, cost_model):
     report = replay_vector(vector, cost_model=cost_model)
     assert list(report.executors) == list(EXECUTOR_NAMES)
     assert report.comparisons > 0
-    assert report.ok, "\n".join(
-        f"{d.executor} packet {d.index} [{d.aspect}]: "
-        f"expected {d.expected}, got {d.got}"
-        for d in report.divergences
-    )
+    assert report.ok, describe(report)
+
+
+@pytest.mark.slow
+def test_corpus_replays_clean_through_every_cell(cost_model):
+    report = replay_corpus(VECTORS, ALL_CELLS, cost_model)
+    assert len(report.executors) == len(ALL_CELLS)
+    assert report.ok, describe(report)

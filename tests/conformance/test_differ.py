@@ -4,7 +4,8 @@ No real executor diverges (that is what the corpus proves), so these
 tests sabotage a faithful reference clone (:func:`mutant_spec`) one
 aspect at a time and assert :func:`diff_case` reports precisely that
 corruption -- and stays silent when the executor's spec says the
-aspect is out of scope (notes, cycles, reason, skipped packets).
+aspect is out of scope (notes, cycles, reason, packets outside a
+domain-limited executor's domain).
 """
 
 import json
@@ -135,16 +136,29 @@ class TestDiffCase:
         assert report.divergences[0].index == -1
         assert "outcomes" in report.divergences[0].got
 
-    def test_none_outcome_skips_the_packet_and_the_state(self):
+    def test_domain_limited_none_skips_the_packet_and_the_state(self):
         def corrupt(result, wires):
             result.outcomes[0] = None  # "out of my domain"
             result.state = dict(result.state, generation=10**9)
 
-        _, report = self.case(mutant_spec(corrupt))
+        _, report = self.case(mutant_spec(corrupt, domain_limited=True))
         assert report.ok  # skipped packet AND state excluded
         assert report.comparisons == 7
 
-    def test_skip_limit_failures_skips_reference_limit_drops(self):
+    def test_lossy_executor_is_an_outcome_divergence(self):
+        # Outside a domain-limited cell a None outcome is a lost packet,
+        # never a silent skip.
+        def corrupt(result, wires):
+            result.outcomes[3] = None
+
+        _, report = self.case(mutant_spec(corrupt))
+        assert not report.ok
+        assert [(d.index, d.aspect, d.got) for d in report.divergences] == [
+            (3, "outcome", "None")
+        ]
+        assert report.comparisons == 8
+
+    def test_domain_limited_skips_reference_limit_drops(self):
         scenario = Scenario("ip")
         from repro.conformance.corpus import _limit_wire
 
@@ -156,7 +170,7 @@ class TestDiffCase:
         strict = diff_case(scenario, wires, [mutant_spec(corrupt)])
         assert not strict.ok
         lenient = diff_case(
-            scenario, wires, [mutant_spec(corrupt, skip_limit_failures=True)]
+            scenario, wires, [mutant_spec(corrupt, domain_limited=True)]
         )
         assert lenient.ok
         assert lenient.comparisons == 3

@@ -7,7 +7,7 @@ import the same mixed stateful workload.
 
 import random
 
-from repro.conformance.executors import WireOutcome, outcome_from_result
+from repro.conformance.executors import outcome_from_result, wire_outcomes
 from repro.core.processor import RouterProcessor
 from repro.core.state import NodeState
 from repro.realize.ip import build_ipv4_packet
@@ -70,26 +70,9 @@ def sequential_reference(packets):
     return [outcome_from_result(processor.process(raw)) for raw in packets]
 
 
-def engine_outcomes(report):
-    """Engine report -> normalized WireOutcomes (None = never processed)."""
-    return [
-        (
-            WireOutcome(
-                outcome.decision.value,
-                tuple(outcome.ports),
-                outcome.packet,
-                outcome.reason,
-            )
-            if outcome is not None
-            else None
-        )
-        for outcome in report.outcomes
-    ]
-
-
 def assert_matches_reference(report, reference):
     """Every engine outcome equals the sequential verdict, in order."""
-    got = engine_outcomes(report)
+    got = wire_outcomes(report.outcomes)
     assert len(got) == len(reference)
     for index, (outcome, expected) in enumerate(zip(got, reference)):
         assert outcome is not None, f"packet {index} never processed"
