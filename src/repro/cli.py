@@ -757,12 +757,17 @@ def cmd_fabric(args, out) -> int:
 
     registry = MetricsRegistry()
     start = time.perf_counter()
-    report = golden_fabric(
-        spec,
-        processes=args.processes,
-        registry=registry,
-        scheduler_seed=args.scheduler_seed,
-    ).run()
+    try:
+        run = golden_fabric(
+            spec,
+            processes=args.processes,
+            registry=registry,
+            scheduler_seed=args.scheduler_seed,
+        )
+    except ReproError as exc:
+        out.write(f"error: {exc}\n")
+        return 2
+    report = run.run()
     elapsed = time.perf_counter() - start
 
     payload = report.to_dict()
@@ -1154,7 +1159,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         type=int,
         default=None,
         help="shuffle component stepping order with this seed "
-        "(results must not change)",
+        "(results must not change; in-process only: exits 2 with "
+        "--processes > 1)",
     )
     fabric.add_argument(
         "--compare",

@@ -391,24 +391,16 @@ def _run_dataplane(
     outcomes: List[Optional[WireOutcome]] = []
     for wire in wires:
         try:
-            packet = DipPacket.decode(wire)
-            if packet.header.fn_num > pipeline.max_fns:
-                # Beyond the parse graph's unroll budget: out of the
-                # PISA model's domain, not a divergence.
-                outcomes.append(None)
-                continue
-            result = pipeline.process(packet)
+            result = pipeline.process(wire)
         except PipelineConstraintError:
+            # Beyond the parse graph's unroll budget: out of the PISA
+            # model's domain, not a divergence.
             outcomes.append(None)
         except Exception as exc:
             outcomes.append(outcome_from_result(poison_result(exc)))
         else:
-            packet = result.packet
             outcomes.append(WireOutcome(
-                result.decision.value,
-                tuple(result.ports),
-                packet.encode() if packet is not None else None,
-                None,
+                result.decision.value, tuple(result.ports), result.wire, None
             ))
     return ExecutionResult(outcomes, state=state_fingerprint(pipeline.state))
 

@@ -39,6 +39,17 @@ NEXT_HEADER_LEGACY_IPV4 = 0x0800
 NEXT_HEADER_LEGACY_IPV6 = 0x86DD
 
 
+def check_field_ranges(fns: Tuple[FieldOperation, ...], loc_len: int) -> None:
+    """Raise :class:`FieldRangeError` for the first FN whose target
+    field ends past a ``loc_len``-byte locations region."""
+    total_bits = loc_len * 8
+    for fn in fns:
+        if fn.field_end > total_bits:
+            raise FieldRangeError(
+                f"{fn} exceeds the {total_bits}-bit FN locations region"
+            )
+
+
 @dataclass(frozen=True)
 class PacketParameter:
     """The 16-bit packet parameter field.
@@ -150,12 +161,7 @@ class DipHeader:
 
         Host-tagged FNs are included: the locations region is shared.
         """
-        total_bits = self.loc_len * 8
-        for fn in self.fns:
-            if fn.field_end > total_bits:
-                raise FieldRangeError(
-                    f"{fn} exceeds the {total_bits}-bit FN locations region"
-                )
+        check_field_ranges(self.fns, self.loc_len)
 
     # ------------------------------------------------------------------
     # wire format

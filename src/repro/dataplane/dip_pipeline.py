@@ -19,7 +19,10 @@ dataplane pieces the way the paper describes its prototype:
 - matched entries invoke the pre-installed operation module against
   the packet's FN-locations buffer (the part of the packet the PHV
   does not hold -- real PISA programs likewise keep payloads in the
-  packet buffer).
+  packet buffer);
+- the wire is parsed once: the FN triples are read from the PHV, the
+  locations and payload are slices of the input bytes, and a forward
+  is emitted by splicing the rewritten bytes back into them.
 
 ``tests/dataplane/test_dip_pipeline.py`` proves this path decides
 exactly like ``RouterProcessor`` for every protocol realization, and
@@ -29,11 +32,21 @@ the conformance matrix holds both to the reference interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import List, NoReturn, Optional, Tuple, Union
 
-from repro.core.fn import FieldOperation
-from repro.core.header import DipHeader
-from repro.core.operations.base import Decision, OperationContext
+from repro.core.fn import FN_ENCODED_SIZE, FieldOperation
+from repro.core.header import (
+    BASIC_HEADER_SIZE,
+    MAX_LOC_LEN,
+    DipHeader,
+    check_field_ranges,
+)
+from repro.core.operations.base import (
+    Decision,
+    OperationContext,
+    OperationResult,
+)
 from repro.core.packet import DipPacket
 from repro.core.program import is_path_critical
 from repro.core.registry import OperationRegistry, default_registry
@@ -45,20 +58,34 @@ from repro.errors import (
     FieldRangeError,
     OperationError,
     PipelineConstraintError,
+    TruncatedHeaderError,
 )
 from repro.util.bitview import BitView
 
 
 @dataclass
 class PipelineResult:
-    """Outcome of one pipeline traversal."""
+    """Outcome of one pipeline traversal.
+
+    ``wire`` holds the output packet's bytes on a FORWARD (None
+    otherwise); :attr:`packet` decodes them only when read.  ``fns`` and
+    ``header_length`` are what the parse read off the input, which is
+    all a cycle charge needs.
+    """
 
     decision: Decision
     ports: Tuple[int, ...] = ()
-    packet: Optional[DipPacket] = None
+    wire: Optional[bytes] = None
     stages_executed: int = 0
     notes: List[str] = field(default_factory=list)
     unsupported_key: Optional[int] = None
+    fns: Tuple[FieldOperation, ...] = ()
+    header_length: int = 0
+
+    @cached_property
+    def packet(self) -> Optional[DipPacket]:
+        """The output packet, decoded from :attr:`wire` on first read."""
+        return DipPacket.decode(self.wire) if self.wire is not None else None
 
 
 class DipPipeline:
@@ -107,20 +134,29 @@ class DipPipeline:
     # ------------------------------------------------------------------
     def process(
         self,
-        packet: DipPacket,
+        packet: Union[bytes, DipPacket],
         ingress_port: int = 0,
         now: float = 0.0,
     ) -> PipelineResult:
-        """Run one packet through parser + stages."""
-        raw = packet.encode()
-        parse = self.parser.parse(raw)
+        """Run one packet's wire bytes through parser + stages.
+
+        A :class:`DipPacket` is encoded first.  The wire is parsed once:
+        the FN triples come from the PHV, and the FN locations and the
+        payload stay slices of the packet buffer -- nothing decodes the
+        input to a ``DipPacket``.  A malformed wire raises exactly what
+        ``DipPacket.decode`` raises, in the same order: codec errors
+        before the unroll budget, field ranges before the hop limit.
+        """
+        wire = packet.encode() if isinstance(packet, DipPacket) else bytes(packet)
+        parse = self.parser.parse(wire)
         if not parse.accepted:
-            return PipelineResult(
-                decision=Decision.DROP, notes=["parser rejected packet"]
-            )
+            _raise_codec_error(wire)
         phv = parse.phv
         fn_num = phv.get("fn_num")
-        header = packet.header
+        loc_start = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * fn_num
+        header_length = loc_start + ((phv.get("packet_param") >> 1) & MAX_LOC_LEN)
+        if len(wire) < header_length:
+            _raise_codec_error(wire)
         if fn_num > self.max_fns:
             # The parse graph is unrolled max_fns times: triples beyond
             # that never reach the PHV, so the program is infeasible.
@@ -128,31 +164,33 @@ class DipPipeline:
                 f"packet carries {fn_num} FNs; the parse graph unrolls "
                 f"only {self.max_fns} FN states"
             )
+        fns = tuple(self._fn_from_phv(phv, slot) for slot in range(fn_num))
         # Field ranges are validated before the hop-limit check, in
         # Algorithm 1 order: a malformed program is a codec error even
         # when the hop limit already expired (conformance regression
         # vector pipeline-fieldrange-before-hoplimit).
-        header.validate_field_ranges()
-        if phv.get("hop_limit") == 0:
-            return PipelineResult(
-                decision=Decision.DROP, notes=["hop limit expired"]
-            )
+        check_field_ranges(fns, header_length - loc_start)
+        result = PipelineResult(
+            decision=Decision.DROP, fns=fns, header_length=header_length
+        )
+        hop_limit = phv.get("hop_limit")
+        if hop_limit == 0:
+            result.notes.append("hop limit expired")
+            return result
 
         ctx = OperationContext(
             state=self.state,
-            locations=BitView(header.locations),
-            payload=packet.payload,
+            locations=BitView(wire[loc_start:header_length]),
+            payload=wire[header_length:],
             ingress_port=ingress_port,
             now=now,
             at_host=False,
-            fns=header.fns,
+            fns=fns,
         )
 
-        result = PipelineResult(decision=Decision.DROP)
         fate = None
         stage_cursor = 0
-        for slot in range(fn_num):
-            fn = self._fn_from_phv(phv, slot)
+        for slot, fn in enumerate(fns):
             if fn.tag:
                 result.notes.append(f"stage {slot}: host FN skipped")
                 continue
@@ -191,8 +229,6 @@ class DipPipeline:
 
         result.stages_executed = stage_cursor
         if fate is None and self.state.default_port is not None:
-            from repro.core.operations.base import OperationResult
-
             fate = OperationResult.forward(self.state.default_port)
         if fate is None:
             result.notes.append("no forwarding decision")
@@ -200,16 +236,18 @@ class DipPipeline:
         result.decision = fate.decision
         result.ports = fate.ports
         if fate.decision is Decision.FORWARD:
-            out_header = DipHeader(
-                fns=header.fns,
-                locations=ctx.locations.to_bytes(),
-                next_header=header.next_header,
-                hop_limit=header.hop_limit - 1,
-                parallel=header.parallel,
-                reserved=header.reserved,
-            )
-            result.packet = DipPacket(
-                header=out_header, payload=packet.payload
+            # Forwarding never touches the FN definitions or the
+            # locations' length, so the output is the input with the
+            # hop-limit byte and the locations region replaced -- a
+            # splice, byte-identical to re-encoding a rewritten header.
+            result.wire = b"".join(
+                (
+                    wire[:3],
+                    bytes((hop_limit - 1,)),
+                    wire[4:loc_start],
+                    ctx.locations.to_bytes(),
+                    wire[header_length:],
+                )
             )
         return result
 
@@ -225,3 +263,13 @@ class DipPipeline:
             key=key_field & 0x7FFF,
             tag=bool(key_field & 0x8000),
         )
+
+
+def _raise_codec_error(wire: bytes) -> NoReturn:
+    """Raise the codec's own error for a wire shorter than its header.
+
+    The parse only finds the wire short; ``DipHeader.decode`` says which
+    part is missing, with the text ``DipPacket.decode`` would give.
+    """
+    DipHeader.decode(wire)
+    raise TruncatedHeaderError("DIP header runs past the end of the wire")

@@ -14,19 +14,11 @@ from typing import Dict, Iterator, Tuple
 from repro.errors import DataplaneError
 
 
-@dataclass
-class PhvField:
-    """One PHV container: a value constrained to ``width`` bits."""
-
-    width: int
-    value: int = 0
-
-    def set(self, value: int) -> None:
-        if not 0 <= value < (1 << self.width):
-            raise DataplaneError(
-                f"value {value:#x} does not fit in a {self.width}-bit container"
-            )
-        self.value = value
+def _check_fits(value: int, width: int) -> None:
+    if not 0 <= value < (1 << width):
+        raise DataplaneError(
+            f"value {value:#x} does not fit in a {width}-bit container"
+        )
 
 
 @dataclass
@@ -44,52 +36,57 @@ class PacketHeaderVector:
     ingress_port: int = 0
     egress_spec: int = -1
     drop: bool = False
-    _fields: Dict[str, PhvField] = field(default_factory=dict)
+    # The containers: name -> bit width, and name -> value.
+    _widths: Dict[str, int] = field(default_factory=dict)
+    _values: Dict[str, int] = field(default_factory=dict)
+    # Running total of allocated widths: the budget check is O(1), not
+    # a re-sum of every container per allocation.
+    _used_bits: int = 0
 
     def allocate(self, name: str, width: int, value: int = 0) -> None:
         """Create a container; parsing allocates one per extracted field."""
-        if name in self._fields:
+        if name in self._widths:
             raise DataplaneError(f"PHV field {name!r} already allocated")
-        used = sum(f.width for f in self._fields.values())
+        used = self._used_bits
         if used + width > self.bit_budget:
             raise DataplaneError(
                 f"PHV budget exhausted: {used} + {width} > {self.bit_budget}"
             )
-        container = PhvField(width=width)
-        container.set(value)
-        self._fields[name] = container
+        _check_fits(value, width)
+        self._widths[name] = width
+        self._values[name] = value
+        self._used_bits = used + width
 
     def has(self, name: str) -> bool:
         """True when the field was parsed/allocated."""
-        return name in self._fields
+        return name in self._values
 
     def get(self, name: str) -> int:
         """Read a container's value."""
         try:
-            return self._fields[name].value
+            return self._values[name]
         except KeyError:
             raise DataplaneError(f"PHV field {name!r} not allocated") from None
 
     def set(self, name: str, value: int) -> None:
         """Write a container's value (width-checked)."""
-        try:
-            self._fields[name].set(value)
-        except KeyError:
-            raise DataplaneError(f"PHV field {name!r} not allocated") from None
+        _check_fits(value, self.width(name))
+        self._values[name] = value
 
     def width(self, name: str) -> int:
         """A container's bit width."""
         try:
-            return self._fields[name].width
+            return self._widths[name]
         except KeyError:
             raise DataplaneError(f"PHV field {name!r} not allocated") from None
 
     def fields(self) -> Iterator[Tuple[str, int, int]]:
         """Yield ``(name, width, value)`` for every container."""
-        for name, container in self._fields.items():
-            yield name, container.width, container.value
+        values = self._values
+        for name, width in self._widths.items():
+            yield name, width, values[name]
 
     @property
     def used_bits(self) -> int:
         """Total bits currently allocated."""
-        return sum(f.width for f in self._fields.values())
+        return self._used_bits

@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.fn import FieldOperation
 from repro.core.operations.base import Decision
 from repro.core.packet import DipPacket
 from repro.dataplane.costs import CycleCostModel
@@ -45,18 +46,21 @@ from repro.netsim.topology import Topology
 # shared service-latency model
 # ----------------------------------------------------------------------
 def packet_service_cycles(
-    packet: DipPacket, cost_model: CycleCostModel
+    fns: Sequence[FieldOperation],
+    header_length: int,
+    packet_size: int,
+    cost_model: CycleCostModel,
 ) -> int:
     """Deterministic per-packet cycle cost: parse + every FN's cost.
 
-    Shared by the PISA fabric router and the netsim twin's
-    ``service_delay`` hook, so both charge bit-identical latencies --
+    Shared by the PISA fabric router (with what its parse read off the
+    wire) and the netsim twin's ``service_delay`` hook (with its
+    ``DipPacket``'s header), so both charge bit-identical latencies --
     the timing identity the golden scenario asserts rests on this
     being one function, not two reimplementations.
     """
-    header = packet.header
-    cycles = cost_model.parse_cycles(len(header.encode()), packet.size)
-    for fn in header.fns:
+    cycles = cost_model.parse_cycles(header_length, packet_size)
+    for fn in fns:
         cycles += cost_model.fn_cycles(fn)
     return cycles
 
@@ -67,7 +71,11 @@ def make_service_delay(
     """``packet -> seconds`` closure over the shared cycle model."""
 
     def service_delay(packet: DipPacket) -> float:
-        return packet_service_cycles(packet, cost_model) * cycle_time
+        header = packet.header
+        cycles = packet_service_cycles(
+            header.fns, header.header_length, packet.size, cost_model
+        )
+        return cycles * cycle_time
 
     return service_delay
 
@@ -333,17 +341,9 @@ class PisaRouterComponent(Component):
             self.non_dip_dropped += 1
             self.dropped += 1
             return
+        wire = _dip_wire(data)
         try:
-            packet = DipPacket.decode(_dip_wire(data))
-        except Exception:
-            self.quarantined += 1
-            return
-        if packet.header.fn_num > self.pipeline.max_fns:
-            self.out_of_domain += 1
-            self.dropped += 1
-            return
-        try:
-            result = self.pipeline.process(packet, ingress_port=port, now=time)
+            result = self.pipeline.process(wire, ingress_port=port, now=time)
         except PipelineConstraintError:
             self.out_of_domain += 1
             self.dropped += 1
@@ -354,12 +354,15 @@ class PisaRouterComponent(Component):
         if result.decision is Decision.FORWARD:
             self.forwarded += 1
             service = (
-                packet_service_cycles(packet, self.cost_model)
+                packet_service_cycles(
+                    result.fns, result.header_length, len(wire),
+                    self.cost_model,
+                )
                 * self.cycle_time
             )
-            wire = result.packet.encode()
+            out = result.wire
             for out_port in result.ports:
-                self.emit(time + service, out_port, KIND_DIP, wire, len(wire))
+                self.emit(time + service, out_port, KIND_DIP, out, len(out))
         elif result.decision is Decision.DELIVER:
             self.delivered += 1
         else:

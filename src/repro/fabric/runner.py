@@ -171,7 +171,9 @@ class FabricRun:
         processes.
     scheduler_seed:
         In-process only: shuffle per-round step order with this seed
-        (None keeps wiring order).  Reports must not depend on it.
+        (None keeps wiring order).  Reports must not depend on it.  The
+        star steps its workers in a fixed order, so a seed together
+        with ``processes > 1`` is refused rather than ignored.
     registry:
         Optional :class:`~repro.telemetry.metrics.MetricsRegistry`;
         the run publishes fabric message counters and per-component
@@ -192,6 +194,11 @@ class FabricRun:
             raise FabricError("a fabric needs at least one component")
         if processes < 1:
             raise FabricError(f"processes must be >= 1, got {processes}")
+        if scheduler_seed is not None and processes > 1:
+            raise FabricError(
+                "scheduler_seed shuffles the in-process scheduler only; "
+                f"it cannot be combined with processes={processes}"
+            )
         for spec in channels:
             if spec.src not in factories or spec.dst not in factories:
                 raise FabricError(
@@ -321,21 +328,27 @@ class FabricRun:
         workers = []
         try:
             for index in range(self.processes):
-                mine = [n for n in names if placement[n] == index]
                 parent_end, child_end = ctx.Pipe()
                 proc = ctx.Process(
-                    target=_star_worker,
-                    args=(
-                        child_end,
-                        {n: self.factories[n] for n in mine},
-                        self.channels,
-                    ),
-                    daemon=True,
+                    target=_star_worker, args=(child_end,), daemon=True
                 )
                 proc.start()
                 child_end.close()
                 pipes.append(parent_end)
                 workers.append(proc)
+            # The factories travel over the connection, not as spawn
+            # arguments: start() writes those synchronously into the
+            # child's start-up pipe, so factories bigger than the pipe
+            # (the golden stubs carry their sends) would block each
+            # start() until that worker finished importing, and the
+            # workers would boot one after another instead of together.
+            for index, pipe in enumerate(pipes):
+                mine = {
+                    n: self.factories[n]
+                    for n in names
+                    if placement[n] == index
+                }
+                pipe.send((mine, self.channels))
 
             counters = {
                 "delivers": 0.0,
@@ -489,9 +502,11 @@ class FabricRun:
 # ----------------------------------------------------------------------
 # worker main (module-level: must be picklable for spawn)
 # ----------------------------------------------------------------------
-def _star_worker(conn, factories, channels) -> None:
-    """One star worker: build, wire, then serve step requests."""
+def _star_worker(conn) -> None:
+    """One star worker: receive its factories, build, wire, then serve
+    step requests."""
     try:
+        factories, channels = conn.recv()
         components = {
             name: factory() for name, factory in factories.items()
         }

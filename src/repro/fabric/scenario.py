@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.state import NodeState
 from repro.dataplane.costs import CycleCostModel
@@ -221,8 +221,11 @@ def make_pisa_transit(spec: GoldenSpec) -> PisaRouterComponent:
     )
 
 
-def make_stub(spec: GoldenSpec, asn: int) -> NetsimComponent:
-    """One stub AS: router + hosts, local sends scheduled, sinks wired."""
+def make_stub(
+    spec: GoldenSpec, asn: int, sends: Sequence[Send]
+) -> NetsimComponent:
+    """One stub AS: router + hosts, ``sends`` (its own) scheduled, sinks
+    wired."""
     component = NetsimComponent(stub_name(asn))
     topo = component.topology
     router = DipRouterNode(
@@ -240,11 +243,10 @@ def make_stub(spec: GoldenSpec, asn: int) -> NetsimComponent:
         )
         component.record_host(host)
     component.open_port(0, router.node_id, spec.hosts_per_as)
-    for send in golden_traffic(spec):
-        if send.src_asn == asn:
-            component.schedule_send(
-                host_id(asn, send.src_host), send.time, send.packet()
-            )
+    for send in sends:
+        component.schedule_send(
+            host_id(asn, send.src_host), send.time, send.packet()
+        )
     return component
 
 
@@ -254,13 +256,20 @@ def golden_fabric(
     registry=None,
     scheduler_seed: Optional[int] = None,
 ) -> FabricRun:
-    """The golden scenario wired as a fabric run (not yet started)."""
+    """The golden scenario wired as a fabric run (not yet started).
+
+    The traffic schedule is generated once here, and each stub factory
+    carries only its own sends.
+    """
+    sends: Dict[int, List[Send]] = {asn: [] for asn in range(2, spec.ases)}
+    for send in golden_traffic(spec):
+        sends[send.src_asn].append(send)
     factories: Dict[str, Any] = {
         TRANSIT_ENGINE: partial(make_engine_transit, spec),
         TRANSIT_PISA: partial(make_pisa_transit, spec),
     }
     for asn in range(2, spec.ases):
-        factories[stub_name(asn)] = partial(make_stub, spec, asn)
+        factories[stub_name(asn)] = partial(make_stub, spec, asn, sends[asn])
     return FabricRun(
         factories,
         golden_channels(spec),

@@ -12,14 +12,6 @@ from repro.netsim.bootstrap import (
     bootstrap_host_async,
 )
 from repro.netsim.engine import Engine
-from repro.netsim.internet import (
-    AutonomousSystem,
-    Internet,
-    InternetExchange,
-    InternetGenerator,
-    InternetPlan,
-    NetworkSpec,
-)
 from repro.netsim.links import Link
 from repro.netsim.messages import Frame
 from repro.netsim.nodes import (
@@ -53,3 +45,25 @@ __all__ = [
     "InternetPlan",
     "Internet",
 ]
+
+# The internet generator needs networkx; it is imported on first use of
+# one of its names, so simulating a topology (a fabric worker's whole
+# job) never loads it.
+_INTERNET_NAMES = frozenset(
+    {
+        "AutonomousSystem",
+        "Internet",
+        "InternetExchange",
+        "InternetGenerator",
+        "InternetPlan",
+        "NetworkSpec",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _INTERNET_NAMES:
+        from repro.netsim import internet
+
+        return getattr(internet, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,10 +1,12 @@
 """Simulated network nodes: hosts, DIP routers, legacy and border routers.
 
 The DIP router is a thin shell around
-:class:`repro.core.processor.RouterProcessor`; the simulator's job is
-only moving frames, replicating multicast forwards, generating
-cache-hit replies, and signalling unsupported FNs back to the source
-(flooded with de-duplication, standing in for ICMP reverse routing).
+:class:`repro.core.processor.RouterProcessor`'s flow-cache front; the
+simulator's job is only moving frames, replicating multicast forwards,
+generating cache-hit replies, and signalling unsupported FNs back to
+the source (flooded with de-duplication, standing in for ICMP reverse
+routing).  Trace strings are formatted only while the recorder is
+enabled.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.compat import FnUnsupportedMessage
+from repro.core.flowcache import FlowDecisionCache
 from repro.core.host import HostStack, ReceiveResult
 from repro.core.operations.base import Decision
 from repro.core.packet import DipPacket
@@ -95,7 +98,15 @@ class Node:
 
 
 class DipRouterNode(Node):
-    """A DIP-capable router running Algorithm 1 per packet."""
+    """A DIP-capable router running Algorithm 1 behind a flow cache.
+
+    Every packet goes through ``process_batch`` with a per-router
+    :class:`~repro.core.flowcache.FlowDecisionCache` (the packets front:
+    frames carry ``DipPacket``s), so a repeated pure flow is answered
+    without a walk; stateful programs (PIT/CS, MACs, ...) bypass it.
+    Trace notes are collected only while the recorder is enabled, which
+    is when the drop reason is read.
+    """
 
     def __init__(
         self,
@@ -110,7 +121,10 @@ class DipRouterNode(Node):
         super().__init__(node_id, engine, trace)
         self.state = state if state is not None else NodeState(node_id=node_id)
         self.processor = RouterProcessor(
-            self.state, registry=registry, cost_model=cost_model
+            self.state,
+            registry=registry,
+            cost_model=cost_model,
+            flow_cache=FlowDecisionCache(),
         )
         # Optional per-packet service latency (seconds) charged on the
         # egress of a FORWARD, computed from the *incoming* packet --
@@ -131,16 +145,22 @@ class DipRouterNode(Node):
             # A DIP router fronted with legacy traffic drops it unless a
             # border router (subclass) translates.
             self.stats.dropped += 1
-            self.trace.record(
-                self.engine.now, self.node_id, "drop", f"legacy frame {frame.kind}"
-            )
+            if self.trace.enabled:
+                self.trace.record(
+                    self.engine.now, self.node_id, "drop",
+                    f"legacy frame {frame.kind}",
+                )
             return
         self._process_dip(frame.data, port)
 
     # ------------------------------------------------------------------
     def _process_dip(self, packet: DipPacket, port: int) -> None:
-        result = self.processor.process(
-            packet, ingress_port=port, now=self.engine.now
+        tracing = self.trace.enabled
+        [result] = self.processor.process_batch(
+            (packet,),
+            ingress_port=port,
+            now=self.engine.now,
+            collect_notes=tracing,
         )
 
         cached = result.scratch.get("cache_data")
@@ -158,12 +178,13 @@ class DipRouterNode(Node):
 
         if result.decision is Decision.FORWARD:
             self.stats.forwarded += 1
-            self.trace.record(
-                self.engine.now,
-                self.node_id,
-                "forward",
-                f"ports {result.ports}",
-            )
+            if tracing:
+                self.trace.record(
+                    self.engine.now,
+                    self.node_id,
+                    "forward",
+                    f"ports {result.ports}",
+                )
             delay = (
                 self.service_delay(packet)
                 if self.service_delay is not None
@@ -185,7 +206,8 @@ class DipRouterNode(Node):
         elif result.decision is Decision.DELIVER:
             self.stats.delivered += 1
             self.local_inbox.append((packet, port))
-            self.trace.record(self.engine.now, self.node_id, "deliver")
+            if tracing:
+                self.trace.record(self.engine.now, self.node_id, "deliver")
             self.on_deliver(packet, port)
         elif result.decision is Decision.UNSUPPORTED:
             self.stats.unsupported += 1
@@ -205,8 +227,9 @@ class DipRouterNode(Node):
             self.send(port, control)
         else:
             self.stats.dropped += 1
-            reason = result.notes[-1] if result.notes else ""
-            self.trace.record(self.engine.now, self.node_id, "drop", reason)
+            if tracing:
+                reason = result.notes[-1] if result.notes else ""
+                self.trace.record(self.engine.now, self.node_id, "drop", reason)
 
     def forward_frame(self, out_port: int, frame: Frame, in_port: int) -> None:
         """Egress hook (border routers override for tunnelling)."""
@@ -271,7 +294,8 @@ class HostNode(Node):
     def send_packet(self, packet: DipPacket, port: int = 0) -> bool:
         """Validate the construction and put the packet on the wire."""
         self.stack.check_construction(packet.header)
-        self.trace.record(self.engine.now, self.node_id, "send")
+        if self.trace.enabled:
+            self.trace.record(self.engine.now, self.node_id, "send")
         return self.send(port, Frame.dip(packet))
 
     def send_discovery_request(self, port: int = 0) -> None:
@@ -318,7 +342,8 @@ class HostNode(Node):
         if result.accepted:
             self.stats.delivered += 1
             self.inbox.append((packet, result))
-            self.trace.record(self.engine.now, self.node_id, "accept")
+            if self.trace.enabled:
+                self.trace.record(self.engine.now, self.node_id, "accept")
             if self.app is not None:
                 self.app(self, packet, port)
         else:

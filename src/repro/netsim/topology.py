@@ -1,20 +1,23 @@
 """Topology builder: nodes, links, and wiring helpers.
 
-Backed by a networkx graph so tests and examples can ask structural
-questions (paths, degrees) about the network they built.
+Exposes a networkx graph so tests and examples can ask structural
+questions (paths, degrees) about the network they built.  The graph is
+built on first access from the nodes and links recorded here, so a
+topology that is only simulated never imports networkx.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.netsim.engine import Engine
 from repro.netsim.links import Link
 from repro.netsim.nodes import DipRouterNode, Node
 from repro.netsim.stats import TraceRecorder
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Topology:
@@ -36,7 +39,23 @@ class Topology:
         self.engine = engine if engine is not None else Engine()
         self.trace = trace if trace is not None else TraceRecorder()
         self._nodes: Dict[str, Node] = {}
-        self.graph = nx.Graph()
+        # (a, b, delay, bandwidth) per connect, in wiring order.
+        self._edges: List[Tuple[str, str, float, float]] = []
+        self._graph: Optional["nx.Graph"] = None
+
+    @property
+    def graph(self) -> "nx.Graph":
+        """The wiring as a networkx graph (built on first access after
+        each ``add``/``connect``)."""
+        if self._graph is None:
+            import networkx as nx
+
+            graph = nx.Graph()
+            graph.add_nodes_from(self._nodes)
+            for a, b, delay, bandwidth in self._edges:
+                graph.add_edge(a, b, delay=delay, bandwidth=bandwidth)
+            self._graph = graph
+        return self._graph
 
     # ------------------------------------------------------------------
     # construction
@@ -46,7 +65,7 @@ class Topology:
         if node.node_id in self._nodes:
             raise SimulationError(f"duplicate node id {node.node_id!r}")
         self._nodes[node.node_id] = node
-        self.graph.add_node(node.node_id)
+        self._graph = None
         return node
 
     def node(self, node_id: str) -> Node:
@@ -134,9 +153,8 @@ class Topology:
         )
         node_a.attach_link(a_port, link)
         node_b.attach_link(b_port, link)
-        self.graph.add_edge(
-            node_a.node_id, node_b.node_id, delay=delay, bandwidth=bandwidth
-        )
+        self._edges.append((node_a.node_id, node_b.node_id, delay, bandwidth))
+        self._graph = None
         return link
 
     # ------------------------------------------------------------------
@@ -158,6 +176,8 @@ class Topology:
 
     def shortest_path(self, src_id: str, dst_id: str) -> List[str]:
         """Node ids along the shortest path (by hop count)."""
+        import networkx as nx
+
         return nx.shortest_path(self.graph, src_id, dst_id)
 
     def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> int:

@@ -181,3 +181,75 @@ class TestHardwareConstraints:
         raw = packet.encode()[:8]  # cut inside the FN triples
         parse = pipeline.parser.parse(raw)
         assert not parse.accepted
+
+
+class TestWireInput:
+    """``process`` parses the wire itself and fails like the codec."""
+
+    def _wires(self):
+        from repro.core.fn import FieldOperation
+        from repro.core.header import DipHeader
+        from repro.core.packet import DipPacket
+
+        ipv4 = build_ipv4_packet(0x0A000001, 7, payload=b"xy")
+        header = ipv4.header
+        overfull = DipPacket(
+            header=DipHeader(
+                fns=tuple(FieldOperation(0, 8, 13) for _ in range(14)),
+                locations=header.locations,
+            )
+        )
+        return [ipv4.encode(), overfull.encode()]
+
+    def test_truncated_wires_raise_the_codec_error(self):
+        from repro.core.packet import DipPacket
+
+        state, _ = paired_states()
+        pipeline = DipPipeline(state)
+        for wire in self._wires():
+            for cut in range(len(wire)):
+                short = wire[:cut]
+                try:
+                    DipPacket.decode(short)
+                except Exception as exc:
+                    expected = exc
+                else:
+                    continue  # only the payload was cut
+                with pytest.raises(type(expected)) as raised:
+                    pipeline.process(short)
+                assert str(raised.value) == str(expected)
+
+    def test_unroll_budget_after_codec_checks(self):
+        state, _ = paired_states()
+        with pytest.raises(PipelineConstraintError):
+            DipPipeline(state).process(self._wires()[1])
+
+    def test_field_range_before_hop_limit(self):
+        from repro.core.fn import FieldOperation
+        from repro.core.header import DipHeader
+        from repro.core.packet import DipPacket
+        from repro.errors import FieldRangeError
+
+        header = build_ipv4_packet(0x0A000001, 7).header
+        wire = DipPacket(
+            header=DipHeader(
+                fns=header.fns + (FieldOperation(64, 32, 1),),
+                locations=header.locations[:4],
+                hop_limit=0,
+            )
+        ).encode()
+        state, _ = paired_states()
+        with pytest.raises(FieldRangeError):
+            DipPipeline(state).process(wire)
+
+    def test_forward_is_a_splice_of_the_input(self):
+        packet = build_ipv4_packet(0x0A000001, 7, payload=b"payload")
+        state, _ = paired_states()
+        result = DipPipeline(state).process(packet.encode(), ingress_port=1)
+        expected = packet.with_header(
+            packet.header.with_hop_limit(packet.header.hop_limit - 1)
+        )
+        assert result.wire == expected.encode()
+        assert result.packet == expected
+        assert result.header_length == packet.header.header_length
+        assert result.fns == packet.header.fns

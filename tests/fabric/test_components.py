@@ -38,6 +38,13 @@ def advance(src, dst, port, time=math.inf):
     return Advance(src, dst, port, time)
 
 
+def service_cycles(packet, model):
+    header = packet.header
+    return packet_service_cycles(
+        header.fns, header.header_length, packet.size, model
+    )
+
+
 class TestServiceCycles:
     def test_matches_cost_model_decomposition(self):
         model = CycleCostModel()
@@ -45,15 +52,26 @@ class TestServiceCycles:
         expected = model.parse_cycles(
             len(packet.header.encode()), packet.size
         ) + sum(model.fn_cycles(fn) for fn in packet.header.fns)
-        assert packet_service_cycles(packet, model) == expected
+        assert service_cycles(packet, model) == expected
 
     def test_service_delay_scales_by_cycle_time(self):
         model = CycleCostModel()
         packet = build_ipv4_packet(DST, SRC)
         delay = make_service_delay(model, 2e-9)
         assert delay(packet) == pytest.approx(
-            packet_service_cycles(packet, model) * 2e-9
+            service_cycles(packet, model) * 2e-9
         )
+
+    def test_pisa_parse_charges_what_the_twin_charges(self):
+        model = CycleCostModel()
+        packet = build_ipv4_packet(DST, SRC, payload=b"xyz")
+        result = PisaRouterComponent(
+            "pr", lambda: router_state("pr")
+        ).pipeline.process(packet.encode())
+        assert result.header_length == packet.header.header_length
+        assert packet_service_cycles(
+            result.fns, result.header_length, packet.size, model
+        ) == service_cycles(packet, model)
 
 
 class TestHostComponent:
@@ -181,7 +199,7 @@ class TestPisaRouterComponent:
     def test_cycle_cost_becomes_service_latency(self):
         component = self._component(cycle_time=1e-6)
         packet = build_ipv4_packet(DST, SRC)
-        cycles = packet_service_cycles(packet, component.cost_model)
+        cycles = service_cycles(packet, component.cost_model)
         component.accept(
             Deliver(1.0, "src", "pr", 0, KIND_DIP, packet.encode(),
                     packet.size, 1)
@@ -223,6 +241,51 @@ class TestPisaRouterComponent:
         component.accept(advance("src", "pr", 0))
         component.step()
         assert component.quarantined == 1
+
+    def _counters_after(self, packet):
+        component = self._component()
+        data = packet.encode()
+        component.accept(
+            Deliver(1.0, "src", "pr", 0, KIND_DIP, data, len(data), 1)
+        )
+        component.accept(advance("src", "pr", 0))
+        component.step()
+        assert component.take_outbox() == []
+        counters = component.counters()
+        return {
+            name: counters[name]
+            for name in (
+                "forwarded", "delivered", "dropped", "quarantined",
+                "out_of_domain",
+            )
+        }
+
+    def test_field_range_violation_quarantined(self):
+        from repro.core.fn import FieldOperation
+        from repro.core.header import DipHeader
+        from repro.core.packet import DipPacket
+
+        header = build_ipv4_packet(DST, SRC).header
+        past_end = FieldOperation(len(header.locations) * 8, 32, 1)
+        # Hop limit 0 too: the range check must win, as in the codec.
+        packet = DipPacket(
+            header=DipHeader(
+                fns=header.fns + (past_end,), locations=header.locations,
+                hop_limit=0,
+            )
+        )
+        assert self._counters_after(packet) == {
+            "forwarded": 0, "delivered": 0, "dropped": 0,
+            "quarantined": 1, "out_of_domain": 0,
+        }
+
+    def test_hop_limit_zero_dropped(self):
+        packet = build_ipv4_packet(DST, SRC)
+        expired = packet.with_header(packet.header.with_hop_limit(0))
+        assert self._counters_after(expired) == {
+            "forwarded": 0, "delivered": 0, "dropped": 1,
+            "quarantined": 0, "out_of_domain": 0,
+        }
 
 
 class TestNetsimComponent:

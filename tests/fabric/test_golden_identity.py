@@ -73,6 +73,24 @@ class TestSchedulerIndependence:
         assert shuffled.fingerprint == fabric_report.fingerprint
 
 
+class TestSchedule:
+    def test_traffic_is_generated_once_per_run(self, monkeypatch):
+        from repro.fabric import scenario
+
+        calls = []
+        generate = scenario.golden_traffic
+
+        def counting(spec):
+            calls.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(scenario, "golden_traffic", counting)
+        spec = GoldenSpec(seed=4, ases=10, hosts_per_as=1, packets=30)
+        report = golden_fabric(spec).run()
+        assert len(report.records) == spec.packets
+        assert calls == [spec]
+
+
 class TestMultiprocess:
     @pytest.mark.parametrize("processes", [2, 3])
     def test_process_placement_is_invisible(self, processes, fabric_report):

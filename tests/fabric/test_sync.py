@@ -260,3 +260,11 @@ class TestRunnerTermination:
     def test_processes_below_one_rejected(self):
         with pytest.raises(FabricError, match="processes"):
             FabricRun({"a": lambda: Recorder("a")}, [], processes=0)
+
+    def test_scheduler_seed_with_processes_rejected(self):
+        # The star never shuffles: a seed there would be silently ignored.
+        with pytest.raises(FabricError, match="in-process scheduler only"):
+            FabricRun(
+                {"a": lambda: Recorder("a")}, [], processes=2,
+                scheduler_seed=7,
+            )

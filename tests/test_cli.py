@@ -449,3 +449,11 @@ class TestFabric:
         code, text = run_cli("fabric", "--ases", "2")
         assert code == 2
         assert "error" in text
+
+    def test_scheduler_seed_with_processes_exit_2(self):
+        code, text = run_cli(
+            *self.ARGS, "--processes", "2", "--scheduler-seed", "7"
+        )
+        assert code == 2
+        assert "error: scheduler_seed" in text
+        assert "processes=2" in text

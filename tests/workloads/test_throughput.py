@@ -6,7 +6,9 @@ reference interpreter from ``repro.conformance``, so anything either
 loads at import time is resident in those processes.  numpy belongs to
 the columnar kernel alone, the paper experiments (``repro paper``) are
 imported lazily, and the conformance matrix imports its serve and
-fabric hosts only when one of their cells runs.
+fabric hosts only when one of their cells runs.  Every spawned fabric
+worker imports ``repro.fabric``; networkx belongs to topology queries
+and the internet generator, which no worker runs.
 """
 
 import os
@@ -47,3 +49,7 @@ def test_conformance_import_stays_light():
     assert_import_skips(
         "repro.conformance", "numpy", "repro.serve", "repro.fabric"
     )
+
+
+def test_fabric_import_skips_networkx():
+    assert_import_skips("repro.fabric", "networkx")
