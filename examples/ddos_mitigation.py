@@ -116,50 +116,5 @@ def main() -> None:
     print("\nddos mitigation scenario checks passed")
 
 
-def engine_scale_ab() -> None:
-    """The same fight at engine scale (DESIGN.md 3.14): a seeded blend
-    of content poisoning, limit-exhaustion chains and spoofed flows at
-    a 50% attack fraction, with and without the admission-side
-    mitigation gate in front of the sharded engine."""
-    from repro.resilience import MitigationConfig
-    from repro.workloads.attack import run_attack_engine, run_attack_serve
-
-    print("\nengine-scale A/B: 50% attack blend, 20k packets")
-    unmit = run_attack_engine(0.5, 20_000)
-    mit = run_attack_engine(
-        0.5, 20_000, mitigation=MitigationConfig(sample_every=4)
-    )
-    print(
-        f"  bare engine:  goodput={unmit['goodput']:.4f}  "
-        f"attack dropped in-walk={unmit['attack_dropped']:,}  "
-        f"errors={unmit['attack_error']:,}"
-    )
-    print(
-        f"  gated engine: goodput={mit['goodput']:.4f}  "
-        f"quarantined at the gate={mit['attack_quarantined_gate']:,}  "
-        f"(never cost a ring slot or a walk)"
-    )
-    assert unmit["unaccounted"] == 0 and mit["unaccounted"] == 0
-    assert mit["attack_quarantined_gate"] > 0
-
-    # Where the gate pays off: a capacity-bound server.  Unmitigated,
-    # the flood crowds legit arrivals out of the admission bound;
-    # gated, refused packets never take a queue slot.
-    served_unmit = run_attack_serve(0.5, rounds=20)
-    served_mit = run_attack_serve(0.5, rounds=20, mitigated=True)
-    print(
-        f"  bare server:  goodput={served_unmit['goodput']:.4f}  "
-        f"legit shed={served_unmit['legit_shed']:,}"
-    )
-    print(
-        f"  gated server: goodput={served_mit['goodput']:.4f}  "
-        f"legit shed={served_mit['legit_shed']:,}  "
-        f"quarantined={served_mit['quarantined']:,}"
-    )
-    assert served_mit["goodput"] > served_unmit["goodput"]
-    print("engine-scale A/B checks passed")
-
-
 if __name__ == "__main__":
     main()
-    engine_scale_ab()

@@ -11,9 +11,9 @@ DIP, then shows the deployment machinery end to end:
    path-critical FN;
 3. a packet crosses the DIP overlay on native links host-to-host;
 4. another packet reaches a DIP island only via a DIP-in-IPv4 tunnel
-   through a best-effort-IP legacy core -- and still arrives as DIP;
-5. a short adoption sweep drives the engine-backed border routers and
-   prints the delivery/overhead curves.
+   through a best-effort-IP legacy core -- and still arrives as DIP.
+
+The adoption sweep over a 208-AS internet is ``repro paper ADOPT``.
 """
 
 from repro.netsim.internet import (
@@ -22,7 +22,6 @@ from repro.netsim.internet import (
     NetworkSpec,
 )
 from repro.realize.ip import build_ipv4_packet
-from repro.workloads.adoption import run_adoption_sweep
 
 SPEC = NetworkSpec(
     seed=3, transit=2, regional=8, stub=30, ix_count=2, adoption=0.5
@@ -90,17 +89,6 @@ def main() -> None:
     print(f"delivered AS{src} -> AS{dst} through {legacy} tunneled legacy "
           f"hop(s) -- the island is reachable before its neighbors deploy")
 
-    # 5. a short adoption sweep (engine-backed border routers).
-    result = run_adoption_sweep(
-        SPEC, fractions=(0.1, 0.4, 0.8), flows=24, packets_per_flow=200
-    )
-    print("\nadoption  delivery  hdr-overhead  forwarded")
-    for p in result["points"]:
-        print(f"{p['fraction']:>7.0%}  {p['delivery_rate']:>8.3f}  "
-              f"{p['header_overhead_vs_ipv4']:>11.2f}x  "
-              f"{p['packets_forwarded']:>9,}")
-    assert (result["points"][-1]["delivery_rate"]
-            > result["points"][0]["delivery_rate"])
     print(f"\nprofiles in play: {sorted(PROFILES)}")
     print("internet adoption scenario checks passed")
 

@@ -294,7 +294,8 @@ def cmd_engine(args, out) -> int:
 
 def cmd_stats(args, out) -> int:
     """Run the engine with telemetry on and print the unified snapshot."""
-    from repro.workloads.reporting import Reporter, emit_payload
+    from repro.telemetry.export import snapshot_rows
+    from repro.workloads.reporting import emit_payload, format_table
 
     built = _build_engine(args, out, telemetry=True)
     if built is None:
@@ -311,12 +312,12 @@ def cmd_stats(args, out) -> int:
 
         return snapshot_to_json(snapshot)
 
-    emit_payload(
-        args.json,
-        payload,
-        lambda: Reporter(out=out).stats_table("engine telemetry", snapshot),
-        out=out,
-    )
+    def render() -> None:
+        out.write("\n== engine telemetry ==\n")
+        rows = snapshot_rows(snapshot)
+        out.write(format_table(["metric", "type", "value"], rows) + "\n")
+
+    emit_payload(args.json, payload, render, out=out)
     return 0
 
 
@@ -431,102 +432,6 @@ def cmd_conformance(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_attack(args, out) -> int:
-    """``repro attack``: goodput-under-attack A/B sweep (DESIGN.md 3.14)."""
-    from repro.workloads.adoption import write_bench
-    from repro.workloads.attack import DEFAULT_FRACTIONS, run_attack_sweep
-    from repro.workloads.reporting import emit_payload, format_table
-
-    if args.fractions:
-        try:
-            fractions = [
-                float(piece)
-                for piece in args.fractions.split(",")
-                if piece.strip()
-            ]
-        except ValueError:
-            out.write(f"error: bad --fractions {args.fractions!r}\n")
-            return 2
-        if not fractions:
-            out.write("error: --fractions is empty\n")
-            return 2
-        if any(not 0.0 <= f < 1.0 for f in fractions):
-            out.write("error: fractions must be in [0, 1)\n")
-            return 2
-    else:
-        fractions = list(DEFAULT_FRACTIONS)
-
-    result = run_attack_sweep(
-        fractions=fractions,
-        packets_per_point=args.packets,
-        seed=args.seed,
-        serve_rounds=args.serve_rounds,
-        legit_per_round=args.legit_per_round,
-        include_serve=not args.no_serve,
-        shards=args.shards,
-        backend=args.backend,
-    )
-    if args.out:
-        write_bench(args.out, result)
-
-    def render() -> None:
-        engine = result["engine"]
-        rows = [
-            [
-                f"{unmit['fraction']:.2f}",
-                f"{unmit['goodput']:.4f}",
-                f"{mit['goodput']:.4f}",
-                f"{mit['quarantine_rate']:.3f}",
-                mit["rate_limited"] + mit["quarantined"],
-                unmit["unaccounted"] + mit["unaccounted"],
-            ]
-            for unmit, mit in zip(engine["unmitigated"], engine["mitigated"])
-        ]
-        out.write("engine arm:\n")
-        out.write(
-            format_table(
-                ["attack", "goodput", "mitigated", "q-rate", "refused",
-                 "unacct"],
-                rows,
-            )
-            + "\n"
-        )
-        if "serve" in result:
-            serve = result["serve"]
-            rows = [
-                [
-                    f"{unmit['fraction']:.2f}",
-                    f"{unmit['goodput']:.4f}",
-                    f"{mit['goodput']:.4f}",
-                    unmit["packets_shed"],
-                    mit["packets_shed"],
-                    mit["rate_limited"] + mit["quarantined"],
-                    unmit["unaccounted"] + mit["unaccounted"],
-                ]
-                for unmit, mit in zip(
-                    serve["unmitigated"], serve["mitigated"]
-                )
-            ]
-            out.write("serve arm:\n")
-            out.write(
-                format_table(
-                    ["attack", "goodput", "mitigated", "shed", "mit shed",
-                     "refused", "unacct"],
-                    rows,
-                )
-                + "\n"
-            )
-        out.write(
-            f"sweep: {result['total_packets']:,} packets offered over "
-            f"{len(fractions)} fraction(s), seed {result['seed']}\n"
-        )
-        if args.out:
-            out.write(f"  sweep written to {args.out}\n")
-
-    emit_payload(args.json, lambda: result, render, out=out)
-    return 0
-
-
 def cmd_serve(args, out) -> int:
     """``repro serve``: the long-lived serving daemon (DESIGN.md 3.11)."""
     from repro.serve.config import ServeConfig
@@ -561,9 +466,9 @@ def cmd_topology(args, out) -> int:
 
     Default mode generates and materializes the graph (nodes, links,
     tunnels, routes, host bootstrap) and prints a summary;
-    ``--describe`` prints per-AS detail from the pure plan; ``--sweep``
-    runs the staged adoption sweep with engine-backed routers and
-    writes the ``BENCH_topology.json`` artifact.
+    ``--describe`` prints per-AS detail from the pure plan.  The
+    adoption sweep over the acceptance-scale graph is ``repro paper
+    ADOPT``.
     """
     from repro.netsim.internet import InternetGenerator, NetworkSpec
     from repro.workloads.reporting import emit_payload, format_table
@@ -583,70 +488,6 @@ def cmd_topology(args, out) -> int:
         out.write(f"error: {exc}\n")
         return 2
     generator = InternetGenerator(spec)
-
-    if args.sweep:
-        import time
-
-        from repro.workloads.adoption import run_adoption_sweep, write_bench
-
-        try:
-            fractions = [
-                float(piece)
-                for piece in args.fractions.split(",")
-                if piece.strip()
-            ]
-        except ValueError:
-            out.write(f"error: bad --fractions {args.fractions!r}\n")
-            return 2
-        if not fractions:
-            out.write("error: --fractions is empty\n")
-            return 2
-        start = time.perf_counter()
-        result = run_adoption_sweep(
-            spec,
-            fractions=fractions,
-            flows=args.flows,
-            packets_per_flow=args.packets_per_flow,
-            min_forwarded=args.min_forwarded,
-        )
-        elapsed = time.perf_counter() - start
-        if args.out:
-            write_bench(args.out, result)
-
-        def render_sweep() -> None:
-            rows = [
-                [
-                    f"{point['fraction']:.2f}",
-                    point["dip_ases"],
-                    point["tunnels"],
-                    f"{point['flows_deliverable']}/{point['flows_total']}",
-                    f"{point['delivery_rate']:.4f}",
-                    f"{point['mean_header_bytes_per_hop']:.2f}",
-                    f"{point['header_overhead_vs_ipv4']:.3f}",
-                    point["packets_forwarded"],
-                ]
-                for point in result["points"]
-            ]
-            table = format_table(
-                [
-                    "adoption", "dip ASes", "tunnels", "flows",
-                    "delivery", "hdr B/hop", "vs IPv4", "forwarded",
-                ],
-                rows,
-            )
-            out.write(table + "\n")
-            totals = result["totals"]
-            rate = totals["packets_forwarded"] / elapsed if elapsed else 0.0
-            out.write(
-                f"sweep: {totals['packets_forwarded']:,} packets forwarded "
-                f"({totals['topup_rounds']} top-up round(s)) in "
-                f"{elapsed:.1f}s = {rate:,.0f} pkts/s\n"
-            )
-            if args.out:
-                out.write(f"  sweep written to {args.out}\n")
-
-        emit_payload(args.json, lambda: result, render_sweep, out=out)
-        return 0
 
     if args.describe:
         plan = generator.plan()
@@ -1056,8 +897,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
 
     topology = sub.add_parser(
         "topology",
-        help="generate internet-scale multi-AS graphs and run "
-        "partial-adoption sweeps (generate / --describe / --sweep)",
+        help="generate internet-scale multi-AS graphs "
+        "(generate / --describe)",
     )
     topology.add_argument("--seed", type=int, default=0)
     topology.add_argument(
@@ -1076,50 +917,21 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "--adoption",
         type=float,
         default=0.5,
-        help="DIP adoption fraction for generate/describe "
-        "(--sweep uses --fractions instead)",
+        help="DIP adoption fraction",
     )
     topology.add_argument("--hosts-per-stub", type=int, default=2)
     topology.add_argument(
         "--multihome", type=int, default=2, help="providers per stub AS"
     )
-    mode = topology.add_mutually_exclusive_group()
-    mode.add_argument(
+    topology.add_argument(
         "--describe",
         action="store_true",
         help="print per-AS detail, IXPs and planned tunnels",
     )
-    mode.add_argument(
-        "--sweep",
-        action="store_true",
-        help="run the staged adoption sweep with engine-backed routers",
-    )
-    topology.add_argument(
-        "--fractions",
-        default="0.05,0.1,0.2,0.3,0.4,0.5,0.65,0.8",
-        help="comma-separated adoption fractions for --sweep",
-    )
-    topology.add_argument(
-        "--flows", type=int, default=192, help="stub-to-stub flows per point"
-    )
-    topology.add_argument("--packets-per-flow", type=int, default=800)
-    topology.add_argument(
-        "--min-forwarded",
-        type=int,
-        default=1_000_000,
-        help="top the sweep up until engines forwarded this many packets "
-        "(0 disables)",
-    )
-    topology.add_argument(
-        "--out",
-        metavar="PATH",
-        default="BENCH_topology.json",
-        help="sweep artifact path ('' disables writing)",
-    )
     topology.add_argument(
         "--json",
         action="store_true",
-        help="print the summary/detail/sweep payload as JSON",
+        help="print the summary/detail payload as JSON",
     )
 
     fabric = sub.add_parser(
@@ -1241,58 +1053,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         help="report diverging cases without minimizing them",
     )
 
-    attack = sub.add_parser(
-        "attack",
-        help="goodput-under-attack sweep: seeded attack blends vs the "
-        "engine and serve admission paths, mitigated and not",
-    )
-    attack.add_argument("--seed", type=int, default=0)
-    attack.add_argument(
-        "--fractions",
-        default="",
-        help="comma-separated attack fractions in [0, 1) "
-        "(default: 0.0,0.1,0.3,0.5,0.8)",
-    )
-    attack.add_argument(
-        "--packets",
-        type=int,
-        default=20000,
-        metavar="N",
-        help="engine-arm packets per (fraction, mitigation) point",
-    )
-    attack.add_argument(
-        "--serve-rounds",
-        type=int,
-        default=30,
-        help="serve-arm load rounds per point",
-    )
-    attack.add_argument(
-        "--legit-per-round",
-        type=int,
-        default=48,
-        help="serve-arm legit packets per round",
-    )
-    attack.add_argument(
-        "--no-serve",
-        action="store_true",
-        help="skip the serve-capacity arm (engine arm only)",
-    )
-    attack.add_argument("--shards", type=int, default=4)
-    attack.add_argument(
-        "--backend", choices=("serial", "process"), default="serial",
-    )
-    attack.add_argument(
-        "--out",
-        metavar="PATH",
-        default="",
-        help="write the sweep artifact to PATH ('' disables writing)",
-    )
-    attack.add_argument(
-        "--json",
-        action="store_true",
-        help="print the sweep payload as JSON",
-    )
-
     args = parser.parse_args(argv)
     if args.command == "decode":
         return cmd_decode(args, out)
@@ -1314,8 +1074,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return cmd_fabric(args, out)
     if args.command == "conformance":
         return cmd_conformance(args, out)
-    if args.command == "attack":
-        return cmd_attack(args, out)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover
 

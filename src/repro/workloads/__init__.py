@@ -12,7 +12,7 @@ from repro.workloads.generators import (
     make_opt_workload,
     make_xia_workload,
 )
-from repro.workloads.reporting import format_table, print_table
+from repro.workloads.reporting import format_table
 
 __all__ = [
     "ProtocolWorkload",
@@ -26,5 +26,4 @@ __all__ = [
     "make_ndn_opt_workload",
     "make_xia_workload",
     "format_table",
-    "print_table",
 ]

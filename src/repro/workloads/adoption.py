@@ -16,18 +16,17 @@ cache in front.  Delivery is decided by DIP overlay reachability
 the DIP-32 basic header per AS hop plus the outer IPv4 header for every
 legacy hop a tunnel hides.
 
-The sweep result is deliberately free of wall-clock data so
-``BENCH_topology.json`` regenerates byte-identically from the same
-spec; throughput belongs on stdout, not in the artifact.
+The sweep runs at one fixed scale (:data:`SPEC` x :data:`FRACTIONS`,
+1,111,200 packets forwarded) and its result is free of wall-clock
+data: ``repro paper ADOPT`` renders it as ``results/ADOPT.txt``, which
+regenerates byte-identically.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import replace
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.state import NodeState
 from repro.engine import EngineConfig, ForwardingEngine
@@ -40,10 +39,20 @@ from repro.netsim.internet import (
 from repro.protocols.ip.ipv4 import IPV4_HEADER_SIZE
 from repro.realize.ip import build_ipv4_packet
 
-#: 5% -> 80%, the ISSUE's incremental-deployment range.
-DEFAULT_FRACTIONS: Tuple[float, ...] = (
-    0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8,
+#: The acceptance-scale internet: 208 ASes (4 transit, 24 regional,
+#: 180 stub) and 3 IXPs.  ``adoption`` is replaced per sweep fraction.
+SPEC = NetworkSpec(
+    seed=0, transit=4, regional=24, stub=180, ix_count=3, adoption=0.5
 )
+
+#: 5% -> 80%, the incremental-deployment range.
+FRACTIONS: Tuple[float, ...] = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8)
+
+#: Seeded stub-to-stub flows, fixed across all fractions.
+FLOWS = 192
+PACKETS_PER_FLOW = 800
+#: Source-address variants per flow, so the flow cache sees reuse.
+SRC_VARIANTS = 8
 
 #: DIP-32 basic header + two FN definitions + two 32-bit locations.
 DIP32_HEADER_BYTES = len(build_ipv4_packet(1, 2).header.encode())
@@ -65,14 +74,12 @@ def adoption_state_factory() -> NodeState:
     return state
 
 
-def _profile_engines(
-    profiles: Sequence[str], batch_size: int
-) -> Dict[str, ForwardingEngine]:
+def _profile_engines() -> Dict[str, ForwardingEngine]:
     """One serial engine per capability profile, flow cache in front."""
     config = EngineConfig(
         num_shards=1,
         backend="serial",
-        batch_size=batch_size,
+        batch_size=256,
         flow_cache=True,
         shm=False,
     )
@@ -82,7 +89,7 @@ def _profile_engines(
             config=config,
             registry_factory=ProfileRegistryFactory(profile),
         )
-        for profile in profiles
+        for profile in sorted(PROFILES)
     }
 
 
@@ -118,41 +125,26 @@ def _flow_batch(
     return [encoded[i % variants] for i in range(packets)]
 
 
-def run_adoption_sweep(
-    spec: NetworkSpec,
-    fractions: Sequence[float] = DEFAULT_FRACTIONS,
-    flows: int = 192,
-    packets_per_flow: int = 800,
-    src_variants: int = 8,
-    min_forwarded: int = 0,
-    batch_size: int = 256,
-) -> Dict[str, object]:
-    """Sweep DIP adoption over one seeded internet.
+def run_adoption_sweep() -> Dict[str, object]:
+    """Sweep DIP adoption over :data:`SPEC` at :data:`FRACTIONS`.
 
-    Returns a deterministic result dict (same spec -> same bytes when
-    JSON-encoded with sorted keys): per-fraction delivery rate, header
-    cost, tunnel usage and engine-forwarded packet counts, plus totals.
-
-    ``min_forwarded`` tops the sweep up (replaying the highest
-    fraction's deliverable flows) until the engines have forwarded at
-    least that many packets — deterministic, because the top-up rounds
-    depend only on the deterministic per-round counts.
+    Returns a deterministic result (no wall-clock data): the AS count,
+    the top fraction's plan fingerprint, and per-fraction delivery
+    rate, header cost, tunnel usage and engine-forwarded packet counts.
+    ``repro paper ADOPT`` renders and checks it.
     """
-    fractions = sorted(set(float(f) for f in fractions))
-    if not fractions:
-        raise ValueError("need at least one adoption fraction")
-    engines = _profile_engines(sorted(PROFILES), batch_size)
-    flow_pairs = _sample_flows(spec, flows)
+    engines = _profile_engines()
+    flow_pairs = _sample_flows(SPEC, FLOWS)
     batches = {
-        pair: _flow_batch(pair[0], pair[1], packets_per_flow, src_variants)
+        pair: _flow_batch(pair[0], pair[1], PACKETS_PER_FLOW, SRC_VARIANTS)
         for pair in flow_pairs
     }
 
-    def run_flows(plan, collect: Optional[Dict[str, float]]) -> int:
+    def run_flows(plan, collect: Dict[str, float]) -> int:
         """Push every deliverable flow through its AS-path engines.
 
         Returns packets forwarded; per-point stats accumulate into
-        ``collect`` when given (top-up rounds pass None).
+        ``collect``.
         """
         forwarded = 0
         for pair in flow_pairs:
@@ -161,9 +153,8 @@ def run_adoption_sweep(
             path = None
             if source.dip and sink.dip:
                 path = plan.overlay_path(src, dst)
-            if collect is not None:
-                collect["flows_total"] += 1
-                collect["packets_offered"] += packets_per_flow
+            collect["flows_total"] += 1
+            collect["packets_offered"] += PACKETS_PER_FLOW
             if path is None:
                 continue
             dip_hops, legacy_hops = plan.path_hop_breakdown(path)
@@ -176,102 +167,61 @@ def run_adoption_sweep(
                 forwarded += alive
                 if alive < len(surviving):
                     surviving = surviving[:alive]
-            if collect is not None:
-                delivered = len(surviving)
-                collect["flows_deliverable"] += 1
-                collect["packets_delivered"] += delivered
-                collect["dip_hops"] += dip_hops
-                collect["legacy_hops"] += legacy_hops
-                collect["header_bytes"] += packets_per_flow * (
-                    dip_hops * DIP32_HEADER_BYTES
-                    + legacy_hops * TUNNEL_HOP_HEADER_BYTES
-                )
-                collect["packet_hops"] += packets_per_flow * (
-                    dip_hops + legacy_hops
-                )
+            collect["flows_deliverable"] += 1
+            collect["packets_delivered"] += len(surviving)
+            collect["header_bytes"] += PACKETS_PER_FLOW * (
+                dip_hops * DIP32_HEADER_BYTES
+                + legacy_hops * TUNNEL_HOP_HEADER_BYTES
+            )
+            collect["packet_hops"] += PACKETS_PER_FLOW * (
+                dip_hops + legacy_hops
+            )
         return forwarded
 
     points: List[Dict[str, object]] = []
-    total_forwarded = 0
-    last_plan = None
-    for fraction in fractions:
-        plan = InternetGenerator(replace(spec, adoption=fraction)).plan()
-        last_plan = plan
+    for fraction in FRACTIONS:
+        plan = InternetGenerator(replace(SPEC, adoption=fraction)).plan()
         stats: Dict[str, float] = {
             key: 0
             for key in (
                 "flows_total", "flows_deliverable", "packets_offered",
-                "packets_delivered", "dip_hops", "legacy_hops",
-                "header_bytes", "packet_hops",
+                "packets_delivered", "header_bytes", "packet_hops",
             )
         }
         forwarded = run_flows(plan, stats)
-        total_forwarded += forwarded
         offered = int(stats["packets_offered"])
         packet_hops = int(stats["packet_hops"])
         mean_header = (
             stats["header_bytes"] / packet_hops if packet_hops else 0.0
         )
         points.append({
-            "fraction": round(fraction, 4),
+            "fraction": fraction,
             "dip_ases": len(plan.dip_asns),
             "tunnels": len(plan.tunnels),
             "flows_total": int(stats["flows_total"]),
             "flows_deliverable": int(stats["flows_deliverable"]),
-            "packets_offered": offered,
-            "packets_delivered": int(stats["packets_delivered"]),
             "packets_forwarded": forwarded,
             "delivery_rate": round(
                 stats["packets_delivered"] / offered if offered else 0.0, 6
             ),
-            "dip_hops": int(stats["dip_hops"]),
-            "legacy_hops": int(stats["legacy_hops"]),
             "mean_header_bytes_per_hop": round(mean_header, 4),
             "header_overhead_vs_ipv4": round(
                 mean_header / IPV4_HEADER_SIZE if packet_hops else 0.0, 4
             ),
         })
 
-    topup_rounds = 0
-    while total_forwarded < min_forwarded:
-        extra = run_flows(last_plan, None)
-        if extra == 0:
-            break  # nothing deliverable: a floor can never be met
-        total_forwarded += extra
-        topup_rounds += 1
-
     return {
-        "spec": spec.to_dict(),
-        "fingerprint": last_plan.fingerprint() if last_plan else "",
-        "fractions": [round(f, 4) for f in fractions],
-        "flows": flows,
-        "packets_per_flow": packets_per_flow,
-        "profiles": {
-            name: sorted(int(key) for key in keys)
-            for name, keys in PROFILES.items()
-        },
+        "ases": plan.summary()["ases"],
+        "fingerprint": plan.fingerprint(),
         "points": points,
-        "totals": {
-            "packets_offered": sum(p["packets_offered"] for p in points),
-            "packets_delivered": sum(p["packets_delivered"] for p in points),
-            "packets_forwarded": total_forwarded,
-            "topup_rounds": topup_rounds,
-        },
     }
 
 
-def write_bench(path, result: Dict[str, object]) -> None:
-    """Write the sweep artifact (sorted keys: same spec, same bytes)."""
-    Path(path).write_text(
-        json.dumps(result, sort_keys=True, indent=2) + "\n"
-    )
-
-
 __all__ = [
-    "DEFAULT_FRACTIONS",
     "DIP32_HEADER_BYTES",
+    "FRACTIONS",
+    "SPEC",
     "TUNNEL_HOP_HEADER_BYTES",
     "adoption_state_factory",
     "run_adoption_sweep",
-    "write_bench",
 ]

@@ -1,11 +1,11 @@
 """Deterministic attack workloads and goodput-under-attack harnesses.
 
-ROADMAP item 5: the paper's §5 defenses are unit-tested but were never
-*load*-tested.  This module makes the attack surface measurable: a
-seedable family of adversarial wire streams, blended with legit
-traffic at a swept attack fraction, driven through the sharded engine
-(optionally behind :class:`repro.resilience.mitigation.MitigatedEngine`)
-and through the :mod:`repro.serve` core's admission path.
+The paper's §5 defenses are unit-tested elsewhere; this module makes
+the attack surface measurable: a seedable family of adversarial wire
+streams, blended with legit traffic at a swept attack fraction, driven
+through the sharded engine (optionally behind
+:class:`repro.resilience.mitigation.MitigatedEngine`) and through the
+:mod:`repro.serve` core's admission path.
 
 Attack families (every packet is raw wire bytes, so the full decode /
 quarantine surface is exercised):
@@ -27,7 +27,8 @@ quarantine surface is exercised):
 
 Everything is deterministic in ``(seed, fraction, counts)``: named rng
 streams, logical clocks, no wall-time in any recorded number -- which
-is what lets ``BENCH_attack.json`` regenerate byte-identically.
+is what lets ``repro paper ATTACK`` regenerate ``results/ATTACK.txt``
+and ``results/ATTACK-SERVE.txt`` byte-identically.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import functools
 import hashlib
 import random
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.conformance.fuzzer import limit_violating_wire
 from repro.core.operations.base import Decision
@@ -58,10 +59,23 @@ from repro.serve.state import LOCAL_EVERY, serve_content_state_factory
 ATTACK_FAMILIES: Tuple[str, ...] = ("poison", "limit", "spoof")
 LEGIT = "legit"
 
+#: The sweep's attack fractions and its fixed scale.
+FRACTIONS: Tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.8)
+ENGINE_PACKETS = 2_000
+SERVE_ROUNDS = 30
+#: The serve arm's capacity model: legit arrivals and flushed packets
+#: per round.
+SERVE_LEGIT_PER_ROUND = 48
+SERVE_BATCH_MAX = 56
+
 #: Legit IPv4 routes live under 10.0.0.0/16 (one /24 per index);
 #: spoofed destinations live under 192.0.0.0/4, guaranteed unrouted.
 _ROUTE_BASE = 0x0A000000
 _SPOOF_BASE = 0xC0000000
+#: Legit IPv4 sources: ``_SOURCES_PER_ROUTE`` hosts per route under
+#: 172.16.0.0/12.
+_SOURCE_BASE = 0xAC100000
+_SOURCES_PER_ROUTE = 4
 _ZIPF_SKEW = 1.1
 #: Sources (labels) whose passport keys the node trusts.
 _LABEL_COUNT = 4
@@ -207,7 +221,15 @@ def legit_wires(
             payload = bytes(
                 rng.randrange(256) for _ in range(rng.randrange(16))
             )
-            packet = build_ipv4_packet(dst, rng.getrandbits(32), payload)
+            # A bounded source population per route (the same draw,
+            # folded) so flows repeat and the flow cache has legit
+            # entries for a spoof flood to evict.
+            source = (
+                _SOURCE_BASE
+                | (route << 8)
+                | rng.getrandbits(32) % _SOURCES_PER_ROUTE
+            )
+            packet = build_ipv4_packet(dst, source, payload)
         wires.append(packet.encode())
     return wires
 
@@ -333,6 +355,8 @@ def make_attack_blend(
 
 
 _GOOD = (Decision.FORWARD, Decision.DELIVER)
+#: Engine-arm packets per ``run()`` call.
+_CHUNK = 2048
 
 
 def run_attack_engine(
@@ -340,9 +364,6 @@ def run_attack_engine(
     packets: int,
     seed: int = 0,
     mitigation: Optional[MitigationConfig] = None,
-    shards: int = 4,
-    backend: str = "serial",
-    chunk: int = 2048,
 ) -> Dict[str, object]:
     """One engine-scale point: blend -> engine -> deterministic tallies.
 
@@ -354,8 +375,7 @@ def run_attack_engine(
     engine = ForwardingEngine(
         functools.partial(attack_state_factory, seed=seed),
         config=EngineConfig(
-            num_shards=shards,
-            backend=backend,
+            num_shards=4,
             batch_size=256,
             ring_capacity=16384,
             flow_cache=True,
@@ -380,9 +400,9 @@ def run_attack_engine(
     }
     runner.start()
     try:
-        for start in range(0, len(wires), chunk):
-            part = wires[start:start + chunk]
-            part_labels = labels[start:start + chunk]
+        for start in range(0, len(wires), _CHUNK):
+            part = wires[start:start + _CHUNK]
+            part_labels = labels[start:start + _CHUNK]
             report = runner.run(part, now=0.0)
             for label, outcome in zip(part_labels, report.outcomes):
                 legit = label == LEGIT
@@ -456,21 +476,17 @@ def run_attack_serve(
     fraction: float,
     seed: int = 0,
     rounds: int = 40,
-    legit_per_round: int = 48,
     mitigated: bool = False,
-    max_inflight: int = 256,
-    batch_max: int = 56,
-    shards: int = 2,
 ) -> Dict[str, object]:
     """One serve-capacity point: flood the admission path, measure
     legit goodput end to end (queued -> engine -> reply decision).
 
     The capacity model is fixed legit load per round plus attack
     overload ``legit * f / (1 - f)``, one engine flush per round
-    (``batch_max`` is the server's per-round capacity): unmitigated,
-    the flood owns the queue and sheds legit arrivals; mitigated, the
-    gate refuses attack packets *before* they take a queue slot.  The
-    default capacity (56 vs 48 legit/round) leaves ~17% headroom:
+    (:data:`SERVE_BATCH_MAX` is the server's per-round capacity):
+    unmitigated, the flood owns the queue and sheds legit arrivals;
+    mitigated, the gate refuses attack packets *before* they take a
+    queue slot.  The capacity (56 vs 48 legit/round) leaves ~17% headroom:
     clean traffic is never shed, while a 30% attack fraction already
     overloads the round and separates the mitigated curve.
     """
@@ -478,14 +494,14 @@ def run_attack_serve(
     from repro.serve.core import ServeCore
 
     attack_per_round = (
-        int(round(legit_per_round * fraction / (1.0 - fraction)))
+        int(round(SERVE_LEGIT_PER_ROUND * fraction / (1.0 - fraction)))
         if fraction > 0
         else 0
     )
     config = ServeConfig(
-        shards=shards,
-        batch_max=batch_max,
-        max_inflight=max_inflight,
+        shards=2,
+        batch_max=SERVE_BATCH_MAX,
+        max_inflight=256,
         content_count=256,
         seed=seed,
         mitigation=mitigated,
@@ -494,7 +510,7 @@ def run_attack_serve(
         config,
         state_factory=functools.partial(attack_state_factory, seed=seed),
     )
-    total_legit = rounds * legit_per_round
+    total_legit = rounds * SERVE_LEGIT_PER_ROUND
     total_attack = rounds * attack_per_round
     legit = legit_wires(seed, total_legit, stream="serve")
     streams = {
@@ -518,16 +534,16 @@ def run_attack_serve(
         for round_index in range(rounds):
             arrivals: List[Tuple[str, bytes]] = []
             local_fraction = (
-                attack_per_round / (attack_per_round + legit_per_round)
+                attack_per_round / (attack_per_round + SERVE_LEGIT_PER_ROUND)
                 if attack_per_round
                 else 0.0
             )
             error = 0.0
             li = ai = 0
-            while li < legit_per_round or ai < attack_per_round:
+            while li < SERVE_LEGIT_PER_ROUND or ai < attack_per_round:
                 error += local_fraction
                 if (error >= 1.0 and ai < attack_per_round) or (
-                    li >= legit_per_round
+                    li >= SERVE_LEGIT_PER_ROUND
                 ):
                     error -= 1.0
                     family = ATTACK_FAMILIES[
@@ -574,7 +590,7 @@ def run_attack_serve(
     return {
         "fraction": fraction,
         "rounds": rounds,
-        "legit_per_round": legit_per_round,
+        "legit_per_round": SERVE_LEGIT_PER_ROUND,
         "attack_per_round": attack_per_round,
         "legit_offered": legit_offered,
         "legit_good": legit_good,
@@ -593,84 +609,30 @@ def run_attack_serve(
     }
 
 
-DEFAULT_FRACTIONS: Tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.8)
-
-
-def run_attack_sweep(
-    fractions: Sequence[float] = DEFAULT_FRACTIONS,
-    packets_per_point: int = 20000,
-    seed: int = 0,
-    serve_rounds: int = 30,
-    legit_per_round: int = 48,
-    include_serve: bool = True,
-    mitigation: Optional[MitigationConfig] = None,
-    shards: int = 4,
-    backend: str = "serial",
-) -> Dict[str, object]:
-    """The full A/B sweep: mitigated vs unmitigated, engine and serve
-    arms, at every attack fraction.  Deterministic in its arguments --
-    the BENCH ledger is exactly this payload."""
-    mitigation = mitigation if mitigation is not None else MitigationConfig()
-    engine_arm: Dict[str, List[Dict[str, object]]] = {
-        "unmitigated": [],
-        "mitigated": [],
+def run_attack_sweep() -> Dict[str, Dict[str, List[Dict[str, object]]]]:
+    """The A/B sweep at its one fixed scale: unmitigated vs mitigated,
+    engine arm (:data:`ENGINE_PACKETS` per point) and serve arm
+    (:data:`SERVE_ROUNDS` rounds per point), at every fraction in
+    :data:`FRACTIONS`.  Deterministic; ``repro paper ATTACK`` renders
+    and checks it."""
+    sweep: Dict[str, Dict[str, List[Dict[str, object]]]] = {
+        arm: {"unmitigated": [], "mitigated": []}
+        for arm in ("engine", "serve")
     }
-    for fraction in fractions:
-        engine_arm["unmitigated"].append(
+    engine, serve = sweep["engine"], sweep["serve"]
+    for fraction in FRACTIONS:
+        engine["unmitigated"].append(
+            run_attack_engine(fraction, ENGINE_PACKETS)
+        )
+        engine["mitigated"].append(
             run_attack_engine(
-                fraction, packets_per_point, seed=seed,
-                shards=shards, backend=backend,
+                fraction, ENGINE_PACKETS, mitigation=MitigationConfig()
             )
         )
-        engine_arm["mitigated"].append(
-            run_attack_engine(
-                fraction, packets_per_point, seed=seed,
-                mitigation=mitigation, shards=shards, backend=backend,
-            )
+        serve["unmitigated"].append(
+            run_attack_serve(fraction, rounds=SERVE_ROUNDS)
         )
-    payload: Dict[str, object] = {
-        "seed": seed,
-        "fractions": list(fractions),
-        "packets_per_point": packets_per_point,
-        "total_packets": (
-            packets_per_point * len(fractions) * 2
-            + (
-                2 * sum(
-                    serve_rounds * legit_per_round
-                    + serve_rounds * (
-                        int(
-                            round(
-                                legit_per_round * f / (1.0 - f)
-                            )
-                        )
-                        if f > 0
-                        else 0
-                    )
-                    for f in fractions
-                )
-                if include_serve
-                else 0
-            )
-        ),
-        "engine": engine_arm,
-    }
-    if include_serve:
-        serve_arm: Dict[str, List[Dict[str, object]]] = {
-            "unmitigated": [],
-            "mitigated": [],
-        }
-        for fraction in fractions:
-            serve_arm["unmitigated"].append(
-                run_attack_serve(
-                    fraction, seed=seed, rounds=serve_rounds,
-                    legit_per_round=legit_per_round, mitigated=False,
-                )
-            )
-            serve_arm["mitigated"].append(
-                run_attack_serve(
-                    fraction, seed=seed, rounds=serve_rounds,
-                    legit_per_round=legit_per_round, mitigated=True,
-                )
-            )
-        payload["serve"] = serve_arm
-    return payload
+        serve["mitigated"].append(
+            run_attack_serve(fraction, rounds=SERVE_ROUNDS, mitigated=True)
+        )
+    return sweep

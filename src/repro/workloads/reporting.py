@@ -1,13 +1,10 @@
-"""Text tables for the CLI and the slow ledger benchmarks.
+"""Text tables and the ``--json`` twin policy for the CLI.
 
-:class:`Reporter` renders aligned text tables; :func:`emit_payload` is
-the CLI's ``--json`` twin policy.  The paper's tables and their
+:func:`format_table` renders aligned text tables; :func:`emit_payload`
+is the CLI's ``--json`` twin policy.  The paper's tables and their
 artifacts come from :mod:`repro.workloads.paper` (``repro paper``).
 Telemetry files (Prometheus text, JSONL traces) are written by
 :mod:`repro.telemetry.export` directly.
-
-The module-level helpers (``format_table``, ``print_table``) are thin
-wrappers over a default :class:`Reporter`.
 """
 
 from __future__ import annotations
@@ -58,88 +55,21 @@ def emit_payload(
     return None
 
 
-class Reporter:
-    """Renders text tables.
-
-    Parameters
-    ----------
-    out:
-        Optional stream tables are written to; ``None`` uses ``print``
-        (the historic behaviour of ``print_table``).
-    """
-
-    def __init__(self, out: Optional[TextIO] = None) -> None:
-        self.out = out
-
-    # ------------------------------------------------------------------
-    # text tables
-    # ------------------------------------------------------------------
-    @staticmethod
-    def format_table(
-        headers: Sequence[str], rows: Sequence[Sequence[object]]
-    ) -> str:
-        """Render an aligned text table."""
-        str_rows: List[List[str]] = [
-            [str(cell) for cell in row] for row in rows
-        ]
-        widths = [len(h) for h in headers]
-        for row in str_rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines = []
-        header_line = "  ".join(
-            h.ljust(widths[i]) for i, h in enumerate(headers)
-        )
-        lines.append(header_line)
-        lines.append("  ".join("-" * w for w in widths))
-        for row in str_rows:
-            lines.append(
-                "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-            )
-        return "\n".join(lines)
-
-    def _emit(self, text: str) -> None:
-        if self.out is not None:
-            self.out.write(text + "\n")
-        else:
-            print(text)
-
-    def table(
-        self,
-        title: str,
-        headers: Sequence[str],
-        rows: Sequence[Sequence[object]],
-    ) -> None:
-        """Print a titled table."""
-        self._emit(f"\n== {title} ==\n" + self.format_table(headers, rows))
-
-    # ------------------------------------------------------------------
-    # telemetry tables
-    # ------------------------------------------------------------------
-    def stats_table(self, title: str, snapshot) -> None:
-        """Pretty-print a metrics snapshot as a (metric, type, value)
-        table -- the human half of ``repro stats``."""
-        from repro.telemetry.export import snapshot_rows
-
-        self.table(title, ["metric", "type", "value"], snapshot_rows(snapshot))
-
-
-_DEFAULT = Reporter()
-
-# ----------------------------------------------------------------------
-# legacy module-level API (thin wrappers over the default Reporter)
-# ----------------------------------------------------------------------
-
-
 def format_table(
     headers: Sequence[str], rows: Sequence[Sequence[object]]
 ) -> str:
     """Render an aligned text table."""
-    return Reporter.format_table(headers, rows)
-
-
-def print_table(
-    title: str, headers: Sequence[str], rows: Sequence[Sequence[object]]
-) -> None:
-    """See :meth:`Reporter.table`."""
-    _DEFAULT.table(title, headers, rows)
+    str_rows: List[List[str]] = [[str(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [
+        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
+        "  ".join("-" * w for w in widths),
+    ]
+    for row in str_rows:
+        lines.append(
+            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
+        )
+    return "\n".join(lines)

@@ -4,8 +4,8 @@ The gate's defaults are tuned so legitimate traffic -- every
 conformance scenario's valid wire streams, plus the attack harness's
 legit blend -- is never refused: outcomes (decision, reason, ports,
 rewritten packet) must match the bare engine byte for byte.  This is
-the safety half of the mitigation story; the goodput half lives in
-``benchmarks/test_attack_goodput.py``.
+the safety half of the mitigation story; the goodput half is
+``repro paper ATTACK``.
 """
 
 import functools

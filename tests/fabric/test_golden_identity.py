@@ -5,8 +5,8 @@ with engine-backed and PISA-backed transits plus netsim stub islands
 produces *identical* per-packet delivery records -- same virtual
 times, same hosts, same payload digests -- whether composed over the
 fabric (any process count, any scheduler order) or simulated
-monolithically in netsim.  A larger-scale version (>= 100k packets)
-runs as the slow-marked benchmark in ``benchmarks/test_fabric_golden``.
+monolithically in netsim.  ``repro paper FABRIC`` checks the same
+identity at 2,000 packets, in one process and in two.
 """
 
 import pytest

@@ -337,42 +337,6 @@ class TestTopology:
         assert len(payload["ases"]) == 28
         assert {"asn", "role", "mode", "profile"} <= set(payload["ases"][0])
 
-    def test_sweep_writes_bench_artifact(self, tmp_path):
-        import json
-
-        bench = tmp_path / "BENCH_topology.json"
-        code, text = run_cli(
-            *self.ARGS, "--sweep", "--fractions", "0.1,0.5",
-            "--flows", "8", "--packets-per-flow", "40",
-            "--min-forwarded", "0", "--out", str(bench),
-        )
-        assert code == 0
-        assert "adoption" in text and "delivery" in text
-        payload = json.loads(bench.read_text())
-        assert payload["fractions"] == [0.1, 0.5]
-        assert len(payload["points"]) == 2
-        point = payload["points"][0]
-        assert {"fraction", "delivery_rate", "header_overhead_vs_ipv4",
-                "packets_forwarded"} <= set(point)
-        assert payload["totals"]["packets_offered"] > 0
-
-    def test_sweep_json_twin(self):
-        import json
-
-        code, text = run_cli(
-            *self.ARGS, "--sweep", "--fractions", "0.5", "--flows", "4",
-            "--packets-per-flow", "20", "--min-forwarded", "0",
-            "--out", "", "--json",
-        )
-        assert code == 0
-        payload = json.loads(text)
-        assert payload["points"][0]["fraction"] == 0.5
-
-    def test_bad_fractions_exit_2(self):
-        code, text = run_cli(*self.ARGS, "--sweep", "--fractions", "0.5,nope")
-        assert code == 2
-        assert "bad --fractions" in text
-
     def test_bad_spec_exit_2(self):
         code, text = run_cli("topology", "--transit", "0")
         assert code == 2

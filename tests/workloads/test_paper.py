@@ -3,10 +3,13 @@
 Every deterministic experiment must regenerate the committed
 ``results/<ID>.txt`` byte for byte; the wall-clock ones are exercised
 through the CLI only with their ``run`` stubbed, so tier-1 never times
-anything.
+anything.  Each deterministic experiment runs once per session
+(:func:`tables_of`); the sabotage test edits a copy of its rows.
 """
 
+import copy
 import dataclasses
+import functools
 import io
 import json
 from pathlib import Path
@@ -27,17 +30,23 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def test_twelve_experiments_thirteen_tables():
-    assert len(paper.EXPERIMENTS) == 12
-    assert sum(len(e.tables) for e in paper.EXPERIMENTS.values()) == 13
+@functools.lru_cache(maxsize=None)
+def tables_of(experiment_id):
+    return paper.EXPERIMENTS[experiment_id].run()
+
+
+def test_fifteen_experiments_seventeen_tables():
+    assert len(paper.EXPERIMENTS) == 15
+    assert sum(len(e.tables) for e in paper.EXPERIMENTS.values()) == 17
     assert {e.id for e in DETERMINISTIC} == {
         "FIG2-CYCLES", "TAB2", "ABL-PAR", "ABL-NF", "ABL-DPS", "ABL-EPIC",
+        "ADOPT", "ATTACK", "FABRIC",
     }
 
 
 @pytest.mark.parametrize("experiment", DETERMINISTIC, ids=lambda e: e.id)
 def test_deterministic_experiment_matches_committed_result(experiment):
-    tables = experiment.run()
+    tables = tables_of(experiment.id)
     assert experiment.check(*tables) == []
     for stem, (title, headers), rows in zip(
         experiment.stems(), experiment.tables, tables
@@ -67,21 +76,43 @@ def test_out_writes_tables_and_json(tmp_path):
     assert tab2["tables"][0]["rows"][0] == ["IPv6 forwarding", 40, 40, "OK"]
 
 
+def halve_opt_parallel(rows):
+    rows[1][2] = rows[1][1] // 2  # the dependent OPT chain "compresses"
+
+
+def drop_top_delivery(rows):
+    rows[-2][4] = rows[-3][4] / 2  # 80% adoption delivers less than 65%
+
+
+def starve_mitigated_serve(engine, serve):
+    row = next(row for row in serve if row[0] == 0.5)
+    row[3] = row[2] - 1  # the gate costs legit goodput under flood
+
+
+SABOTAGE = (
+    ("ABL-PAR", halve_opt_parallel, "OPT chain: parallel == sequential"),
+    ("ADOPT", drop_top_delivery, "delivery non-decreasing in adoption"),
+    ("ATTACK", starve_mitigated_serve,
+     "serve: mitigated > unmitigated at 0.5"),
+)
+
+
 def test_sabotaged_shape_fails_with_exit_1(monkeypatch):
-    experiment = paper.EXPERIMENTS["ABL-PAR"]
+    for experiment_id, sabotage, claim in SABOTAGE:
+        experiment = paper.EXPERIMENTS[experiment_id]
 
-    def broken():
-        (rows,) = experiment.run()
-        rows[1][2] = rows[1][1] // 2  # the dependent OPT chain "compresses"
-        return (rows,)
+        def broken(experiment_id=experiment_id, sabotage=sabotage):
+            tables = copy.deepcopy(tables_of(experiment_id))
+            sabotage(*tables)
+            return tables
 
-    monkeypatch.setitem(
-        paper.EXPERIMENTS, "ABL-PAR",
-        dataclasses.replace(experiment, run=broken),
-    )
-    code, text = run_cli("paper", "ABL-PAR")
-    assert code == 1
-    assert "ABL-PAR: FAILS: OPT chain: parallel == sequential" in text
+        monkeypatch.setitem(
+            paper.EXPERIMENTS, experiment_id,
+            dataclasses.replace(experiment, run=broken),
+        )
+        code, text = run_cli("paper", experiment_id)
+        assert code == 1, experiment_id
+        assert f"{experiment_id}: FAILS: {claim}" in text
 
 
 def test_wall_clock_cells_render_median_and_iqr(monkeypatch):
@@ -109,7 +140,7 @@ def test_unknown_id_exits_2():
 
 
 def test_retired_subcommands_are_unknown():
-    for command in ("table2", "fig2"):
+    for argv in (["table2"], ["fig2"], ["attack"], ["topology", "--sweep"]):
         with pytest.raises(SystemExit) as exc:
-            main([command], out=io.StringIO())
+            main(argv, out=io.StringIO())
         assert exc.value.code == 2

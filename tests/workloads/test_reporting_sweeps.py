@@ -1,10 +1,7 @@
-"""Tests for the table renderer and timing helpers."""
-
-import pytest
+"""Tests for the table renderer and the netsim trace recorder."""
 
 from repro.netsim.stats import TraceRecorder
-from repro.workloads.reporting import format_table, print_table
-from repro.workloads.sweeps import mean, time_callable
+from repro.workloads.reporting import format_table
 
 
 class TestFormatTable:
@@ -25,22 +22,6 @@ class TestFormatTable:
     def test_empty_rows(self):
         text = format_table(["only", "headers"], [])
         assert "only" in text and len(text.splitlines()) == 2
-
-
-class TestPrintTable:
-    def test_prints_titled_table(self, capsys):
-        print_table("My Table: x/y", ["a"], [["b"]])
-        assert "== My Table: x/y ==" in capsys.readouterr().out
-
-
-class TestHelpers:
-    def test_time_callable_positive(self):
-        assert time_callable(lambda: sum(range(100)), repeats=2) >= 0
-
-    def test_mean(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-        with pytest.raises(ZeroDivisionError):
-            mean([])
 
 
 class TestTraceRecorder:
