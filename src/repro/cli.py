@@ -3,11 +3,24 @@
 Usage::
 
     python -m repro decode 00010240...        # dissect a DIP packet
+    python -m repro lint 00010240...          # lint its FN composition
     python -m repro paper [ID ...] [--out DIR]  # Figure 2, Table 2, ablations
     python -m repro keys                      # known operation keys
     python -m repro engine --metrics-out m.prom --trace-out t.jsonl
     python -m repro stats [--json]            # telemetry snapshot
+    python -m repro conformance [--fuzz N]    # reference vs every executor
+    python -m repro serve --max-packets N     # the serving daemon
+    python -m repro topology [--describe]     # generated multi-AS internet
     python -m repro fabric --processes 2 --compare   # co-simulation spine
+
+Each subcommand is one :class:`Command` row in :data:`COMMANDS`; ``main``
+builds the parser from the rows and dispatches by table lookup.  A row
+backed by a config dataclass (``engine``/``stats`` -> ``EngineConfig``,
+``serve`` -> ``ServeConfig``, ``topology`` -> ``NetworkSpec``,
+``fabric`` -> ``GoldenSpec``) gets one flag per exposed field, typed and
+defaulted from the row's default instance, and its runner receives
+``args.config``.  A :class:`~repro.errors.ReproError` from any runner
+prints ``error: ...`` and exits 2.
 
 ``decode`` accepts hex (with or without spaces); it prints the basic
 header, every FN triple, a locations hexdump, and -- when the FN keys
@@ -19,7 +32,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from dataclasses import asdict, dataclass, field, replace
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import get_args, get_type_hints
 
 from repro.core.fn import OperationKey
 from repro.core.packet import DipPacket
@@ -34,41 +50,35 @@ def _key_name(key: int) -> str:
         return f"key-{key}"
 
 
+def _wire(hex_words: List[str]) -> bytes:
+    """Packet bytes from hex words (spaces and colons allowed)."""
+    return bytes.fromhex("".join(hex_words).replace(" ", "").replace(":", ""))
+
+
 def _decode_embedded(packet: DipPacket, out) -> None:
-    keys = {fn.key for fn in packet.header.fns}
+    from repro.protocols.epic.header import EpicHeader
+    from repro.protocols.opt.header import OptHeader
+    from repro.protocols.xia.router import XiaHeader
+
+    fns = packet.header.fns
+    keys = {fn.key for fn in fns}
     locations = packet.header.locations
     try:
-        if OperationKey.MAC in keys:
-            from repro.protocols.opt.header import OptHeader
-
-            base = min(
-                fn.field_loc
-                for fn in packet.header.fns
-                if fn.key == OperationKey.MAC
-            )
-            header = OptHeader.decode(locations[base // 8 :])
-            out.write(
-                f"  embedded OPT header: session "
-                f"{header.session_id.hex()[:16]}.., ts {header.timestamp}, "
-                f"{header.hop_count} hop(s)\n"
-            )
-        if OperationKey.EPIC in keys:
-            from repro.protocols.epic.header import EpicHeader
-
-            base = min(
-                fn.field_loc
-                for fn in packet.header.fns
-                if fn.key == OperationKey.EPIC
-            )
-            header = EpicHeader.decode(locations[base // 8 :])
-            out.write(
-                f"  embedded EPIC header: session "
-                f"{header.session_id.hex()[:16]}.., ctr {header.counter}, "
-                f"{header.hop_count} hop(s)\n"
-            )
+        # OPT and EPIC headers start at their key's first field.
+        for key, decoder, name, label, attr in (
+            (OperationKey.MAC, OptHeader, "OPT", "ts", "timestamp"),
+            (OperationKey.EPIC, EpicHeader, "EPIC", "ctr", "counter"),
+        ):
+            if key in keys:
+                base = min(fn.field_loc for fn in fns if fn.key == key)
+                header = decoder.decode(locations[base // 8 :])
+                out.write(
+                    f"  embedded {name} header: session "
+                    f"{header.session_id.hex()[:16]}.., "
+                    f"{label} {getattr(header, attr)}, "
+                    f"{header.hop_count} hop(s)\n"
+                )
         if OperationKey.DAG in keys:
-            from repro.protocols.xia.router import XiaHeader
-
             header = XiaHeader.decode(locations)
             out.write(
                 f"  embedded XIA header: {len(header.dag.nodes)} DAG "
@@ -80,9 +90,8 @@ def _decode_embedded(packet: DipPacket, out) -> None:
 
 
 def cmd_decode(args, out) -> int:
-    text = "".join(args.hex).replace(" ", "").replace(":", "")
     try:
-        raw = bytes.fromhex(text)
+        raw = _wire(args.hex)
     except ValueError:
         out.write("error: input is not valid hex\n")
         return 2
@@ -121,9 +130,8 @@ def cmd_lint(args, out) -> int:
     """Lint a packet's FN program; exit 1 on errors, 0 otherwise."""
     from repro.core.composer import Severity, lint_program
 
-    text = "".join(args.hex).replace(" ", "").replace(":", "")
     try:
-        packet = DipPacket.decode(bytes.fromhex(text))
+        packet = DipPacket.decode(_wire(args.hex))
     except (ValueError, ReproError) as exc:
         out.write(f"error: not a DIP packet: {exc}\n")
         return 2
@@ -152,12 +160,22 @@ def cmd_paper(args, out) -> int:
     return 0 if reproduce(ids, out, out_dir=args.out) else 1
 
 
-def _build_engine(args, out, telemetry: bool):
+def cmd_keys(args, out) -> int:
+    from repro.core.registry import default_registry
+
+    registry = default_registry()
+    for key in sorted(registry.supported_keys()):
+        operation = registry.get(key)
+        out.write(f"  {key:>3}  {operation.name}\n")
+    return 0
+
+
+def _build_engine(args, telemetry: bool):
     """Shared engine construction for ``engine`` and ``stats``.
 
-    Returns ``(engine, packets)`` or ``None`` after printing an error.
+    Returns ``(engine, packets)``; a bad fault plan raises ReproError.
     """
-    from repro.engine import EngineConfig, ForwardingEngine
+    from repro.engine import ForwardingEngine
     from repro.resilience import FaultPlan
     from repro.workloads.throughput import (
         dip32_state_factory,
@@ -166,43 +184,19 @@ def _build_engine(args, out, telemetry: bool):
     )
 
     fault_plan = None
-    if getattr(args, "fault_plan", None):
+    if args.fault_plan:
         try:
             with open(args.fault_plan, "r", encoding="utf-8") as handle:
-                fault_plan = FaultPlan.from_json(handle.read())
+                text = handle.read()
         except OSError as exc:
-            out.write(f"error: cannot read fault plan: {exc}\n")
-            return None
+            raise ReproError(f"cannot read fault plan: {exc}") from exc
+        try:
+            fault_plan = FaultPlan.from_json(text)
         except ReproError as exc:
-            out.write(f"error: bad fault plan: {exc}\n")
-            return None
-    try:
-        config = EngineConfig(
-            num_shards=args.shards,
-            backend=args.backend,
-            batch_size=args.batch_size,
-            backpressure=args.backpressure,
-            flow_cache=args.flow_cache,
-            flow_cache_capacity=args.flow_cache_capacity,
-            columnar=getattr(args, "columnar", False),
-            shm=getattr(args, "shm", True),
-            telemetry=telemetry,
-            degrade=getattr(args, "degrade", None),
-            fault_plan=fault_plan,
-            max_retries=getattr(args, "max_retries", 2),
-            worker_timeout=getattr(args, "worker_timeout", 30.0),
-        )
-    except ReproError as exc:
-        out.write(f"error: {exc}\n")
-        return None
-    if args.zipf:
-        packets = make_zipf_engine_packets(
-            packet_size=args.packet_size, packet_count=args.packets
-        )
-    else:
-        packets = make_engine_packets(
-            packet_size=args.packet_size, packet_count=args.packets
-        )
+            raise ReproError(f"bad fault plan: {exc}") from exc
+    config = replace(args.config, telemetry=telemetry, fault_plan=fault_plan)
+    make = make_zipf_engine_packets if args.zipf else make_engine_packets
+    packets = make(packet_size=args.packet_size, packet_count=args.packets)
     return ForwardingEngine(dip32_state_factory, config=config), packets
 
 
@@ -214,18 +208,16 @@ def cmd_engine(args, out) -> int:
     # Either export flag implies telemetry; the run itself is otherwise
     # identical (tests/engine/test_telemetry_equivalence.py).
     telemetry = bool(args.metrics_out or args.trace_out)
-    built = _build_engine(args, out, telemetry)
-    if built is None:
-        return 2
-    engine, packets = built
+    engine, packets = _build_engine(args, telemetry)
     report = engine.run(packets)
+    config = args.config
 
     def render() -> None:
         out.write(
             f"engine: {report.packets_processed}/{report.packets_offered} "
             f"packets in {report.wall_seconds:.3f}s = "
             f"{report.pkts_per_second:,.0f} pkts/s "
-            f"({args.backend}, {args.shards} shard(s))\n"
+            f"({config.backend}, {config.num_shards} shard(s))\n"
         )
         decisions = ", ".join(
             f"{name} {count}"
@@ -236,13 +228,8 @@ def cmd_engine(args, out) -> int:
             f"  batch latency: p50 {report.batch_latency_p50 * 1e6:.0f}us, "
             f"p99 {report.batch_latency_p99 * 1e6:.0f}us\n"
         )
-        if (
-            report.worker_restarts
-            or report.retries
-            or report.degraded
-            or report.faults_injected
-            or report.dead_letter_total
-        ):
+        if any((report.worker_restarts, report.retries, report.degraded,
+                report.faults_injected, report.dead_letter_total)):
             out.write(
                 f"  resilience: {report.worker_restarts} restart(s), "
                 f"{report.retries} retried batch(es), "
@@ -251,14 +238,9 @@ def cmd_engine(args, out) -> int:
                 f"{report.dead_letter_total} dead-lettered\n"
             )
         rows = [
-            [
-                shard.shard_id,
-                shard.packets,
-                shard.batches,
-                f"{shard.utilization * 100:.1f}%",
-                ring.high_watermark,
-                ring.dropped,
-            ]
+            [shard.shard_id, shard.packets, shard.batches,
+             f"{shard.utilization * 100:.1f}%", ring.high_watermark,
+             ring.dropped]
             for shard, ring in zip(report.shards, report.rings)
         ]
         table = format_table(
@@ -269,13 +251,9 @@ def cmd_engine(args, out) -> int:
         if report.flow_cache is not None:
             stats = report.flow_cache
             cache_rows = [
-                ["hits", stats.hits],
-                ["misses", stats.misses],
-                ["bypasses", stats.bypasses],
-                ["evictions", stats.evictions],
-                ["invalidations", stats.invalidations],
-                ["size", stats.size],
-                ["capacity", stats.capacity],
+                [name, getattr(stats, name)]
+                for name in ("hits", "misses", "bypasses", "evictions",
+                             "invalidations", "size", "capacity")
             ]
             out.write("  flow cache:\n")
             cache_table = format_table(["counter", "value"], cache_rows)
@@ -294,30 +272,22 @@ def cmd_engine(args, out) -> int:
 
 def cmd_stats(args, out) -> int:
     """Run the engine with telemetry on and print the unified snapshot."""
-    from repro.telemetry.export import snapshot_rows
+    from repro.telemetry.export import snapshot_rows, snapshot_to_json
     from repro.workloads.reporting import emit_payload, format_table
 
-    built = _build_engine(args, out, telemetry=True)
-    if built is None:
-        return 2
-    engine, packets = built
+    engine, packets = _build_engine(args, telemetry=True)
     engine.run(packets)
     # The live registry already folds in the run report (engine
     # counters, batch-latency histogram, processor and flow-cache
     # metrics), so its snapshot is the complete view.
     snapshot = engine.metrics.snapshot()
 
-    def payload():
-        from repro.telemetry.export import snapshot_to_json
-
-        return snapshot_to_json(snapshot)
-
     def render() -> None:
         out.write("\n== engine telemetry ==\n")
         rows = snapshot_rows(snapshot)
         out.write(format_table(["metric", "type", "value"], rows) + "\n")
 
-    emit_payload(args.json, payload, render, out=out)
+    emit_payload(args.json, lambda: snapshot_to_json(snapshot), render, out=out)
     return 0
 
 
@@ -331,30 +301,22 @@ def cmd_conformance(args, out) -> int:
     from pathlib import Path
 
     from repro.conformance import (
-        DivergenceReport,
-        load_corpus,
-        replay_corpus,
-        run_fuzz,
-        save_corpus,
+        DivergenceReport, load_corpus, replay_corpus, run_fuzz, save_corpus,
     )
-    from repro.conformance.corpus import (
-        REGRESSION_GROUP,
-        build_golden_corpus,
-    )
+    from repro.conformance.corpus import REGRESSION_GROUP, build_golden_corpus
     from repro.conformance.executors import executors_by_name
     from repro.dataplane.costs import CycleCostModel
+    from repro.workloads.reporting import emit_payload
 
     cost_model = None if args.no_cost_model else CycleCostModel()
+    names = args.executors.split(",") if args.executors else None
     try:
-        executors = (
-            executors_by_name(args.executors.split(","))
-            if args.executors
-            else None
-        )
+        executors = executors_by_name(names) if names else None
     except ValueError as exc:
         out.write(f"conformance: {exc}\n")
         return 2
     scenarios = args.scenarios.split(",") if args.scenarios else None
+    lines: List[str] = []
 
     if args.record:
         # Regenerate the golden groups; regression vectors (appended
@@ -362,14 +324,12 @@ def cmd_conformance(args, out) -> int:
         vectors = build_golden_corpus(seed=args.seed)
         if Path(args.record).is_dir():
             vectors.extend(
-                v
-                for v in load_corpus(args.record)
-                if v.group == REGRESSION_GROUP
+                v for v in load_corpus(args.record) if v.group == REGRESSION_GROUP
             )
         paths = save_corpus(vectors, args.record)
-        out.write(
+        lines.append(
             f"conformance: recorded {len(vectors)} vectors into "
-            f"{len(paths)} files under {args.record}\n"
+            f"{len(paths)} files under {args.record}"
         )
 
     report = DivergenceReport()
@@ -390,74 +350,52 @@ def cmd_conformance(args, out) -> int:
             out.write(f"conformance: no vectors under {corpus_dir}\n")
             return 2
         replay = replay_corpus(vectors, executors, cost_model)
-        out.write(f"corpus replay ({len(vectors)} vectors): ")
-        out.write(replay.summary() + "\n")
+        lines.append(f"corpus replay ({len(vectors)} vectors): {replay.summary()}")
         report.merge(replay)
     if args.fuzz > 0:
         fuzz = run_fuzz(
             args.fuzz,
             seed=args.seed,
             scenarios=scenarios,
-            executors=args.executors.split(",") if args.executors else None,
+            executors=names,
             cost_model=cost_model,
             shrink=not args.no_shrink,
             max_seconds=args.max_seconds,
         )
-        out.write(f"fuzz (seed {args.seed}): " + fuzz.summary() + "\n")
+        lines.append(f"fuzz (seed {args.seed}): {fuzz.summary()}")
         report.merge(fuzz)
 
-    for divergence in report.divergences[:20]:
-        out.write(
-            f"  DIVERGENCE {divergence.scenario}/{divergence.executor} "
-            f"packet {divergence.index} [{divergence.aspect}]"
-            + (f" vector {divergence.vector}" if divergence.vector else "")
-            + f"\n    expected: {divergence.expected}"
-            f"\n    got:      {divergence.got}\n"
-        )
-    if len(report.divergences) > 20:
-        out.write(
-            f"  ... {len(report.divergences) - 20} more divergences\n"
-        )
-    for repro in report.repros:
-        out.write(
-            f"  shrunk repro [{repro['scenario']}] "
-            f"{','.join(repro['executors'])}: "
-            f"{' '.join(repro['wires'])}\n"
-        )
-    from repro.workloads.reporting import emit_payload
+    def render() -> None:
+        for line in lines:
+            out.write(line + "\n")
+        for divergence in report.divergences[:20]:
+            out.write(
+                f"  DIVERGENCE {divergence.scenario}/{divergence.executor} "
+                f"packet {divergence.index} [{divergence.aspect}]"
+                + (f" vector {divergence.vector}" if divergence.vector else "")
+                + f"\n    expected: {divergence.expected}"
+                f"\n    got:      {divergence.got}\n"
+            )
+        if len(report.divergences) > 20:
+            out.write(
+                f"  ... {len(report.divergences) - 20} more divergences\n"
+            )
+        for repro in report.repros:
+            out.write(
+                f"  shrunk repro [{repro['scenario']}] "
+                f"{','.join(repro['executors'])}: "
+                f"{' '.join(repro['wires'])}\n"
+            )
 
-    written = emit_payload(args.json, report.to_dict, None, out=out)
-    if written:
-        out.write(f"  report written to {written}\n")
+    emit_payload(args.json, report.to_dict, render, out=out)
     return 0 if report.ok else 1
 
 
 def cmd_serve(args, out) -> int:
     """``repro serve``: the long-lived serving daemon (DESIGN.md 3.11)."""
-    from repro.serve.config import ServeConfig
     from repro.serve.daemon import run_daemon
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        metrics_port=args.metrics_port,
-        shards=args.shards,
-        backend=args.backend,
-        batch_max=args.batch_max,
-        batch_timeout_ms=args.batch_timeout_ms,
-        max_inflight=args.max_inflight,
-        cs_capacity=args.cs_capacity,
-        cs_ttl=args.cs_ttl if args.cs_ttl > 0 else None,
-        pit_capacity=args.pit_capacity if args.pit_capacity > 0 else None,
-        pit_eviction=args.pit_eviction,
-        flow_cache=args.flow_cache,
-        content_count=args.content_count,
-        seed=args.seed,
-        mitigation=args.mitigation,
-        max_seconds=args.max_seconds,
-        max_packets=args.max_packets,
-    )
-    summary = run_daemon(config, json_out=args.json, out=out)
+    summary = run_daemon(args.config, json_out=args.json, out=out)
     return 0 if summary["unaccounted"] == 0 else 1
 
 
@@ -466,28 +404,14 @@ def cmd_topology(args, out) -> int:
 
     Default mode generates and materializes the graph (nodes, links,
     tunnels, routes, host bootstrap) and prints a summary;
-    ``--describe`` prints per-AS detail from the pure plan.  The
-    adoption sweep over the acceptance-scale graph is ``repro paper
-    ADOPT``.
+    ``--describe`` prints per-AS detail from the pure plan.  With no
+    flags the graph is ``repro paper ADOPT``'s internet at 50% adoption;
+    the adoption sweep over it is ``repro paper ADOPT``.
     """
-    from repro.netsim.internet import InternetGenerator, NetworkSpec
+    from repro.netsim.internet import InternetGenerator
     from repro.workloads.reporting import emit_payload, format_table
 
-    try:
-        spec = NetworkSpec(
-            seed=args.seed,
-            transit=args.transit,
-            regional=args.regional,
-            stub=args.stub,
-            ix_count=args.ix,
-            adoption=args.adoption,
-            hosts_per_stub=args.hosts_per_stub,
-            multihome=args.multihome,
-        )
-    except ReproError as exc:
-        out.write(f"error: {exc}\n")
-        return 2
-    generator = InternetGenerator(spec)
+    generator = InternetGenerator(args.config)
 
     if args.describe:
         plan = generator.plan()
@@ -507,18 +431,10 @@ def cmd_topology(args, out) -> int:
             }
 
         def render_describe() -> None:
-            rows = [
-                [
-                    row["as_id"], row["role"], row["mode"], row["profile"],
-                    row["degree"], row["hosts"], row["prefix"],
-                ]
-                for row in plan.describe_rows()
-            ]
-            table = format_table(
-                ["AS", "role", "mode", "profile", "degree", "hosts",
-                 "prefix"],
-                rows,
-            )
+            columns = ("as_id", "role", "mode", "profile", "degree", "hosts",
+                       "prefix")
+            rows = [[row[c] for c in columns] for row in plan.describe_rows()]
+            table = format_table(["AS", *columns[1:]], rows)
             out.write(table + "\n")
             for ix in plan.ixps:
                 out.write(
@@ -561,67 +477,26 @@ def cmd_fabric(args, out) -> int:
     """
     import time
 
-    from repro.fabric import (
-        GoldenSpec,
-        golden_fabric,
-        golden_netsim,
-        golden_traffic,
-        write_pcap,
-    )
+    from repro.fabric import golden_fabric, golden_netsim, golden_traffic, write_pcap
     from repro.telemetry.metrics import MetricsRegistry
     from repro.workloads.reporting import emit_payload, format_table
 
-    try:
-        spec = GoldenSpec(
-            seed=args.seed,
-            ases=args.ases,
-            hosts_per_as=args.hosts_per_as,
-            packets=args.packets,
-            spacing=args.spacing,
-            latency=args.latency,
-            intra_latency=args.intra_latency,
-            cycle_time=args.cycle_time,
-        )
-    except ReproError as exc:
-        out.write(f"error: {exc}\n")
-        return 2
-
+    spec = args.config
     if args.pcap_out:
-        count = write_pcap(
-            args.pcap_out,
-            (
-                (send.time, send.packet().encode())
-                for send in golden_traffic(spec)
-            ),
-        )
-        out.write(f"traffic written to {args.pcap_out} ({count} packets)\n")
+        frames = ((s.time, s.packet().encode()) for s in golden_traffic(spec))
+        written = write_pcap(args.pcap_out, frames)
+        out.write(f"traffic written to {args.pcap_out} ({written} packets)\n")
 
-    registry = MetricsRegistry()
     start = time.perf_counter()
-    try:
-        run = golden_fabric(
-            spec,
-            processes=args.processes,
-            registry=registry,
-            scheduler_seed=args.scheduler_seed,
-        )
-    except ReproError as exc:
-        out.write(f"error: {exc}\n")
-        return 2
+    run = golden_fabric(
+        spec, processes=args.processes, registry=MetricsRegistry(),
+        scheduler_seed=args.scheduler_seed,
+    )
     report = run.run()
     elapsed = time.perf_counter() - start
 
     payload = report.to_dict()
-    payload["spec"] = {
-        "seed": spec.seed,
-        "ases": spec.ases,
-        "hosts_per_as": spec.hosts_per_as,
-        "packets": spec.packets,
-        "spacing": spec.spacing,
-        "latency": spec.latency,
-        "intra_latency": spec.intra_latency,
-        "cycle_time": spec.cycle_time,
-    }
+    payload["spec"] = asdict(spec)
     payload["wall_seconds"] = elapsed
 
     identical = None
@@ -654,13 +529,9 @@ def cmd_fabric(args, out) -> int:
             f"({report.processes} process(es), {report.rounds} rounds)\n"
         )
         rows = [
-            [
-                name,
-                f"{report.clocks[name]:.4f}",
-                int(detail["counters"].get("delivered", 0)),
-                int(detail["counters"].get("forwarded", 0)),
-                int(detail["counters"].get("tx_errors", 0)),
-            ]
+            [name, f"{report.clocks[name]:.4f}"]
+            + [int(detail["counters"].get(counter, 0))
+               for counter in ("delivered", "forwarded", "tx_errors")]
             for name, detail in sorted(report.components.items())
         ]
         table = format_table(
@@ -676,406 +547,327 @@ def cmd_fabric(args, out) -> int:
             verdict = "IDENTICAL" if identical else "DIVERGED"
             out.write(f"  vs in-process netsim twin: {verdict}\n")
 
-    written = emit_payload(args.json, lambda: payload, render, out=out)
-    if written:
-        out.write(f"  report written to {written}\n")
+    emit_payload(args.json, lambda: payload, render, out=out)
     return 1 if identical is False else 0
 
 
-def _print_keys(out) -> int:
-    from repro.core.registry import default_registry
-
-    registry = default_registry()
-    for key in sorted(registry.supported_keys()):
-        operation = registry.get(key)
-        out.write(f"  {key:>3}  {operation.name}\n")
-    return 0
+# ----------------------------------------------------------------------
+# the rows
+# ----------------------------------------------------------------------
+Arg = Tuple[Tuple[str, ...], Dict[str, Any]]
 
 
-def main(argv: Optional[List[str]] = None, out=None) -> int:
-    """CLI entry point; returns the exit code."""
-    out = out if out is not None else sys.stdout
+def arg(*flags: str, **kwargs: Any) -> Arg:
+    """One extra ``add_argument`` call, declared as data."""
+    return flags, kwargs
+
+
+def count(text: str) -> int:
+    """A non-negative integer flag; argparse exits 2 on anything else."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _zero_is_none(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An Optional knob that defaults to a value: 0 switches it off."""
+
+    def convert(text: str) -> Any:
+        return parse(text) or None
+
+    convert.__name__ = parse.__name__
+    return convert
+
+
+#: Field flags whose name is not ``--`` plus the field name dashed;
+#: kept because callers already spell them this way.
+FLAG_ALIASES = {"num_shards": "--shards", "ix_count": "--ix"}
+
+
+def flag_of(name: str) -> str:
+    """The command-line flag of config field ``name``."""
+    return FLAG_ALIASES.get(name, "--" + name.replace("_", "-"))
+
+
+def _field_choices() -> Dict[str, Tuple[str, ...]]:
+    """The per-field choice table, from the modules that validate them."""
+    from repro.engine.engine import (
+        BACKENDS, BACKPRESSURE_POLICIES, DEGRADE_POLICIES,
+    )
+    from repro.protocols.ndn.pit import PIT_EVICTION_POLICIES
+
+    return {
+        "backend": BACKENDS,
+        "backpressure": BACKPRESSURE_POLICIES,
+        "degrade": DEGRADE_POLICIES,
+        "pit_eviction": PIT_EVICTION_POLICIES,
+    }
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand, declared: its flags, its config and its runner.
+
+    ``defaults`` returns the config instance the row builds; every
+    field named in ``fields`` (mapped to its help text) becomes a flag
+    whose type and default come from that instance, so neither is
+    stated here.  ``parse_args`` hands the runner ``args.config`` =
+    ``replace(defaults(), **flags)``.  ``json`` is the help of the
+    row's ``--json [PATH]``: bare prints JSON instead of the text,
+    PATH writes it beside the text (``emit_payload``).
+    """
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace, Any], int]
+    args: Tuple[Arg, ...] = ()
+    json: Optional[str] = None
+    defaults: Optional[Callable[[], Any]] = None
+    fields: Mapping[str, Optional[str]] = field(default_factory=dict)
+
+    def declare(self, parser: argparse.ArgumentParser) -> None:
+        for flags, kwargs in self.args:
+            parser.add_argument(*flags, **kwargs)
+        if self.defaults is not None:
+            self._declare_fields(parser, self.defaults())
+        if self.json:
+            parser.add_argument(
+                "--json", nargs="?", const=True, metavar="PATH", help=self.json
+            )
+
+    def _declare_fields(self, parser, default) -> None:
+        hints = get_type_hints(type(default))
+        choices = _field_choices()
+        for name, help_text in self.fields.items():
+            kind = hints[name]
+            value = getattr(default, name)
+            options: Dict[str, Any] = {"dest": name, "default": value}
+            inner = [t for t in get_args(kind) if t is not type(None)]
+            if kind is bool:
+                options["action"] = argparse.BooleanOptionalAction
+            elif name in choices:
+                options["choices"] = choices[name]
+            else:
+                parse = inner[0] if inner else kind
+                options["type"] = (
+                    _zero_is_none(parse) if inner and value is not None
+                    else parse
+                )
+                options["metavar"] = flag_of(name)[2:].replace("-", "_").upper()
+            parser.add_argument(flag_of(name), help=help_text, **options)
+
+    def config(self, args: argparse.Namespace) -> Any:
+        flags = {name: getattr(args, name) for name in self.fields}
+        return replace(self.defaults(), **flags)
+
+
+_HEX = arg("hex", nargs="+", help="packet bytes in hex")
+
+_ENGINE_FIELDS: Dict[str, Optional[str]] = {
+    "num_shards": None, "backend": None, "batch_size": None,
+    "backpressure": None,
+    "flow_cache": "put a flow-level decision cache in front of every shard",
+    "flow_cache_capacity": None,
+    "columnar": "run shard workers through the columnar batch specializer "
+    "(numpy kernels; falls back to the scalar path when unavailable)",
+    "shm": "use shared-memory rings for process-backend shard IPC (falls "
+    "back to pipe payloads when unavailable)",
+    "degrade": "graceful-degradation policy for limit/state/unsupported "
+    "failures (default: surface them as error outcomes)",
+    "max_retries": "batch retries after a worker death before dead-lettering",
+    "worker_timeout": "seconds without a reply before a worker is declared "
+    "dead",
+}
+
+_ENGINE_ARGS = (
+    arg("--packets", type=count, default=2000),
+    arg("--packet-size", type=int, default=128),
+    arg("--zipf", action="store_true",
+        help="Zipf-skewed flow popularity instead of uniform flows"),
+    arg("--fault-plan", metavar="PATH",
+        help="JSON FaultPlan of scripted faults to inject"),
+)
+
+
+def _engine_defaults():
+    return import_module("repro.engine").EngineConfig()
+
+
+COMMANDS: Dict[str, Command] = {row.name: row for row in (
+    Command("decode", "dissect a DIP packet from hex", cmd_decode, (_HEX,)),
+    Command("lint", "lint a DIP packet's FN composition", cmd_lint, (_HEX,)),
+    Command(
+        "paper",
+        "run the paper's experiments and check their shapes (exit 1 if any "
+        "FAILS)",
+        cmd_paper,
+        (
+            arg("ids", nargs="*", metavar="ID",
+                help="experiment ids (default: all)"),
+            arg("--out", metavar="DIR",
+                help="write DIR/<ID>.txt per table and DIR/paper.json"),
+        ),
+    ),
+    Command("keys", "list the installed operation keys", cmd_keys),
+    Command(
+        "engine", "run the sharded forwarding engine on DIP-32", cmd_engine,
+        _ENGINE_ARGS + (
+            arg("--metrics-out", metavar="PATH", help="write a Prometheus "
+                "text-format dump (enables telemetry)"),
+            arg("--trace-out", metavar="PATH",
+                help="write stage spans as JSONL (enables telemetry)"),
+        ),
+        json="print the engine report as JSON instead of text",
+        defaults=_engine_defaults, fields=_ENGINE_FIELDS,
+    ),
+    Command(
+        "stats",
+        "run the engine with telemetry on; print the metrics snapshot",
+        cmd_stats, _ENGINE_ARGS,
+        json="print the snapshot as JSON instead of a table",
+        defaults=_engine_defaults, fields=_ENGINE_FIELDS,
+    ),
+    Command(
+        "serve",
+        "run the long-lived asyncio serving daemon (UDP ingress + /metrics "
+        "/healthz /reconfig control plane)",
+        cmd_serve,
+        json="print the final conservation ledger as JSON",
+        defaults=lambda: import_module("repro.serve.config").ServeConfig(),
+        fields={
+            "host": None, "port": None, "metrics_port": None, "shards": None,
+            "backend": None,
+            "batch_max": "size-based flush trigger (packets per engine batch)",
+            "batch_timeout_ms": "time-based flush trigger after the first "
+            "pending packet",
+            "max_inflight": "admission bound; arrivals past it are shed with "
+            "accounting",
+            "cs_capacity": "content-store entries per shard (0 disables "
+            "caching)",
+            "cs_ttl": "content-store entry lifetime in seconds (0 = no TTL)",
+            "pit_capacity": "PIT entries per shard (0 = unbounded)",
+            "pit_eviction": None,
+            "flow_cache": "flow-level decision cache in front of every shard",
+            "content_count": None, "seed": None,
+            "mitigation": "attack-mitigation gate in front of the ingress "
+            "queue (token-bucket rate limiting, F_pass sampling, circuit "
+            "breaker)",
+            "max_seconds": "stop after this many seconds (default: run until "
+            "signalled)",
+            "max_packets": "stop after receiving this many datagrams",
+        },
+    ),
+    Command(
+        "topology",
+        "generate internet-scale multi-AS graphs (generate / --describe)",
+        cmd_topology,
+        (arg("--describe", action="store_true",
+             help="print per-AS detail, IXPs and planned tunnels"),),
+        json="print the summary/detail payload as JSON",
+        defaults=lambda: import_module("repro.workloads.adoption").SPEC,
+        fields={
+            "seed": None, "transit": "tier-1 transit ASes",
+            "regional": "mid-tier provider ASes",
+            "stub": "edge ASes with hosts",
+            "ix_count": "internet exchange points",
+            "adoption": "DIP adoption fraction", "hosts_per_stub": None,
+            "multihome": "providers per stub AS",
+        },
+    ),
+    Command(
+        "fabric",
+        "run the golden multi-AS scenario over the virtual-time "
+        "co-simulation fabric; --compare checks it against the monolithic "
+        "netsim twin",
+        cmd_fabric,
+        (
+            arg("--processes", type=int, default=1, help="worker processes "
+                "for component placement (1 = in-process)"),
+            arg("--scheduler-seed", type=int, default=None,
+                help="shuffle component stepping order with this seed "
+                "(results must not change; in-process only: exits 2 with "
+                "--processes > 1)"),
+            arg("--compare", action="store_true", help="also run the "
+                "monolithic netsim twin; exit 1 on divergence"),
+            arg("--pcap-out", metavar="PATH",
+                help="write the generated traffic schedule as a pcap"),
+        ),
+        json="print the run report as JSON (or write it to PATH)",
+        defaults=lambda: import_module("repro.fabric").GoldenSpec(
+            packets=1000
+        ),
+        fields={
+            "seed": None, "ases": None, "hosts_per_as": None, "packets": None,
+            "spacing": "virtual seconds between injected packets",
+            "latency": "inter-component channel latency (the lookahead)",
+            "intra_latency": "link delay inside each stub island",
+            "cycle_time": "seconds per PISA pipeline cycle (service latency)",
+        },
+    ),
+    Command(
+        "conformance",
+        "differential conformance: reference interpreter vs every optimized "
+        "executor (corpus replay + seeded fuzz)",
+        cmd_conformance,
+        (
+            arg("--fuzz", type=count, default=0, metavar="N", help="fuzz N "
+                "packets across the scenario rotation (0 = off)"),
+            arg("--seed", type=int, default=0, help="fuzz/corpus seed"),
+            arg("--corpus", metavar="DIR", help="replay every vector in this "
+                "corpus directory (default: tests/conformance/corpus when "
+                "present and not fuzzing)"),
+            arg("--record", metavar="DIR", help="regenerate the golden "
+                "corpus groups into DIR (regression vectors are preserved), "
+                "then replay"),
+            arg("--scenarios", metavar="A,B",
+                help="comma-separated scenario subset (default: all)"),
+            arg("--executors", metavar="A,B", help="comma-separated cell "
+                "names, any of the full product (e.g. engine-process/packets;"
+                " default: the tier-1 matrix, "
+                "repro.conformance.DEFAULT_EXECUTORS)"),
+            arg("--max-seconds", type=float, default=None,
+                help="fuzz time budget; stops starting new cases past it"),
+            arg("--no-cost-model", action="store_true", help="skip the cycle "
+                "model (disables cycle-count comparisons)"),
+            arg("--no-shrink", action="store_true",
+                help="report diverging cases without minimizing them"),
+        ),
+        json="write the structured DivergenceReport to PATH (bare: print it "
+        "as JSON instead of the text)",
+    ),
+)}
+
+
+def parse_args(argv: List[str]) -> argparse.Namespace:
+    """Parse ``argv`` against the rows; config rows also get ``args.config``."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DIP (HotNets '22) reproduction tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    decode = sub.add_parser("decode", help="dissect a DIP packet from hex")
-    decode.add_argument("hex", nargs="+", help="packet bytes in hex")
-    lint = sub.add_parser("lint", help="lint a DIP packet's FN composition")
-    lint.add_argument("hex", nargs="+", help="packet bytes in hex")
-    paper = sub.add_parser(
-        "paper",
-        help="run the paper's experiments and check their shapes "
-        "(exit 1 if any FAILS)",
-    )
-    paper.add_argument(
-        "ids", nargs="*", metavar="ID", help="experiment ids (default: all)"
-    )
-    paper.add_argument(
-        "--out",
-        metavar="DIR",
-        help="write DIR/<ID>.txt per table and DIR/paper.json",
-    )
-    sub.add_parser("keys", help="list the installed operation keys")
-    def add_engine_args(p) -> None:
-        p.add_argument("--packets", type=int, default=2000)
-        p.add_argument("--packet-size", type=int, default=128)
-        p.add_argument("--shards", type=int, default=4)
-        p.add_argument(
-            "--backend", choices=["serial", "process"], default="serial"
-        )
-        p.add_argument("--batch-size", type=int, default=64)
-        p.add_argument(
-            "--backpressure", choices=["block", "drop-tail"], default="block"
-        )
-        p.add_argument(
-            "--flow-cache",
-            action=argparse.BooleanOptionalAction,
-            default=False,
-            help="put a flow-level decision cache in front of every shard",
-        )
-        p.add_argument("--flow-cache-capacity", type=int, default=65536)
-        p.add_argument(
-            "--columnar",
-            action=argparse.BooleanOptionalAction,
-            default=False,
-            help="run shard workers through the columnar batch "
-            "specializer (numpy kernels; falls back to the scalar "
-            "path when unavailable)",
-        )
-        p.add_argument(
-            "--shm",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="use shared-memory rings for process-backend shard "
-            "IPC (falls back to pipe payloads when unavailable)",
-        )
-        p.add_argument(
-            "--zipf",
-            action="store_true",
-            help="Zipf-skewed flow popularity instead of uniform flows",
-        )
-        p.add_argument(
-            "--fault-plan",
-            metavar="PATH",
-            help="JSON FaultPlan of scripted faults to inject",
-        )
-        p.add_argument(
-            "--degrade",
-            choices=["drop", "pass-to-host", "best-effort-ip"],
-            default=None,
-            help="graceful-degradation policy for limit/state/unsupported "
-            "failures (default: surface them as error outcomes)",
-        )
-        p.add_argument(
-            "--max-retries",
-            type=int,
-            default=2,
-            help="batch retries after a worker death before dead-lettering",
-        )
-        p.add_argument(
-            "--worker-timeout",
-            type=float,
-            default=30.0,
-            help="seconds without a reply before a worker is declared dead",
-        )
-
-    engine = sub.add_parser(
-        "engine", help="run the sharded forwarding engine on DIP-32"
-    )
-    add_engine_args(engine)
-    engine.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="write a Prometheus text-format dump (enables telemetry)",
-    )
-    engine.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="write stage spans as JSONL (enables telemetry)",
-    )
-    engine.add_argument(
-        "--json",
-        action="store_true",
-        help="print the engine report as JSON instead of text",
-    )
-    stats = sub.add_parser(
-        "stats",
-        help="run the engine with telemetry on; print the metrics snapshot",
-    )
-    add_engine_args(stats)
-    stats.add_argument(
-        "--json",
-        action="store_true",
-        help="print the snapshot as JSON instead of a table",
-    )
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the long-lived asyncio serving daemon "
-        "(UDP ingress + /metrics /healthz /reconfig control plane)",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=9310)
-    serve.add_argument("--metrics-port", type=int, default=9311)
-    serve.add_argument("--shards", type=int, default=2)
-    serve.add_argument(
-        "--backend", choices=["serial", "process"], default="serial"
-    )
-    serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=64,
-        help="size-based flush trigger (packets per engine batch)",
-    )
-    serve.add_argument(
-        "--batch-timeout-ms",
-        type=float,
-        default=5.0,
-        help="time-based flush trigger after the first pending packet",
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=4096,
-        help="admission bound; arrivals past it are shed with accounting",
-    )
-    serve.add_argument(
-        "--cs-capacity",
-        type=int,
-        default=256,
-        help="content-store entries per shard (0 disables caching)",
-    )
-    serve.add_argument(
-        "--cs-ttl",
-        type=float,
-        default=30.0,
-        help="content-store entry lifetime in seconds (0 = no TTL)",
-    )
-    serve.add_argument(
-        "--pit-capacity",
-        type=int,
-        default=2048,
-        help="PIT entries per shard (0 = unbounded)",
-    )
-    serve.add_argument(
-        "--pit-eviction", choices=["lru", "fifo"], default="lru"
-    )
-    serve.add_argument(
-        "--flow-cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="flow-level decision cache in front of every shard",
-    )
-    serve.add_argument("--content-count", type=int, default=512)
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument(
-        "--mitigation",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="attack-mitigation gate in front of the ingress queue "
-        "(token-bucket rate limiting, F_pass sampling, circuit breaker)",
-    )
-    serve.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="stop after this many seconds (default: run until signalled)",
-    )
-    serve.add_argument(
-        "--max-packets",
-        type=int,
-        default=None,
-        help="stop after receiving this many datagrams",
-    )
-    serve.add_argument(
-        "--json",
-        action="store_true",
-        help="print the final conservation ledger as JSON",
-    )
-
-    topology = sub.add_parser(
-        "topology",
-        help="generate internet-scale multi-AS graphs "
-        "(generate / --describe)",
-    )
-    topology.add_argument("--seed", type=int, default=0)
-    topology.add_argument(
-        "--transit", type=int, default=4, help="tier-1 transit ASes"
-    )
-    topology.add_argument(
-        "--regional", type=int, default=24, help="mid-tier provider ASes"
-    )
-    topology.add_argument(
-        "--stub", type=int, default=180, help="edge ASes with hosts"
-    )
-    topology.add_argument(
-        "--ix", type=int, default=3, help="internet exchange points"
-    )
-    topology.add_argument(
-        "--adoption",
-        type=float,
-        default=0.5,
-        help="DIP adoption fraction",
-    )
-    topology.add_argument("--hosts-per-stub", type=int, default=2)
-    topology.add_argument(
-        "--multihome", type=int, default=2, help="providers per stub AS"
-    )
-    topology.add_argument(
-        "--describe",
-        action="store_true",
-        help="print per-AS detail, IXPs and planned tunnels",
-    )
-    topology.add_argument(
-        "--json",
-        action="store_true",
-        help="print the summary/detail payload as JSON",
-    )
-
-    fabric = sub.add_parser(
-        "fabric",
-        help="run the golden multi-AS scenario over the virtual-time "
-        "co-simulation fabric; --compare checks it against the "
-        "monolithic netsim twin",
-    )
-    fabric.add_argument("--seed", type=int, default=0)
-    fabric.add_argument("--ases", type=int, default=10)
-    fabric.add_argument("--hosts-per-as", type=int, default=2)
-    fabric.add_argument("--packets", type=int, default=1000)
-    fabric.add_argument(
-        "--processes",
-        type=int,
-        default=1,
-        help="worker processes for component placement (1 = in-process)",
-    )
-    fabric.add_argument(
-        "--spacing", type=float, default=1e-4,
-        help="virtual seconds between injected packets",
-    )
-    fabric.add_argument(
-        "--latency", type=float, default=5e-3,
-        help="inter-component channel latency (the lookahead)",
-    )
-    fabric.add_argument(
-        "--intra-latency", type=float, default=1e-3,
-        help="link delay inside each stub island",
-    )
-    fabric.add_argument(
-        "--cycle-time", type=float, default=1e-9,
-        help="seconds per PISA pipeline cycle (service latency)",
-    )
-    fabric.add_argument(
-        "--scheduler-seed",
-        type=int,
-        default=None,
-        help="shuffle component stepping order with this seed "
-        "(results must not change; in-process only: exits 2 with "
-        "--processes > 1)",
-    )
-    fabric.add_argument(
-        "--compare",
-        action="store_true",
-        help="also run the monolithic netsim twin; exit 1 on divergence",
-    )
-    fabric.add_argument(
-        "--pcap-out",
-        metavar="PATH",
-        help="write the generated traffic schedule as a pcap",
-    )
-    fabric.add_argument(
-        "--json",
-        nargs="?",
-        const=True,
-        metavar="PATH",
-        help="print the run report as JSON (or write it to PATH)",
-    )
-
-    conformance = sub.add_parser(
-        "conformance",
-        help="differential conformance: reference interpreter vs every "
-        "optimized executor (corpus replay + seeded fuzz)",
-    )
-    conformance.add_argument(
-        "--fuzz",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fuzz N packets across the scenario rotation (0 = off)",
-    )
-    conformance.add_argument(
-        "--seed", type=int, default=0, help="fuzz/corpus seed"
-    )
-    conformance.add_argument(
-        "--corpus",
-        metavar="DIR",
-        help="replay every vector in this corpus directory "
-        "(default: tests/conformance/corpus when present and not fuzzing)",
-    )
-    conformance.add_argument(
-        "--record",
-        metavar="DIR",
-        help="regenerate the golden corpus groups into DIR "
-        "(regression vectors are preserved), then replay",
-    )
-    conformance.add_argument(
-        "--json",
-        metavar="PATH",
-        help="write the structured DivergenceReport to PATH",
-    )
-    conformance.add_argument(
-        "--scenarios",
-        metavar="A,B",
-        help="comma-separated scenario subset (default: all)",
-    )
-    conformance.add_argument(
-        "--executors",
-        metavar="A,B",
-        help="comma-separated cell names, any of the full product "
-        "(e.g. engine-process/packets; default: the tier-1 matrix, "
-        "repro.conformance.DEFAULT_EXECUTORS)",
-    )
-    conformance.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="fuzz time budget; stops starting new cases past it",
-    )
-    conformance.add_argument(
-        "--no-cost-model",
-        action="store_true",
-        help="skip the cycle model (disables cycle-count comparisons)",
-    )
-    conformance.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="report diverging cases without minimizing them",
-    )
-
+    for command in COMMANDS.values():
+        subparser = sub.add_parser(command.name, help=command.help)
+        # Only the invoked row declares its flags, so one subcommand
+        # never imports another's config module (engine, netsim, fabric).
+        if argv[:1] == [command.name]:
+            command.declare(subparser)
     args = parser.parse_args(argv)
-    if args.command == "decode":
-        return cmd_decode(args, out)
-    if args.command == "lint":
-        return cmd_lint(args, out)
-    if args.command == "paper":
-        return cmd_paper(args, out)
-    if args.command == "keys":
-        return _print_keys(out)
-    if args.command == "engine":
-        return cmd_engine(args, out)
-    if args.command == "stats":
-        return cmd_stats(args, out)
-    if args.command == "serve":
-        return cmd_serve(args, out)
-    if args.command == "topology":
-        return cmd_topology(args, out)
-    if args.command == "fabric":
-        return cmd_fabric(args, out)
-    if args.command == "conformance":
-        return cmd_conformance(args, out)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    command = COMMANDS[args.command]
+    if command.defaults is not None:
+        args.config = command.config(args)
+    return args
+
+
+def main(argv: Optional[List[str]] = None, out=None) -> int:
+    """CLI entry point; returns the exit code."""
+    out = out if out is not None else sys.stdout
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return COMMANDS[args.command].run(args, out)
+    except ReproError as exc:
+        out.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

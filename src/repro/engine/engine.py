@@ -59,9 +59,9 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.tracing import NULL_TRACER, Tracer
 
-_BACKENDS = ("serial", "process")
-_BACKPRESSURE = ("block", "drop-tail")
-_DEGRADE_POLICIES = ("drop", "pass-to-host", "best-effort-ip")
+BACKENDS = ("serial", "process")
+BACKPRESSURE_POLICIES = ("block", "drop-tail")
+DEGRADE_POLICIES = ("drop", "pass-to-host", "best-effort-ip")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class EngineConfig:
     telemetry: bool = False
     # Resilience knobs (DESIGN.md 3.9).  ``degrade`` maps failed walks
     # (limits / missing state / unsupported path-critical FNs) to one
-    # of _DEGRADE_POLICIES instead of the processor's verdict; None
+    # of DEGRADE_POLICIES instead of the processor's verdict; None
     # keeps verdicts untouched.  ``fault_plan`` scripts chaos (no-op
     # when None/empty).  The retry/restart/timeout knobs drive the
     # supervisor; ``max_dead_letters`` caps the per-run dead-letter
@@ -130,23 +130,23 @@ class EngineConfig:
             raise SimulationError("flow_cache_capacity must be positive")
         if self.num_shards <= 0:
             raise SimulationError("num_shards must be positive")
-        if self.backend not in _BACKENDS:
+        if self.backend not in BACKENDS:
             raise SimulationError(
-                f"unknown backend {self.backend!r} (want one of {_BACKENDS})"
+                f"unknown backend {self.backend!r} (want one of {BACKENDS})"
             )
         if self.batch_size <= 0:
             raise SimulationError("batch_size must be positive")
         if self.ring_capacity <= 0:
             raise SimulationError("ring_capacity must be positive")
-        if self.backpressure not in _BACKPRESSURE:
+        if self.backpressure not in BACKPRESSURE_POLICIES:
             raise SimulationError(
                 f"unknown backpressure {self.backpressure!r} "
-                f"(want one of {_BACKPRESSURE})"
+                f"(want one of {BACKPRESSURE_POLICIES})"
             )
-        if self.degrade is not None and self.degrade not in _DEGRADE_POLICIES:
+        if self.degrade is not None and self.degrade not in DEGRADE_POLICIES:
             raise SimulationError(
                 f"unknown degrade policy {self.degrade!r} "
-                f"(want one of {_DEGRADE_POLICIES})"
+                f"(want one of {DEGRADE_POLICIES})"
             )
         if self.max_retries < 0:
             raise SimulationError("max_retries must be >= 0")
@@ -697,10 +697,10 @@ class ForwardingEngine:
         recompile is needed.  Like :meth:`reconfigure`, must not race
         :meth:`run`.  Returns the previous policy.
         """
-        if policy is not None and policy not in _DEGRADE_POLICIES:
+        if policy is not None and policy not in DEGRADE_POLICIES:
             raise SimulationError(
                 f"unknown degrade policy {policy!r} "
-                f"(want one of {_DEGRADE_POLICIES})"
+                f"(want one of {DEGRADE_POLICIES})"
             )
         previous = self._degrade
         self._degrade = policy

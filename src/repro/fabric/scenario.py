@@ -76,6 +76,8 @@ class GoldenSpec:
             raise FabricError("golden needs >= 4 ASes (2 transits + stubs)")
         if self.hosts_per_as < 1:
             raise FabricError("golden needs >= 1 host per stub AS")
+        if self.packets < 0:
+            raise FabricError("golden packets must be >= 0")
 
 
 # ----------------------------------------------------------------------

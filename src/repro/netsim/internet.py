@@ -203,7 +203,8 @@ class NetworkSpec:
     )
 
     def __post_init__(self) -> None:
-        if self.transit < 1 or self.regional < 0 or self.stub < 0:
+        counts = (self.regional, self.stub, self.ix_count, self.hosts_per_stub)
+        if self.transit < 1 or min(counts) < 0:
             raise SimulationError("spec needs >=1 transit AS, counts >= 0")
         if not 0.0 <= self.adoption <= 1.0:
             raise SimulationError("adoption must be within [0, 1]")

@@ -74,3 +74,9 @@ class ServeConfig:
             raise SimulationError("cs_capacity must be >= 0")
         if self.content_count <= 0:
             raise SimulationError("content_count must be positive")
+        if self.cs_ttl is not None and self.cs_ttl <= 0:
+            raise SimulationError("cs_ttl must be positive (or None)")
+        if self.pit_capacity is not None and self.pit_capacity <= 0:
+            raise SimulationError("pit_capacity must be positive (or None)")
+        if self.max_packets is not None and self.max_packets < 0:
+            raise SimulationError("max_packets must be >= 0 (or None)")

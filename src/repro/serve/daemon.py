@@ -26,7 +26,7 @@ import json
 import signal
 import socket
 from collections import deque
-from typing import Deque, Dict, Iterable, Optional, Tuple
+from typing import Deque, Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.registry import RegistryMutation
 from repro.serve.config import ServeConfig
@@ -278,10 +278,11 @@ class ServingDaemon:
 
 def run_daemon(
     config: Optional[ServeConfig] = None,
-    json_out: bool = False,
+    json_out: Union[bool, str, None] = False,
     out=None,
 ) -> Dict[str, object]:
-    """Blocking entry point behind ``repro serve``."""
+    """Blocking entry point behind ``repro serve`` (``json_out`` as
+    :func:`~repro.workloads.reporting.emit_payload`'s ``json_flag``)."""
     import sys
 
     from repro.workloads.reporting import emit_payload

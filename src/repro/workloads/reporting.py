@@ -17,42 +17,35 @@ from typing import Any, Callable, List, Optional, Sequence, TextIO
 def emit_payload(
     json_flag,
     payload: Callable[[], Any],
-    render: Optional[Callable[[], None]] = None,
+    render: Callable[[], None],
     out: Optional[TextIO] = None,
     sort_keys: bool = False,
-) -> Optional[str]:
-    """The one ``--json`` twin policy every CLI subcommand routes through.
+) -> None:
+    """The one ``--json [PATH]`` twin policy every CLI subcommand routes through.
 
     Every subcommand has a human text rendering and a machine JSON
     payload; ``json_flag`` is the subcommand's ``--json`` argument and
     selects between them:
 
     - falsy -> call ``render()`` (text only);
-    - ``True`` -> dump ``payload()`` as indented JSON to ``out``,
-      *instead of* the text (the ``--json`` boolean-flag form);
-    - a path string -> call ``render()``, then write ``payload()`` to
-      that file (the ``--json PATH`` artifact form); the path is
-      returned so the caller can mention it.
+    - ``True`` (bare ``--json``) -> dump ``payload()`` as indented JSON
+      to ``out``, *instead of* the text;
+    - a path string (``--json PATH``) -> call ``render()``, then write
+      ``payload()`` to that file and say so on ``out``.
 
     ``payload`` is a zero-arg callable so text-only runs never build
     the JSON document.
     """
     out = out if out is not None else sys.stdout
-    if isinstance(json_flag, str) and json_flag:
-        if render is not None:
-            render()
+    if json_flag is True:
+        out.write(json.dumps(payload(), indent=2, sort_keys=sort_keys) + "\n")
+        return
+    render()
+    if json_flag:
         with open(json_flag, "w", encoding="utf-8") as handle:
             json.dump(payload(), handle, indent=2, sort_keys=sort_keys)
             handle.write("\n")
-        return json_flag
-    if json_flag:
-        out.write(
-            json.dumps(payload(), indent=2, sort_keys=sort_keys) + "\n"
-        )
-        return None
-    if render is not None:
-        render()
-    return None
+        out.write(f"  report written to {json_flag}\n")
 
 
 def format_table(

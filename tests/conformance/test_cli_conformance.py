@@ -4,6 +4,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.conformance import Scenario, load_corpus, save_corpus
 from repro.conformance.corpus import REGRESSION_GROUP, Vector
@@ -83,3 +85,7 @@ def test_unknown_executor_is_a_usage_error():
     )
     assert code == 2
     assert "unknown executors" in text
+    # A negative count is refused by the parser, not run as "no work".
+    with pytest.raises(SystemExit) as caught:
+        run_cli("conformance", "--fuzz", "-3")
+    assert caught.value.code == 2

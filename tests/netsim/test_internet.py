@@ -43,6 +43,10 @@ class TestSpec:
         with pytest.raises(SimulationError):
             NetworkSpec(adoption=1.5)
         with pytest.raises(SimulationError):
+            NetworkSpec(ix_count=-1)
+        with pytest.raises(SimulationError):
+            NetworkSpec(hosts_per_stub=-1)
+        with pytest.raises(SimulationError):
             NetworkSpec(profile_mix=(("nope", 1),))
 
     def test_round_trip(self):

@@ -337,3 +337,9 @@ def test_config_validation():
         ServeConfig(ring_capacity=4, batch_max=8)
     with pytest.raises(SimulationError):
         ServeConfig(max_inflight=0)
+    # None is the "off" spelling; a non-positive bound is an error.
+    for bad in ({"cs_ttl": 0}, {"cs_ttl": -1}, {"pit_capacity": -1},
+                {"max_packets": -1}):
+        with pytest.raises(SimulationError):
+            ServeConfig(**bad)
+    ServeConfig(cs_ttl=None, pit_capacity=None, max_packets=0)

@@ -4,14 +4,18 @@ import io
 
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, flag_of, main, parse_args
 from repro.crypto.keys import RouterKey
+from repro.engine import EngineConfig
+from repro.fabric import GoldenSpec
 from repro.protocols.opt import negotiate_session
 from repro.protocols.xia import DagAddress, Xid
 from repro.realize.derived import build_ndn_opt_interest
 from repro.realize.epic import build_epic_packet
 from repro.realize.ip import build_ipv4_packet
 from repro.realize.xia import build_xia_packet
+from repro.serve.config import ServeConfig
+from repro.workloads.adoption import SPEC as ADOPT_SPEC
 
 
 def run_cli(*argv):
@@ -242,6 +246,21 @@ class TestStats:
     def test_rejects_bad_config(self):
         with pytest.raises(SystemExit):
             run_cli("stats", "--backend", "bogus")
+        with pytest.raises(SystemExit) as caught:  # argparse: a count
+            run_cli("engine", "--packets", "-1")
+        assert caught.value.code == 2
+        # Config errors from the engine and serve rows reach main's one
+        # ReproError catch: "error: ...", exit 2, no traceback.
+        for argv, message in (
+            (("engine", "--packet-size", "1"), "packet size 1"),
+            (("serve", "--shards", "0"), "shards must be positive"),
+            (("serve", "--batch-max", "10000"), "ring_capacity"),
+            (("serve", "--cs-ttl", "-1"), "cs_ttl"),
+            (("serve", "--pit-capacity", "-1"), "pit_capacity"),
+        ):
+            code, text = run_cli(*argv)
+            assert code == 2 and text.startswith("error: "), argv
+            assert message in text, (argv, text)
 
 
 class TestEngineResilience:
@@ -338,8 +357,11 @@ class TestTopology:
         assert {"asn", "role", "mode", "profile"} <= set(payload["ases"][0])
 
     def test_bad_spec_exit_2(self):
-        code, text = run_cli("topology", "--transit", "0")
-        assert code == 2
+        for flag, value in (
+            ("--transit", "0"), ("--ix", "-1"), ("--hosts-per-stub", "-1")
+        ):
+            code, text = run_cli("topology", flag, value)
+            assert code == 2 and text.startswith("error: "), flag
 
 
 class TestFabric:
@@ -410,9 +432,10 @@ class TestFabric:
         )
 
     def test_bad_spec_exit_2(self):
-        code, text = run_cli("fabric", "--ases", "2")
-        assert code == 2
-        assert "error" in text
+        for flag, value in (("--ases", "2"), ("--packets", "-1")):
+            code, text = run_cli("fabric", flag, value)
+            assert code == 2
+            assert "error" in text
 
     def test_scheduler_seed_with_processes_exit_2(self):
         code, text = run_cli(
@@ -421,3 +444,23 @@ class TestFabric:
         assert code == 2
         assert "error: scheduler_seed" in text
         assert "processes=2" in text
+
+
+CONFIG_ROWS = {
+    "engine": EngineConfig(),
+    "stats": EngineConfig(),
+    "serve": ServeConfig(),
+    "topology": ADOPT_SPEC,
+    "fabric": GoldenSpec(packets=1000),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_ROWS))
+def test_config_row_is_the_one_place(name, capsys):
+    """A config-backed row's flags are its dataclass: same defaults, all shown."""
+    assert parse_args([name]).config == CONFIG_ROWS[name]
+    with pytest.raises(SystemExit):
+        main([name, "--help"])
+    text = capsys.readouterr().out
+    for field_name in COMMANDS[name].fields:
+        assert flag_of(field_name) in text, field_name
