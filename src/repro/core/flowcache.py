@@ -123,12 +123,6 @@ class FlowCacheStats:
             peak_size=self.peak_size,
         )
 
-    def merge(self, other: "FlowCacheStats") -> "FlowCacheStats":
-        """Associative fold across *different* caches (alias of ``+``,
-        e.g. the shards of one engine): counters sum and so do the
-        size/capacity/peak gauges."""
-        return self + other
-
     def then(self, later: "FlowCacheStats") -> "FlowCacheStats":
         """Associative fold across *time* for the same cache(s): two
         runs of one engine, or two worker incarnations of one shard.
@@ -146,8 +140,8 @@ class FlowCacheStats:
             peak_size=max(self.peak_size, later.peak_size),
         )
 
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict form (pipe-friendly for multiprocessing shards)."""
+    def to_dict(self) -> Dict[str, int]:
+        """Plain-dict form for JSON output."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -158,9 +152,6 @@ class FlowCacheStats:
             "capacity": self.capacity,
             "peak_size": self.peak_size,
         }
-
-    # Unified stats surface (repro.telemetry.Instrumented).
-    to_dict = as_dict
 
     def snapshot(self) -> MetricsSnapshot:
         """The unified telemetry view (monotonic counters + gauges)."""
@@ -178,15 +169,6 @@ class FlowCacheStats:
                 "flowcache_peak_size": self.peak_size,
             },
         )
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "FlowCacheStats":
-        """Inverse of :meth:`as_dict` / :meth:`to_dict`.
-
-        Accepts dicts recorded before ``peak_size`` existed (the field
-        defaults to 0), so old shard snapshots stay loadable.
-        """
-        return cls(**data)
 
     @classmethod
     def total(cls, parts: Iterable["FlowCacheStats"]) -> "FlowCacheStats":

@@ -131,8 +131,8 @@ class RouterProcessor:
         Optional flow-level decision cache in front of
         :meth:`process_batch` (:mod:`repro.core.flowcache`).
     telemetry:
-        Optional :class:`repro.telemetry.MetricsRegistry`; None or the
-        falsy null registry records nothing.
+        Optional :class:`repro.telemetry.MetricsRegistry`; None
+        records nothing.
     quarantine:
         When True :meth:`process_batch` isolates poison packets: any
         exception a packet's decode or walk raises becomes an
@@ -160,7 +160,7 @@ class RouterProcessor:
         self.cost_model = cost_model
         self.flow_cache = flow_cache
         self.programs = ProgramCache(self.registry, cost_model)
-        self.telemetry = telemetry if telemetry else None
+        self.telemetry = telemetry
         if self.telemetry:
             self._tel_cycles = self.telemetry.histogram(
                 "processor_fn_cycles",

@@ -54,7 +54,6 @@ from repro.resilience.faults import FaultPlan
 from repro.telemetry.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
-    NULL_REGISTRY,
     nearest_rank,
 )
 from repro.telemetry.tracing import NULL_TRACER, Tracer
@@ -88,9 +87,9 @@ class EngineConfig:
     (:mod:`repro.telemetry`): a live :class:`MetricsRegistry` plus a
     :class:`Tracer` on :attr:`ForwardingEngine.metrics` /
     :attr:`ForwardingEngine.tracer`.  Off by default -- the disabled
-    path holds only the falsy null objects (pinned by
-    ``tests/engine/test_telemetry_equivalence.py``) and is budgeted at
-    5% of the uninstrumented throughput (DESIGN.md 3.8).
+    engine holds ``metrics = None`` and the falsy null tracer (pinned
+    by ``tests/engine/test_telemetry_equivalence.py``) and is budgeted
+    at 5% of the uninstrumented throughput (DESIGN.md 3.8).
     """
 
     num_shards: int = 4
@@ -198,22 +197,6 @@ class ShardReport:
     busy_seconds: float
     utilization: float
 
-    # ------------------------------------------------------------------
-    # unified stats surface (repro.telemetry.Instrumented)
-    # ------------------------------------------------------------------
-    def merge(self, other: "ShardReport") -> "ShardReport":
-        """Associative fold across shards: work sums (the merged
-        ``shard_id`` is -1 unless both sides agree); ``utilization``
-        sums too, so the engine-wide total reads as "busy shards worth
-        of wall time"."""
-        return ShardReport(
-            shard_id=self.shard_id if self.shard_id == other.shard_id else -1,
-            packets=self.packets + other.packets,
-            batches=self.batches + other.batches,
-            busy_seconds=self.busy_seconds + other.busy_seconds,
-            utilization=self.utilization + other.utilization,
-        )
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "shard_id": self.shard_id,
@@ -222,28 +205,6 @@ class ShardReport:
             "busy_seconds": self.busy_seconds,
             "utilization": self.utilization,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ShardReport":
-        return cls(
-            shard_id=int(data["shard_id"]),
-            packets=int(data["packets"]),
-            batches=int(data["batches"]),
-            busy_seconds=float(data["busy_seconds"]),
-            utilization=float(data["utilization"]),
-        )
-
-    def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot(
-            counters={
-                "shard_packets_total": self.packets,
-                "shard_batches_total": self.batches,
-            },
-            gauges={
-                "shard_busy_seconds": self.busy_seconds,
-                "shard_utilization": self.utilization,
-            },
-        )
 
 
 @dataclass(frozen=True)
@@ -269,10 +230,9 @@ class EngineReport:
     packets_processed: int
     packets_dropped_backpressure: int
     wall_seconds: float
-    pkts_per_second: float
     decisions: Dict[str, int]
-    batch_latency_p50: float
-    batch_latency_p99: float
+    batch_latency_p50: float = 0.0
+    batch_latency_p99: float = 0.0
     shards: Tuple[ShardReport, ...] = ()
     rings: Tuple[RingStats, ...] = ()
     outcomes: Tuple[Optional[PacketOutcome], ...] = field(default=())
@@ -311,11 +271,14 @@ class EngineReport:
             packets_processed=0,
             packets_dropped_backpressure=0,
             wall_seconds=0.0,
-            pkts_per_second=0.0,
             decisions={},
-            batch_latency_p50=0.0,
-            batch_latency_p99=0.0,
         )
+
+    @property
+    def pkts_per_second(self) -> float:
+        """Processed packets per second of wall time (0.0 when idle)."""
+        wall = self.wall_seconds
+        return self.packets_processed / wall if wall > 0 else 0.0
 
     @property
     def packets_unaccounted(self) -> int:
@@ -332,28 +295,21 @@ class EngineReport:
             - self.packets_quarantined
         )
 
-    # ------------------------------------------------------------------
-    # unified stats surface (repro.telemetry.Instrumented)
-    # ------------------------------------------------------------------
     def merge(self, other: "EngineReport") -> "EngineReport":
-        """Associative fold of two runs (or two engines' runs).
+        """Fold the ledger of a later run into this one.
 
-        Packet counters and decision histograms sum; wall time takes
-        the max (runs overlap in the merged view, a deliberate
-        throughput-optimistic convention) and pkts/s is recomputed from
-        the merged totals; the latency percentiles take the max (an
-        upper bound -- exact percentiles need the raw latencies, which
-        reports do not retain); shard/ring/outcome tuples concatenate;
-        flow-cache counters sum while the cache gauges follow
-        :meth:`FlowCacheStats.then` -- both sides describe the *same*
-        caches at two times, so size/capacity take ``other``'s (the
-        later run) and ``peak_size`` the max.
+        Both callers fold runs that happened one after the other, so
+        every counter, the decision counts and ``wall_seconds`` sum,
+        and :attr:`pkts_per_second` is the rate over the combined wall
+        time.  The flow-cache stats fold with
+        :meth:`FlowCacheStats.then` (the same caches at two times).
+        Per-run detail -- outcomes, shard and ring rows, dead-letter
+        records and the batch-latency percentiles -- is not folded:
+        the merged report carries it empty.
         """
         decisions = dict(self.decisions)
         for name, count in other.decisions.items():
             decisions[name] = decisions.get(name, 0) + count
-        wall = max(self.wall_seconds, other.wall_seconds)
-        processed = self.packets_processed + other.packets_processed
         if self.flow_cache is None:
             flow_cache = other.flow_cache
         elif other.flow_cache is None:
@@ -361,45 +317,16 @@ class EngineReport:
         else:
             flow_cache = self.flow_cache.then(other.flow_cache)
         return EngineReport(
-            packets_offered=self.packets_offered + other.packets_offered,
-            packets_processed=processed,
-            packets_dropped_backpressure=(
-                self.packets_dropped_backpressure
-                + other.packets_dropped_backpressure
-            ),
-            wall_seconds=wall,
-            pkts_per_second=processed / wall if wall > 0 else 0.0,
             decisions=decisions,
-            batch_latency_p50=max(
-                self.batch_latency_p50, other.batch_latency_p50
-            ),
-            batch_latency_p99=max(
-                self.batch_latency_p99, other.batch_latency_p99
-            ),
-            shards=self.shards + other.shards,
-            rings=self.rings + other.rings,
-            outcomes=self.outcomes + other.outcomes,
             flow_cache=flow_cache,
-            worker_restarts=self.worker_restarts + other.worker_restarts,
-            retries=self.retries + other.retries,
-            degraded=self.degraded + other.degraded,
-            faults_injected=self.faults_injected + other.faults_injected,
-            dead_letter_total=(
-                self.dead_letter_total + other.dead_letter_total
-            ),
-            dead_letter=self.dead_letter + other.dead_letter,
-            packets_shed=self.packets_shed + other.packets_shed,
-            packets_rate_limited=(
-                self.packets_rate_limited + other.packets_rate_limited
-            ),
-            packets_quarantined=(
-                self.packets_quarantined + other.packets_quarantined
-            ),
+            **{
+                name: getattr(self, name) + getattr(other, name)
+                for name in _SUMMED
+            },
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict (packet bytes hex-encoded); round-trips via
-        :meth:`from_dict`."""
+        """JSON-safe dict (packet bytes hex-encoded)."""
         return {
             "packets_offered": self.packets_offered,
             "packets_processed": self.packets_processed,
@@ -451,66 +378,9 @@ class EngineReport:
             "packets_quarantined": self.packets_quarantined,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "EngineReport":
-        return cls(
-            packets_offered=int(data["packets_offered"]),
-            packets_processed=int(data["packets_processed"]),
-            packets_dropped_backpressure=int(
-                data["packets_dropped_backpressure"]
-            ),
-            wall_seconds=float(data["wall_seconds"]),
-            pkts_per_second=float(data["pkts_per_second"]),
-            decisions=dict(data["decisions"]),
-            batch_latency_p50=float(data["batch_latency_p50"]),
-            batch_latency_p99=float(data["batch_latency_p99"]),
-            shards=tuple(
-                ShardReport.from_dict(shard) for shard in data["shards"]
-            ),
-            rings=tuple(RingStats.from_dict(ring) for ring in data["rings"]),
-            outcomes=tuple(
-                None
-                if outcome is None
-                else PacketOutcome(
-                    decision=_DECISION_BY_VALUE[outcome["decision"]],
-                    ports=tuple(outcome["ports"]),
-                    packet=(
-                        None
-                        if outcome["packet"] is None
-                        else bytes.fromhex(outcome["packet"])
-                    ),
-                    shard=outcome["shard"],
-                    reason=outcome.get("reason"),
-                )
-                for outcome in data["outcomes"]
-            ),
-            flow_cache=(
-                None
-                if data.get("flow_cache") is None
-                else FlowCacheStats.from_dict(data["flow_cache"])
-            ),
-            worker_restarts=int(data.get("worker_restarts", 0)),
-            retries=int(data.get("retries", 0)),
-            degraded=int(data.get("degraded", 0)),
-            faults_injected=int(data.get("faults_injected", 0)),
-            dead_letter_total=int(data.get("dead_letter_total", 0)),
-            dead_letter=tuple(
-                DeadLetter(
-                    index=int(letter["index"]),
-                    shard=int(letter["shard"]),
-                    reason=str(letter["reason"]),
-                    attempts=int(letter["attempts"]),
-                )
-                for letter in data.get("dead_letter", [])
-            ),
-            packets_shed=int(data.get("packets_shed", 0)),
-            packets_rate_limited=int(data.get("packets_rate_limited", 0)),
-            packets_quarantined=int(data.get("packets_quarantined", 0)),
-        )
-
     def snapshot(self) -> MetricsSnapshot:
-        """The unified telemetry view, per-shard parts labeled and the
-        flow cache folded in."""
+        """This run's counters and gauges under their exported names,
+        per-shard parts labeled and the flow cache folded in."""
         counters = {
             "engine_packets_offered_total": self.packets_offered,
             "engine_packets_processed_total": self.packets_processed,
@@ -531,15 +401,13 @@ class EngineReport:
         gauges = {
             "engine_wall_seconds": self.wall_seconds,
             "engine_pkts_per_second": self.pkts_per_second,
-            "engine_batch_latency_p50_seconds": self.batch_latency_p50,
-            "engine_batch_latency_p99_seconds": self.batch_latency_p99,
         }
         for index, ring in enumerate(self.rings):
             label = f'{{shard="{index}"}}'
             counters[f"engine_ring_enqueued_total{label}"] = ring.enqueued
             counters[f"engine_ring_dropped_total{label}"] = ring.dropped
             gauges[f"engine_ring_capacity{label}"] = ring.capacity
-            gauges[f"engine_ring_high_watermark{label}"] = (
+            gauges[f"engine_ring_occupancy_high_watermark{label}"] = (
                 ring.high_watermark
             )
         for shard in self.shards:
@@ -603,14 +471,13 @@ class ForwardingEngine:
         # after a flip inherit the current value.
         self._degrade: Optional[str] = self.config.degrade
         # Unified telemetry (repro.telemetry): live registry + tracer
-        # when configured, falsy no-op null objects otherwise -- so the
-        # hot paths never branch on "is telemetry on?".
+        # when configured; otherwise no registry and the falsy no-op
+        # tracer, so the hot paths never branch on "is telemetry on?".
+        self.metrics: Optional[MetricsRegistry] = None
+        self.tracer = NULL_TRACER
         if self.config.telemetry:
             self.metrics = MetricsRegistry()
             self.tracer = Tracer()
-        else:
-            self.metrics = NULL_REGISTRY
-            self.tracer = NULL_TRACER
         # The only place the backend is looked at: everything below
         # talks to the transport seam (repro.engine.transport).
         self._transport = (
@@ -889,9 +756,8 @@ class ForwardingEngine:
             tally.faults += injected
             tally.degraded += degraded
             if cache_stats is not None:
-                stats = FlowCacheStats.from_dict(cache_stats)
-                delta = stats - cache_seen[shard]
-                cache_seen[shard] = stats
+                delta = cache_stats - cache_seen[shard]
+                cache_seen[shard] = cache_stats
                 cache_run[shard] = (
                     delta
                     if cache_run[shard] is None
@@ -980,7 +846,6 @@ class ForwardingEngine:
             packets_processed=processed,
             packets_dropped_backpressure=dropped,
             wall_seconds=wall,
-            pkts_per_second=processed / wall if wall > 0 else 0.0,
             decisions=decisions,
             batch_latency_p50=nearest_rank(latencies, 0.50),
             batch_latency_p99=nearest_rank(latencies, 0.99),
@@ -1006,35 +871,37 @@ class ForwardingEngine:
 
         Called once per :meth:`run` (never on the per-packet path) and
         only when telemetry is on, so the disabled engine pays nothing
-        here.  Batch latencies feed a mergeable log2 histogram, the
-        quantile source for exported metrics.
+        here.  The registry uses :meth:`EngineReport.snapshot`'s names:
+        its counters add up to running totals, its gauges hold the
+        latest run's values, and the batch latencies feed a mergeable
+        log2 histogram.
         """
         metrics = self.metrics
-        # Counter names (labels included) are EngineReport.snapshot()'s:
-        # per-run deltas there, running totals here.
-        for name, count in report.snapshot().counters.items():
+        snapshot = report.snapshot()
+        for name, count in snapshot.counters.items():
             metrics.counter(name).inc(count)
-        metrics.gauge("engine_wall_seconds").set(report.wall_seconds)
-        metrics.gauge("engine_pkts_per_second").set(report.pkts_per_second)
+        for name, value in snapshot.gauges.items():
+            metrics.gauge(name).set(value)
         metrics.histogram("engine_batch_latency_seconds").observe_many(
             sorted_latencies
         )
-        for index, ring in enumerate(report.rings):
-            labels = (("shard", str(index)),)
-            metrics.gauge("engine_ring_occupancy_high_watermark",
-                          labels=labels).set(ring.high_watermark)
-            metrics.gauge("engine_ring_capacity", labels=labels).set(
-                ring.capacity
-            )
-        for shard in report.shards:
-            metrics.gauge(
-                "engine_shard_utilization",
-                labels=(("shard", str(shard.shard_id)),),
-            ).set(shard.utilization)
-        if report.flow_cache is not None:
-            for name, value in report.flow_cache.snapshot().gauges.items():
-                metrics.gauge(name).set(value)
 
+
+# EngineReport.merge sums these; everything else is per-run detail.
+_SUMMED = (
+    "packets_offered",
+    "packets_processed",
+    "packets_dropped_backpressure",
+    "wall_seconds",
+    "worker_restarts",
+    "retries",
+    "degraded",
+    "faults_injected",
+    "dead_letter_total",
+    "packets_shed",
+    "packets_rate_limited",
+    "packets_quarantined",
+)
 
 _DECISION_BY_VALUE = {decision.value: decision for decision in Decision}
 

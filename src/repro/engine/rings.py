@@ -19,8 +19,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List
 
-from repro.telemetry.metrics import MetricsSnapshot
-
 
 @dataclass(frozen=True)
 class RingStats:
@@ -43,20 +41,6 @@ class RingStats:
     dropped: int
     high_watermark: int
 
-    # ------------------------------------------------------------------
-    # unified stats surface (repro.telemetry.Instrumented)
-    # ------------------------------------------------------------------
-    def merge(self, other: "RingStats") -> "RingStats":
-        """Associative fold across rings: throughput counters and
-        capacity sum; the high watermark takes the max (the deepest any
-        merged ring ever got)."""
-        return RingStats(
-            capacity=self.capacity + other.capacity,
-            enqueued=self.enqueued + other.enqueued,
-            dropped=self.dropped + other.dropped,
-            high_watermark=max(self.high_watermark, other.high_watermark),
-        )
-
     def to_dict(self) -> Dict[str, int]:
         return {
             "capacity": self.capacity,
@@ -64,22 +48,6 @@ class RingStats:
             "dropped": self.dropped,
             "high_watermark": self.high_watermark,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "RingStats":
-        return cls(**data)
-
-    def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot(
-            counters={
-                "ring_enqueued_total": self.enqueued,
-                "ring_dropped_total": self.dropped,
-            },
-            gauges={
-                "ring_capacity": self.capacity,
-                "ring_high_watermark": self.high_watermark,
-            },
-        )
 
 
 class Ring:

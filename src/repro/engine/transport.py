@@ -89,7 +89,7 @@ class InlineTransport:
                 if config.flow_cache
                 else None
             ),
-            telemetry=engine.metrics if config.telemetry else None,
+            telemetry=engine.metrics,
             tracer=engine.tracer,
             registry_factory=engine.registry_factory,
             degrade=engine.degrade,

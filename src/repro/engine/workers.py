@@ -269,7 +269,7 @@ class ShardWorker:
             self.busy_seconds,
             self.last_latency,
             (
-                self.flow_cache.stats().as_dict()
+                self.flow_cache.stats()
                 if self.flow_cache is not None
                 else None
             ),
@@ -416,9 +416,10 @@ def _shard_worker_main(
       ``slot`` (an oversize blob ships inline instead).  Seq and
       indices echoed so the engine can match its in-flight record and
       restore input order; ``cache_stats`` is the flow cache's
-      cumulative counter dict
-      (:meth:`~repro.core.flowcache.FlowCacheStats.as_dict`) or None
-      when no cache is configured; ``injected``/``degraded`` are the
+      cumulative :class:`~repro.core.flowcache.FlowCacheStats` (a
+      frozen dataclass: it pickles over the pipe, and the inline
+      transport hands over the object itself) or None when no cache
+      is configured; ``injected``/``degraded`` are the
       faults injected and packets degraded *by this batch* (deltas,
       so a reply lost to a crash loses only its own counts).
 

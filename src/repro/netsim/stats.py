@@ -1,9 +1,7 @@
 """Per-node counters and a global event trace.
 
-Both surfaces now speak the unified telemetry idiom
-(:mod:`repro.telemetry`): :class:`NodeStats` conforms to the
-``Instrumented`` protocol (``snapshot``/``to_dict``/``from_dict``/
-``merge``), and :class:`TraceRecorder` is a
+:class:`NodeStats` is a plain record of one node's packet counters,
+read field by field.  :class:`TraceRecorder` is a
 :class:`~repro.telemetry.tracing.Tracer` -- simulator events are
 zero-length spans, so the engine's JSONL trace exporter dumps
 simulation traces unchanged.  The pre-telemetry API
@@ -13,9 +11,8 @@ simulation traces unchanged.  The pre-telemetry API
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
-from repro.telemetry.metrics import MetricsSnapshot
 from repro.telemetry.tracing import Tracer
 
 
@@ -29,46 +26,6 @@ class NodeStats:
     dropped: int = 0
     unsupported: int = 0
     control_sent: int = 0
-
-    # ------------------------------------------------------------------
-    # unified stats surface (repro.telemetry.Instrumented)
-    # ------------------------------------------------------------------
-    def merge(self, other: "NodeStats") -> "NodeStats":
-        """Associative sum across nodes (all fields are counters)."""
-        return NodeStats(
-            received=self.received + other.received,
-            forwarded=self.forwarded + other.forwarded,
-            delivered=self.delivered + other.delivered,
-            dropped=self.dropped + other.dropped,
-            unsupported=self.unsupported + other.unsupported,
-            control_sent=self.control_sent + other.control_sent,
-        )
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "received": self.received,
-            "forwarded": self.forwarded,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "unsupported": self.unsupported,
-            "control_sent": self.control_sent,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "NodeStats":
-        return cls(**data)
-
-    def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot(
-            counters={
-                "node_received_total": self.received,
-                "node_forwarded_total": self.forwarded,
-                "node_delivered_total": self.delivered,
-                "node_dropped_total": self.dropped,
-                "node_unsupported_total": self.unsupported,
-                "node_control_sent_total": self.control_sent,
-            }
-        )
 
 
 @dataclass(frozen=True)

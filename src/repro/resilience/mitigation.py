@@ -127,10 +127,9 @@ class MitigationConfig:
 class MitigationStats:
     """Gate counters, one snapshot per :meth:`MitigationGate.stats`.
 
-    Counters sum under :meth:`merge` (the summed-over-shards/arms
-    convention the engine's stats follow); the gauges -- ``active_flows``,
-    ``breaker_tripped``, ``escalated`` -- sum too, reading as
-    "gates' worth of state" in a merged view.
+    ``active_flows``, ``breaker_tripped`` and ``escalated`` are the
+    gate's live state at snapshot time; every other field counts since
+    the gate was built.
     """
 
     offered: int = 0
@@ -151,29 +150,10 @@ class MitigationStats:
     def rate_limited(self) -> int:
         return self.rate_limited_flow + self.rate_limited_new_flow
 
-    def merge(self, other: "MitigationStats") -> "MitigationStats":
-        return MitigationStats(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
-    __add__ = merge
-
     def to_dict(self) -> Dict[str, int]:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["rate_limited"] = self.rate_limited
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "MitigationStats":
-        return cls(
-            **{
-                f.name: int(data.get(f.name, 0))
-                for f in fields(cls)
-            }
-        )
 
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot(

@@ -331,18 +331,9 @@ class ServeCore:
             for addr, outcome in zip(addrs, report.outcomes)
         ]
         with self._lock:
-            # Per-packet/per-shard tuples are stripped before folding:
-            # the accumulator lives for the daemon's lifetime and must
-            # stay O(1) per flush, not O(total packets).
-            self._report = self._report.merge(
-                replace(
-                    report,
-                    outcomes=(),
-                    shards=(),
-                    rings=(),
-                    dead_letter=(),
-                )
-            )
+            # merge keeps no per-packet or per-shard detail, so the
+            # accumulator stays O(1) however long the daemon lives.
+            self._report = self._report.merge(report)
             self._latencies.append(report.wall_seconds)
             self._flushes += 1
             self._flush_triggers[trigger] += 1
@@ -405,9 +396,6 @@ class ServeCore:
             "dropped_backpressure": dropped,
             "dead_lettered": dead,
             "shed": shed,
-            # The metric-name alias: /healthz consumers grep for the
-            # same key /metrics exports (engine_shed_total's source).
-            "packets_shed": shed,
             "rate_limited": rate_limited,
             "quarantined": quarantined,
             "pending": pending,

@@ -5,17 +5,16 @@ header overhead) is about *measuring* the FN pipeline; this package is
 the one observability layer the whole reproduction reports through:
 
 - :mod:`repro.telemetry.metrics` -- ``Counter``/``Gauge``/``Histogram``
-  (fixed log2 buckets, mergeable by addition), ``MetricsRegistry``,
-  the falsy null objects for the disabled path, and the
-  :class:`Instrumented` protocol every stats surface conforms to;
+  (fixed log2 buckets, mergeable by addition), ``MetricsRegistry``
+  and the ``MetricsSnapshot`` the exporters render;
 - :mod:`repro.telemetry.tracing` -- ``Span``/``Tracer`` stage timing
   (parse -> FN walk -> cache -> emit at batch granularity) that the
   netsim ``TraceRecorder`` is also built on;
 - :mod:`repro.telemetry.export` -- Prometheus text format and JSONL
   trace dumps.
 
-Telemetry is **off by default**: every consumer defaults to
-:data:`NULL_REGISTRY`/:data:`NULL_TRACER`, which are falsy no-ops, so
+Telemetry is **off by default**: a consumer holds ``None`` for its
+registry and the falsy no-op :data:`NULL_TRACER` for its tracer, so
 the per-packet fast path carries no telemetry conditionals (cost
 budget: <=5% on the engine throughput bench; see DESIGN.md 3.8).
 """
@@ -33,20 +32,10 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     HistogramSnapshot,
-    Instrumented,
     MetricsRegistry,
     MetricsSnapshot,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-    NullCounter,
-    NullGauge,
-    NullHistogram,
-    NullRegistry,
     bucket_exponent,
     nearest_rank,
-    sorted_quantiles,
 )
 from repro.telemetry.tracing import NULL_TRACER, NullTracer, Span, Tracer
 
@@ -55,18 +44,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistogramSnapshot",
-    "Instrumented",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NULL_REGISTRY",
     "NULL_TRACER",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
-    "NullRegistry",
     "NullTracer",
     "Span",
     "Tracer",
@@ -74,7 +54,6 @@ __all__ = [
     "nearest_rank",
     "read_trace_jsonl",
     "snapshot_rows",
-    "sorted_quantiles",
     "spans_to_jsonl",
     "to_prometheus",
     "write_prometheus",

@@ -1,8 +1,8 @@
 """Exporters: Prometheus text format and JSONL trace dumps.
 
 Both are dependency-free text writers over the frozen snapshot types,
-so anything :class:`~repro.telemetry.metrics.Instrumented` can be
-scraped or archived.  ``repro engine --metrics-out/--trace-out`` and
+so any :class:`~repro.telemetry.metrics.MetricsSnapshot` can be
+scraped and any span list archived.  ``repro engine --metrics-out/--trace-out`` and
 the CI benchmark artifact both come through here.
 """
 

@@ -1,9 +1,6 @@
 """Metrics primitives: counters, gauges, log2 histograms, a registry.
 
-One observability idiom for the whole stack.  PRs 1-2 grew four
-counter surfaces (`RingStats`, `EngineReport`, `FlowCacheStats`,
-`NodeStats`), each with its own serialization; this module is the
-shared core they now all express themselves through:
+One observability idiom for the whole stack:
 
 - :class:`Counter` / :class:`Gauge` -- plain monotonic / settable
   values with names;
@@ -13,30 +10,22 @@ shared core they now all express themselves through:
   ``FlowCacheStats.__add__`` associative;
 - :class:`MetricsRegistry` -- get-or-create by name, one
   :meth:`~MetricsRegistry.snapshot` for the exporters;
-- :class:`MetricsSnapshot` -- the frozen, mergeable, dict-round-trip
-  view every :class:`Instrumented` component returns.
+- :class:`MetricsSnapshot` -- the frozen, mergeable view the
+  exporters render and the report types (``EngineReport``,
+  ``FlowCacheStats``, ``MitigationStats``) answer ``snapshot()`` with.
 
-**Disabled-path cost.**  Telemetry is off by default.  The null
-objects (:data:`NULL_REGISTRY`, :class:`NullCounter`...) are falsy and
-no-op, so components test ``if registry:`` once at construction or
-batch granularity and the per-packet fast path carries no telemetry
-conditionals at all (see DESIGN.md 3.8 for the <=5% budget).
+**Disabled-path cost.**  Telemetry is off by default.  A component
+with telemetry off holds ``None`` instead of a registry and tests it
+once at construction or batch granularity, so the per-packet fast path
+carries no telemetry conditionals at all (see DESIGN.md 3.8 for the
+<=5% budget).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-try:  # Protocol is typing-only; keep 3.9 compatibility cheap.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - python < 3.8
-    Protocol = object  # type: ignore
-
-    def runtime_checkable(cls):  # type: ignore
-        return cls
-
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 # Histogram bucket range: binary exponents covering ~1ns latencies
 # (2^-30 s) up to ~8.6e9 (2^33) model cycles.  Out-of-range values
@@ -88,9 +77,6 @@ class Counter:
         """Add ``amount`` (monotonic by convention, not enforced)."""
         self.value += amount
 
-    def __bool__(self) -> bool:
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
 
@@ -113,9 +99,6 @@ class Gauge:
 
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
-
-    def __bool__(self) -> bool:
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name}={self.value})"
@@ -185,18 +168,6 @@ class HistogramSnapshot:
             "high": self.high,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "HistogramSnapshot":
-        return cls(
-            buckets=tuple(
-                (int(e), int(c)) for e, c in data.get("buckets", [])
-            ),
-            count=int(data.get("count", 0)),
-            sum=float(data.get("sum", 0.0)),
-            low=float(data.get("low", 0.0)),
-            high=float(data.get("high", 0.0)),
-        )
-
 
 class Histogram:
     """Observations bucketed by binary exponent (fixed log2 buckets).
@@ -264,21 +235,16 @@ class Histogram:
             high=0.0 if empty else self.high,
         )
 
-    def __bool__(self) -> bool:
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name}, n={self.count})"
 
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """The frozen, mergeable view of a registry (or of any component).
+    """The frozen, mergeable view of a registry (or of a report).
 
-    Every :class:`Instrumented` component in the stack answers
-    ``snapshot()`` with one of these; snapshots merge associatively
-    (counters and gauges add, histograms add bucket-wise), so
-    per-shard snapshots fold into per-engine ones in any order.
+    Snapshots merge associatively (counters and gauges add, histograms
+    add bucket-wise); the exporters render one.
     """
 
     counters: Dict[str, float] = field(default_factory=dict)
@@ -312,44 +278,6 @@ class MetricsSnapshot:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MetricsSnapshot":
-        return cls(
-            counters=dict(data.get("counters", {})),
-            gauges=dict(data.get("gauges", {})),
-            histograms={
-                name: HistogramSnapshot.from_dict(snap)
-                for name, snap in data.get("histograms", {}).items()
-            },
-        )
-
-    @classmethod
-    def total(cls, parts: Iterable["MetricsSnapshot"]) -> "MetricsSnapshot":
-        """Merge across shards (empty snapshot when ``parts`` is empty)."""
-        out = cls()
-        for part in parts:
-            out = out.merge(part)
-        return out
-
-
-@runtime_checkable
-class Instrumented(Protocol):
-    """The unified stats surface every measurable component exposes.
-
-    ``snapshot()`` returns the mergeable :class:`MetricsSnapshot` view;
-    ``to_dict()`` a JSON-safe dict that the matching ``from_dict``
-    classmethod round-trips.  The four legacy stats types
-    (``RingStats``, ``ShardReport``/``EngineReport``,
-    ``FlowCacheStats``, ``NodeStats``) all conform, alongside
-    :class:`MetricsRegistry` itself.
-    """
-
-    def snapshot(self) -> MetricsSnapshot:  # pragma: no cover - protocol
-        ...
-
-    def to_dict(self) -> Dict[str, object]:  # pragma: no cover - protocol
-        ...
-
 
 class MetricsRegistry:
     """Get-or-create home for named metrics, one snapshot for export.
@@ -359,8 +287,6 @@ class MetricsRegistry:
     ``(key, value)`` pairs is folded into the stored name as
     ``name{key="value"}`` so the text exporter emits it verbatim.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -426,116 +352,3 @@ class MetricsRegistry:
                 for name, metric in self._histograms.items()
             },
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        return self.snapshot().to_dict()
-
-    def __bool__(self) -> bool:
-        return True
-
-
-# ----------------------------------------------------------------------
-# null objects (telemetry disabled)
-# ----------------------------------------------------------------------
-class NullCounter:
-    """No-op counter; falsy so callers can gate whole blocks."""
-
-    __slots__ = ()
-    name = ""
-    help = ""
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def __bool__(self) -> bool:
-        return False
-
-
-class NullGauge:
-    __slots__ = ()
-    name = ""
-    help = ""
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def __bool__(self) -> bool:
-        return False
-
-
-class NullHistogram:
-    __slots__ = ()
-    name = ""
-    help = ""
-    count = 0
-    sum = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        pass
-
-    def observe_count(self, value: float, count: int) -> None:
-        pass
-
-    def quantile(self, fraction: float) -> float:
-        return 0.0
-
-    def snapshot(self) -> HistogramSnapshot:
-        return HistogramSnapshot()
-
-    def __bool__(self) -> bool:
-        return False
-
-
-class NullRegistry:
-    """Falsy registry that hands out shared no-op metrics.
-
-    The disabled default everywhere: components keep unconditional
-    references to metrics objects, but with this registry every
-    ``inc``/``observe`` is a no-op and ``if registry:`` gates skip
-    batch-level recording entirely.
-    """
-
-    enabled = False
-
-    def counter(self, name, help="", labels=None) -> NullCounter:
-        return NULL_COUNTER
-
-    def gauge(self, name, help="", labels=None) -> NullGauge:
-        return NULL_GAUGE
-
-    def histogram(self, name, help="", labels=None) -> NullHistogram:
-        return NULL_HISTOGRAM
-
-    def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot()
-
-    def to_dict(self) -> Dict[str, object]:
-        return self.snapshot().to_dict()
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
-NULL_HISTOGRAM = NullHistogram()
-NULL_REGISTRY = NullRegistry()
-
-
-def sorted_quantiles(
-    values: List[float], fractions: Sequence[float]
-) -> List[float]:
-    """Nearest-rank quantiles of an unsorted list (sorts once)."""
-    ordered = sorted(values)
-    return [nearest_rank(ordered, fraction) for fraction in fractions]

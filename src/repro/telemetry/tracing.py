@@ -7,9 +7,11 @@ order.  The engine records per-run and per-batch stage spans (dispatch
 subclasses :class:`Tracer` so simulator event traces ride the same
 machinery -- one JSONL dump format for both.
 
-Like the metrics side, the disabled path is a falsy null object
-(:data:`NULL_TRACER`): callers hold one reference and the per-packet
-path never branches on "is tracing on?".
+The disabled path is a falsy null object (:data:`NULL_TRACER`):
+callers hold one reference, ``ForwardingEngine.run`` enters
+``tracer.span`` unconditionally, and the per-packet path never
+branches on "is tracing on?".  (A disabled metrics registry is just
+``None``: every registry use already sits behind a batch-level test.)
 """
 
 from __future__ import annotations

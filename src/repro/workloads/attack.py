@@ -37,7 +37,6 @@ import bisect
 import functools
 import hashlib
 import random
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.conformance.fuzzer import limit_violating_wire
@@ -427,11 +426,7 @@ def run_attack_engine(
                     tally["attack_error"] += 1
                 else:
                     tally["attack_dropped"] += 1
-            merged = merged.merge(
-                replace(
-                    report, outcomes=(), shards=(), rings=(), dead_letter=()
-                )
-            )
+            merged = merged.merge(report)
     finally:
         runner.close()
     cache = merged.flow_cache
@@ -601,7 +596,7 @@ def run_attack_serve(
         "attack_shed": submitted["shed_attack"],
         "attack_rate_limited": submitted["rate_limited"],
         "attack_quarantined": submitted["quarantined"],
-        "packets_shed": summary["packets_shed"],
+        "packets_shed": summary["shed"],
         "rate_limited": summary["rate_limited"],
         "quarantined": summary["quarantined"],
         "unaccounted": summary["unaccounted"],

@@ -10,8 +10,8 @@ Two families:
 - **engine equivalence** -- a telemetry-enabled
   :class:`ForwardingEngine` produces the same per-packet outcomes as a
   disabled one, records stage spans, and the disabled engine and its
-  shard workers carry only the falsy null objects (no spans, empty
-  snapshot, no registry on any processor).
+  shard workers carry no registry (``metrics is None``, none on any
+  processor) and only the falsy null tracer.
 """
 
 import gc
@@ -25,7 +25,7 @@ from repro.engine import EngineConfig, ForwardingEngine
 from repro.engine.columnar import ColumnarSpecializer
 from repro.engine.workers import ShardWorker
 from repro.realize.ip import build_ipv4_packet
-from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import NULL_TRACER
 from repro.workloads.generators import (
     make_dip_ipv4_workload,
@@ -212,7 +212,7 @@ class TestEngineEquivalence:
         _, plain = self.run_engine(telemetry=False, flow_cache=True)
         _, watched = self.run_engine(telemetry=True, flow_cache=True)
         assert watched.outcomes == plain.outcomes
-        assert watched.flow_cache.as_dict() == plain.flow_cache.as_dict()
+        assert watched.flow_cache == plain.flow_cache
 
     def test_enabled_engine_records_everything(self):
         engine, report = self.run_engine(telemetry=True, flow_cache=True)
@@ -227,18 +227,27 @@ class TestEngineEquivalence:
         span_names = {span.name for span in engine.tracer.spans}
         assert {"engine.run", "shard.walk", "shard.emit"} <= span_names
 
+    def test_report_gauges_share_the_registry_names(self):
+        """Every gauge of a run's report is in the registry, under the
+        same name and with the same value."""
+        engine, report = self.run_engine(telemetry=True, flow_cache=True)
+        registry = engine.metrics.snapshot()
+        gauges = report.snapshot().gauges
+        assert 'engine_ring_occupancy_high_watermark{shard="0"}' in gauges
+        for name, value in gauges.items():
+            assert registry.gauges.get(name) == value, name
+
     def test_disabled_engine_is_null(self):
         engine, _ = self.run_engine(telemetry=False)
-        assert not engine.metrics
+        assert engine.metrics is None
         assert not engine.tracer
         assert len(engine.tracer) == 0
-        assert engine.metrics.snapshot().counters == {}
 
     def test_disabled_engine_allocates_no_telemetry(self):
         """The disabled engine and every shard worker hold only the
-        shared null objects, and no processor carries a registry."""
+        shared null tracer, and no processor carries a registry."""
         engine, _ = self.run_engine(telemetry=False)
-        assert engine.metrics is NULL_REGISTRY
+        assert engine.metrics is None
         assert engine.tracer is NULL_TRACER
         # The workers sit behind the transport seam; find them by the
         # shard state the public accessor hands out.

@@ -229,18 +229,13 @@ def test_observe_bad_feeds_engine_side_errors_into_window():
 # ----------------------------------------------------------------------
 # stats plumbing
 # ----------------------------------------------------------------------
-def test_stats_merge_to_dict_from_dict_round_trip():
-    a = MitigationStats(offered=5, admitted=3, rate_limited_flow=1,
-                        rate_limited_new_flow=1, active_flows=2)
-    b = MitigationStats(offered=2, admitted=2, quarantined=1)
-    merged = a + b
-    assert merged.offered == 7
-    assert merged.rate_limited == 2
-    data = merged.to_dict()
+def test_stats_to_dict_adds_rate_limited():
+    stats = MitigationStats(offered=5, admitted=3, rate_limited_flow=1,
+                            rate_limited_new_flow=1, active_flows=2)
+    assert stats.rate_limited == 2
+    data = stats.to_dict()
     assert data["rate_limited"] == 2
-    assert MitigationStats.from_dict(data) == merged
-    # Pre-mitigation dicts (missing keys) default to zero.
-    assert MitigationStats.from_dict({"offered": 4}).offered == 4
+    assert data["offered"] == 5 and data["active_flows"] == 2
 
 
 def test_stats_snapshot_exposes_prometheus_counters():

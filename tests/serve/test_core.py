@@ -292,6 +292,46 @@ def test_accumulated_flow_cache_gauges_describe_the_live_caches():
     assert cache["hits"] + cache["misses"] == 640
 
 
+def test_exported_throughput_is_over_the_summed_flush_walls():
+    """Flushes run one after another: the exported wall time is their
+    sum, and the rate is processed packets over that sum -- not over
+    the longest single flush."""
+    from repro.workloads.throughput import (
+        dip32_state_factory,
+        make_zipf_engine_packets,
+    )
+
+    wires = make_zipf_engine_packets(packet_count=320)
+    core = ServeCore(
+        ServeConfig(shards=2, backend="serial", batch_max=32),
+        state_factory=dip32_state_factory,
+    )
+    walls = []
+    run = core.engine.run
+
+    def timed_run(batch, now=None):
+        report = run(batch, now=now)
+        walls.append(report.wall_seconds)
+        return report
+
+    core.engine.run = timed_run
+    try:
+        for start in range(0, 320, 32):
+            core.submit_many(
+                [(wire, addr) for addr, wire in enumerate(wires[start:start + 32])]
+            )
+            core.flush(now=1.0)
+        gauges = core.snapshot_metrics().gauges
+        processed = core.summary()["processed"]
+    finally:
+        core.close()
+    assert len(walls) == 10 and processed == 320
+    assert gauges["engine_wall_seconds"] == pytest.approx(sum(walls))
+    assert gauges["engine_pkts_per_second"] == pytest.approx(
+        processed / sum(walls)
+    )
+
+
 def test_burst_and_flush_trigger_metrics(core):
     """Per-burst / per-flush observability: burst count, log2 burst
     sizes and why each flush ran -- in the snapshot and the ledger."""

@@ -243,6 +243,38 @@ class TestStats:
         payload = json.loads(text)
         assert "flowcache_misses_total" in payload["counters"]
 
+    def test_readme_names_every_stats_family(self):
+        """README's metric table lists every family ``repro stats``
+        exports, with the kind it is exported as."""
+        import json
+        import re
+        from pathlib import Path
+
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("### Telemetry metric names", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        documented = {}
+        for row in re.findall(r"^\| `([^`]+)` \| (\w+) \|", section, re.M):
+            name, kind = row
+            name = re.sub(r"\{\w+=\.\.\.\}", "", name)
+            alternatives = re.search(r"\{([^}]*)\}", name)
+            if alternatives is None:
+                documented[name] = kind
+                continue
+            for part in alternatives.group(1).split(","):
+                documented[name.replace(alternatives.group(0), part)] = kind
+        code, text = run_cli(
+            "stats", "--packets", "200", "--flow-cache", "--json"
+        )
+        assert code == 0
+        payload = json.loads(text)
+        for section_name, kind in (("counters", "counter"),
+                                   ("gauges", "gauge"),
+                                   ("histograms", "histogram")):
+            for name in payload[section_name]:
+                family = name.split("{", 1)[0]
+                assert documented.get(family) == kind, family
+
     def test_rejects_bad_config(self):
         with pytest.raises(SystemExit):
             run_cli("stats", "--backend", "bogus")
