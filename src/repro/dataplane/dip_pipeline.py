@@ -8,7 +8,11 @@ dataplane pieces the way the paper describes its prototype:
 
 - the packet is parsed by the unrolled DIP parse graph
   (:func:`repro.dataplane.parser.dip_parse_graph`) into a PHV -- no
-  loops, ``FN_Num`` bounds how many FN states fire;
+  loops, ``FN_Num`` bounds how many FN states fire.  The walk runs
+  once per FN program: its result is compiled into a plan keyed on the
+  FN-definition bytes (P4 compiles its parser from the program), and
+  later frames of that program read their header scalars straight off
+  the wire (``parse_graph_walks`` counts the walks);
 - one pipeline stage exists per unrolled FN slot ("we use the simple
   if-else statement with FN_Num to determine how many field operations
   to perform");
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, NoReturn, Optional, Tuple, Union
+from typing import Dict, List, NoReturn, Optional, Tuple, Union
 
 from repro.core.fn import FN_ENCODED_SIZE, FieldOperation
 from repro.core.header import (
@@ -48,7 +52,7 @@ from repro.core.operations.base import (
     OperationResult,
 )
 from repro.core.packet import DipPacket
-from repro.core.program import is_path_critical
+from repro.core.program import PROGRAM_CACHE_BOUND, is_path_critical
 from repro.core.registry import OperationRegistry, default_registry
 from repro.core.state import NodeState
 from repro.dataplane.parser import dip_parse_graph
@@ -88,6 +92,27 @@ class PipelineResult:
         return DipPacket.decode(self.wire) if self.wire is not None else None
 
 
+# Stage kinds of a compiled plan: note only, unsupported, invoke.
+_NOTE, _UNSUPPORTED, _INVOKE = range(3)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One FN program's parse, compiled: what the parse graph would read.
+
+    ``stages`` holds one ``(kind, slot, fn, stages_used, operation,
+    note)`` row per FN slot the walk reaches, with the dispatch entry
+    already resolved to its module and the note text already built.
+    ``field_end`` is the largest target-field end over ``fns``: a frame
+    whose locations region is shorter fails the range check.
+    """
+
+    fns: Tuple[FieldOperation, ...]
+    field_end: int
+    stages: Tuple[tuple, ...]
+    stages_used: int
+
+
 class DipPipeline:
     """Stage-per-FN-slot pipeline with key-dispatch tables.
 
@@ -103,6 +128,11 @@ class DipPipeline:
         The unroll budget: packets carrying more router FNs than stages
         cannot be programmed (PipelineConstraintError), mirroring the
         hardware limitation the paper works around.
+
+    A frame takes its program's compiled plan only when it carries at
+    most ``max_fns`` FNs and its wire holds the whole header; every
+    other frame walks the parse graph, so errors, their order and
+    their text never depend on what was compiled before.
     """
 
     def __init__(
@@ -130,6 +160,11 @@ class DipPipeline:
             for key in self.registry.supported_keys():
                 table.insert(key, TableEntry("invoke", (key,)))
             self._dispatch.append(table)
+        # The compiled parse: one plan per FN-definition region, cleared
+        # when the registry moves and bounded like the program cache.
+        self._plans: Dict[bytes, _Plan] = {}
+        self._plans_version = self.registry.version
+        self.parse_graph_walks = 0
 
     # ------------------------------------------------------------------
     def process(
@@ -141,41 +176,43 @@ class DipPipeline:
         """Run one packet's wire bytes through parser + stages.
 
         A :class:`DipPacket` is encoded first.  The wire is parsed once:
-        the FN triples come from the PHV, and the FN locations and the
-        payload stay slices of the packet buffer -- nothing decodes the
-        input to a ``DipPacket``.  A malformed wire raises exactly what
+        the FN triples come from the program's plan (the parse graph on
+        first sight), and the FN locations and the payload stay slices
+        of the packet buffer -- nothing decodes the input to a
+        ``DipPacket``.  A malformed wire raises exactly what
         ``DipPacket.decode`` raises, in the same order: codec errors
         before the unroll budget, field ranges before the hop limit.
         """
         wire = packet.encode() if isinstance(packet, DipPacket) else bytes(packet)
-        parse = self.parser.parse(wire)
-        if not parse.accepted:
-            _raise_codec_error(wire)
-        phv = parse.phv
-        fn_num = phv.get("fn_num")
-        loc_start = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * fn_num
-        header_length = loc_start + ((phv.get("packet_param") >> 1) & MAX_LOC_LEN)
-        if len(wire) < header_length:
-            _raise_codec_error(wire)
-        if fn_num > self.max_fns:
-            # The parse graph is unrolled max_fns times: triples beyond
-            # that never reach the PHV, so the program is infeasible.
-            raise PipelineConstraintError(
-                f"packet carries {fn_num} FNs; the parse graph unrolls "
-                f"only {self.max_fns} FN states"
+        if self._plans_version != self.registry.version:
+            # Plans captured module lookups: recompile under the new set.
+            self._plans.clear()
+            self._plans_version = self.registry.version
+        plan = None
+        if len(wire) >= BASIC_HEADER_SIZE:
+            fn_num = wire[2]
+            loc_start = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * fn_num
+            header_length = loc_start + (
+                (((wire[4] << 8) | wire[5]) >> 1) & MAX_LOC_LEN
             )
-        fns = tuple(self._fn_from_phv(phv, slot) for slot in range(fn_num))
+            if fn_num <= self.max_fns and len(wire) >= header_length:
+                plan = self._plans.get(wire[BASIC_HEADER_SIZE:loc_start])
+        if plan is None:
+            plan, loc_start, header_length = self._parse(wire)
+        fns = plan.fns
         # Field ranges are validated before the hop-limit check, in
         # Algorithm 1 order: a malformed program is a codec error even
         # when the hop limit already expired (conformance regression
         # vector pipeline-fieldrange-before-hoplimit).
-        check_field_ranges(fns, header_length - loc_start)
+        if plan.field_end > (header_length - loc_start) * 8:
+            check_field_ranges(fns, header_length - loc_start)
         result = PipelineResult(
             decision=Decision.DROP, fns=fns, header_length=header_length
         )
-        hop_limit = phv.get("hop_limit")
+        notes = result.notes
+        hop_limit = wire[3]
         if hop_limit == 0:
-            result.notes.append("hop limit expired")
+            notes.append("hop limit expired")
             return result
 
         ctx = OperationContext(
@@ -189,49 +226,39 @@ class DipPipeline:
         )
 
         fate = None
-        stage_cursor = 0
-        for slot, fn in enumerate(fns):
-            if fn.tag:
-                result.notes.append(f"stage {slot}: host FN skipped")
-                continue
-            if stage_cursor >= self.max_fns:
-                raise PipelineConstraintError("ran out of pipeline stages")
-            table = self._dispatch[stage_cursor]
-            stage_cursor += 1
-            entry = table.match(fn.key)
-            if entry is None:
-                if is_path_critical(fn.key):
-                    result.decision = Decision.UNSUPPORTED
-                    result.unsupported_key = fn.key
-                    result.notes.append(
-                        f"stage {slot}: unsupported path-critical key {fn.key}"
-                    )
-                    result.stages_executed = stage_cursor
+        for kind, slot, fn, stages, operation, note in plan.stages:
+            if kind == _INVOKE:
+                if operation is None:
+                    # Dispatched, but the module left the registry: the
+                    # lookup raises, as it does for the walk.
+                    self.registry.get(fn.key)
+                try:
+                    op_result = operation.execute(ctx, fn)
+                except (OperationError, FieldRangeError) as exc:
+                    notes.append(f"stage {slot}: {exc}")
+                    result.stages_executed = stages
                     return result
-                result.notes.append(f"stage {slot}: key {fn.key} ignored")
-                continue
-            operation = self.registry.get(entry.data[0])
-            try:
-                op_result = operation.execute(ctx, fn)
-            except (OperationError, FieldRangeError) as exc:
-                result.decision = Decision.DROP
-                result.notes.append(f"stage {slot}: {exc}")
-                result.stages_executed = stage_cursor
+                notes.append(note)
+                if op_result.decision is Decision.DROP:
+                    notes.append(op_result.note)
+                    result.stages_executed = stages
+                    return result
+                if op_result.decision in (Decision.FORWARD, Decision.DELIVER):
+                    fate = op_result
+            elif kind == _UNSUPPORTED:
+                result.decision = Decision.UNSUPPORTED
+                result.unsupported_key = fn.key
+                notes.append(note)
+                result.stages_executed = stages
                 return result
-            result.notes.append(f"stage {slot}: {operation.name}")
-            if op_result.decision is Decision.DROP:
-                result.decision = Decision.DROP
-                result.notes.append(op_result.note)
-                result.stages_executed = stage_cursor
-                return result
-            if op_result.decision in (Decision.FORWARD, Decision.DELIVER):
-                fate = op_result
+            else:
+                notes.append(note)
 
-        result.stages_executed = stage_cursor
+        result.stages_executed = plan.stages_used
         if fate is None and self.state.default_port is not None:
             fate = OperationResult.forward(self.state.default_port)
         if fate is None:
-            result.notes.append("no forwarding decision")
+            notes.append("no forwarding decision")
             return result
         result.decision = fate.decision
         result.ports = fate.ports
@@ -250,6 +277,74 @@ class DipPipeline:
                 )
             )
         return result
+
+    # ------------------------------------------------------------------
+    def _parse(self, wire: bytes) -> Tuple[_Plan, int, int]:
+        """Walk the parse graph; returns ``(plan, loc_start, header_length)``.
+
+        The path for a program's first frame and for every wire that
+        fails the plan's bounds check, so every codec and unroll-budget
+        error is raised here.  A program that parses is compiled and
+        kept, keyed on its FN-definition bytes.
+        """
+        self.parse_graph_walks += 1
+        parse = self.parser.parse(wire)
+        if not parse.accepted:
+            _raise_codec_error(wire)
+        phv = parse.phv
+        fn_num = phv.get("fn_num")
+        loc_start = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * fn_num
+        header_length = loc_start + ((phv.get("packet_param") >> 1) & MAX_LOC_LEN)
+        if len(wire) < header_length:
+            _raise_codec_error(wire)
+        if fn_num > self.max_fns:
+            # The parse graph is unrolled max_fns times: triples beyond
+            # that never reach the PHV, so the program is infeasible.
+            raise PipelineConstraintError(
+                f"packet carries {fn_num} FNs; the parse graph unrolls "
+                f"only {self.max_fns} FN states"
+            )
+        plan = self._compile(
+            tuple(self._fn_from_phv(phv, slot) for slot in range(fn_num))
+        )
+        plans = self._plans
+        if len(plans) >= PROGRAM_CACHE_BOUND:
+            plans.clear()
+        plans[wire[BASIC_HEADER_SIZE:loc_start]] = plan
+        return plan, loc_start, header_length
+
+    def _compile(self, fns: Tuple[FieldOperation, ...]) -> _Plan:
+        """Resolve every FN slot's stage, dispatch entry and note once."""
+        stages = []
+        cursor = 0
+        for slot, fn in enumerate(fns):
+            operation = None
+            if fn.tag:
+                kind, note = _NOTE, f"stage {slot}: host FN skipped"
+            else:
+                entry = self._dispatch[cursor].match(fn.key)
+                cursor += 1
+                if entry is not None:
+                    operation = self.registry.find(entry.data[0])
+                    kind = _INVOKE
+                    note = (
+                        None if operation is None
+                        else f"stage {slot}: {operation.name}"
+                    )
+                elif is_path_critical(fn.key):
+                    kind = _UNSUPPORTED
+                    note = f"stage {slot}: unsupported path-critical key {fn.key}"
+                else:
+                    kind, note = _NOTE, f"stage {slot}: key {fn.key} ignored"
+            stages.append((kind, slot, fn, cursor, operation, note))
+            if kind == _UNSUPPORTED:
+                break
+        return _Plan(
+            fns,
+            max((fn.field_end for fn in fns), default=0),
+            tuple(stages),
+            cursor,
+        )
 
     # ------------------------------------------------------------------
     @staticmethod

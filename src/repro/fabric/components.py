@@ -17,8 +17,10 @@
   channels close once drained -- what makes zero-latency acyclic
   scenarios terminate) plus delivery records with payload digests.
 
-DIP payloads are canonical wire ``bytes`` on every channel; the netsim
-adapter decodes at ingress and encodes at egress.
+DIP payloads are canonical wire ``bytes`` on every channel.  The netsim
+adapter hands them to a boundary router as they are (its flow-cache
+front walks wire), decodes them only for any other boundary node, and
+encodes at egress.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from repro.core.packet import DipPacket
 from repro.dataplane.costs import CycleCostModel
 from repro.dataplane.dip_pipeline import DipPipeline
 from repro.engine import EngineConfig, ForwardingEngine, ManualClock
-from repro.errors import FabricError, PipelineConstraintError
+from repro.errors import CodecError, FabricError, PipelineConstraintError
 from repro.fabric.messages import KIND_DIP, Inject
 from repro.fabric.sync import INF, Component, payload_digest
 from repro.netsim.engine import Engine
 from repro.netsim.links import Link
 from repro.netsim.messages import Frame
-from repro.netsim.nodes import HostNode, Node
+from repro.netsim.nodes import DipRouterNode, HostNode, Node
 from repro.netsim.topology import Topology
 
 
@@ -171,7 +173,8 @@ class EngineRouterComponent(Component):
 
     ``service_model`` (``bytes -> seconds``) optionally charges egress
     service latency; the default engine router forwards at arrival
-    time, matching a plain netsim ``DipRouterNode``.
+    time and answers repeated pure flows from its flow cache, matching
+    a plain netsim ``DipRouterNode``.
     """
 
     def __init__(
@@ -199,7 +202,8 @@ class EngineRouterComponent(Component):
                 config
                 if config is not None
                 else EngineConfig(
-                    num_shards=1, backend="serial", batch_size=256
+                    num_shards=1, backend="serial", batch_size=256,
+                    flow_cache=True,
                 )
             ),
             registry_factory=registry_factory,
@@ -301,6 +305,8 @@ class PisaRouterComponent(Component):
     ``service_delay`` hook uses, so the two runs agree bit-for-bit.
     Packets beyond the parse graph's unroll budget are dropped and
     counted (``out_of_domain``) rather than crashing the component.
+    ``parse_graph_walks`` counts the frames the parse graph walked bit
+    by bit: one per FN program, plus every malformed wire.
     """
 
     def __init__(
@@ -376,6 +382,7 @@ class PisaRouterComponent(Component):
             dropped=self.dropped,
             quarantined=self.quarantined,
             out_of_domain=self.out_of_domain,
+            parse_graph_walks=self.pipeline.parse_graph_walks,
         )
         return out
 
@@ -433,7 +440,7 @@ class NetsimComponent(Component):
         # fabric port -> (node, node port) for inbound injection
         self._ingress: Dict[int, Tuple[Node, int]] = {}
         self.injected = 0
-        self.decode_errors = 0
+        self._undecodable = 0
         self._records: List[Tuple[float, str, str]] = []
         self._max_events = 5_000_000
 
@@ -490,14 +497,30 @@ class NetsimComponent(Component):
             data = _dip_wire(data)
         self.emit(self.engine.now, fabric_port, frame.kind, data, frame.size)
 
-    def _frame_for(self, kind: str, data: Any, size: int) -> Optional[Frame]:
+    def _frame_for(
+        self, node: Node, kind: str, data: Any, size: int
+    ) -> Optional[Frame]:
         if kind == KIND_DIP:
+            wire = _dip_wire(data)
+            if isinstance(node, DipRouterNode):
+                # The router's flow-cache front walks wire itself and
+                # counts what does not decode.
+                return Frame(KIND_DIP, wire, len(wire))
             try:
-                return Frame.dip(DipPacket.decode(_dip_wire(data)))
-            except Exception:
-                self.decode_errors += 1
+                return Frame.dip(DipPacket.decode(wire))
+            except CodecError:
+                self._undecodable += 1
                 return None
         return Frame(kind=kind, data=data, size=size)
+
+    @property
+    def decode_errors(self) -> int:
+        """Inbound DIP frames that did not decode, here or at a router."""
+        return self._undecodable + sum(
+            node.decode_errors
+            for node in self.topology.nodes()
+            if isinstance(node, DipRouterNode)
+        )
 
     def step(self) -> int:
         horizon = self.horizon()
@@ -508,10 +531,10 @@ class NetsimComponent(Component):
             if target is None:
                 self.tx_errors += 1
                 continue
-            frame = self._frame_for(kind, data, size)
+            node, node_port = target
+            frame = self._frame_for(node, kind, data, size)
             if frame is None:
                 continue
-            node, node_port = target
             self.engine.schedule_at(time, node.receive, frame, node_port)
         processed = 0
         until = None if horizon == INF else horizon

@@ -25,8 +25,10 @@ class Frame:
     kind:
         One of ``dip`` / ``ipv4`` / ``ipv6`` / ``control``.
     data:
-        The payload object (a :class:`~repro.core.packet.DipPacket`,
-        raw bytes for legacy kinds, or a control message object).
+        The payload object: for ``dip`` a
+        :class:`~repro.core.packet.DipPacket` or its wire bytes (a
+        fabric boundary hands routers the bytes it received), raw
+        bytes for legacy kinds, or a control message object.
     size:
         Wire size in bytes.
     """

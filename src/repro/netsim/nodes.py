@@ -12,7 +12,7 @@ enabled.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.compat import FnUnsupportedMessage
 from repro.core.flowcache import FlowDecisionCache
@@ -22,7 +22,7 @@ from repro.core.packet import DipPacket
 from repro.core.processor import RouterProcessor
 from repro.core.registry import OperationRegistry
 from repro.core.state import NodeState
-from repro.errors import SimulationError
+from repro.errors import CodecError, SimulationError
 from repro.netsim.engine import Engine
 from repro.netsim.links import Link
 from repro.netsim.messages import (
@@ -38,6 +38,11 @@ from repro.protocols.ip.router import IpRouter
 from repro.realize.ndn import build_data_packet
 
 _control_sequence = itertools.count(1)
+
+
+def _as_packet(packet: Union[DipPacket, bytes]) -> DipPacket:
+    """The ``DipPacket`` of a frame's data, decoding wire bytes."""
+    return DipPacket.decode(packet) if isinstance(packet, bytes) else packet
 
 
 class Node:
@@ -101,11 +106,15 @@ class DipRouterNode(Node):
     """A DIP-capable router running Algorithm 1 behind a flow cache.
 
     Every packet goes through ``process_batch`` with a per-router
-    :class:`~repro.core.flowcache.FlowDecisionCache` (the packets front:
-    frames carry ``DipPacket``s), so a repeated pure flow is answered
-    without a walk; stateful programs (PIT/CS, MACs, ...) bypass it.
-    Trace notes are collected only while the recorder is enabled, which
-    is when the drop reason is read.
+    :class:`~repro.core.flowcache.FlowDecisionCache`, so a repeated pure
+    flow is answered without a walk; stateful programs (PIT/CS, MACs,
+    ...) bypass it.  Frames carry ``DipPacket``s or, from a fabric
+    boundary, wire bytes: those take the raw prelude, whose cache hit
+    builds only the output packet, and are decoded only where a
+    ``DipPacket`` is read (a delivery, the FN-unsupported control frame,
+    ``service_delay``).  A wire that does not decode counts in
+    ``decode_errors``.  Trace notes are collected only while the
+    recorder is enabled, which is when the drop reason is read.
     """
 
     def __init__(
@@ -134,6 +143,7 @@ class DipRouterNode(Node):
         # latencies from one shared function.
         self.service_delay = service_delay
         self.local_inbox: List[Tuple[DipPacket, int]] = []
+        self.decode_errors = 0
         self._seen_control: Set[int] = set()
 
     def receive(self, frame: Frame, port: int) -> None:
@@ -154,14 +164,24 @@ class DipRouterNode(Node):
         self._process_dip(frame.data, port)
 
     # ------------------------------------------------------------------
-    def _process_dip(self, packet: DipPacket, port: int) -> None:
+    def _process_dip(self, packet: Union[DipPacket, bytes], port: int) -> None:
         tracing = self.trace.enabled
-        [result] = self.processor.process_batch(
-            (packet,),
-            ingress_port=port,
-            now=self.engine.now,
-            collect_notes=tracing,
-        )
+        try:
+            [result] = self.processor.process_batch(
+                (packet,),
+                ingress_port=port,
+                now=self.engine.now,
+                collect_notes=tracing,
+            )
+        except CodecError as exc:
+            if not isinstance(packet, bytes):
+                raise
+            self.decode_errors += 1
+            if tracing:
+                self.trace.record(
+                    self.engine.now, self.node_id, "decode-error", str(exc)
+                )
+            return
 
         cached = result.scratch.get("cache_data")
         if cached is not None and result.decision is Decision.FORWARD:
@@ -186,7 +206,7 @@ class DipRouterNode(Node):
                     f"ports {result.ports}",
                 )
             delay = (
-                self.service_delay(packet)
+                self.service_delay(_as_packet(packet))
                 if self.service_delay is not None
                 else 0.0
             )
@@ -205,6 +225,7 @@ class DipRouterNode(Node):
                     )
         elif result.decision is Decision.DELIVER:
             self.stats.delivered += 1
+            packet = _as_packet(packet)
             self.local_inbox.append((packet, port))
             if tracing:
                 self.trace.record(self.engine.now, self.node_id, "deliver")
@@ -215,7 +236,7 @@ class DipRouterNode(Node):
             message = FnUnsupportedMessage(
                 reporter_id=self.node_id,
                 unsupported_key=result.unsupported_key or 0,
-                original_header=packet.header.encode()[:64],
+                original_header=_as_packet(packet).header.encode()[:64],
             )
             control = Frame.control((next(_control_sequence), message))
             self.trace.record(

@@ -253,3 +253,175 @@ class TestWireInput:
         assert result.packet == expected
         assert result.header_length == packet.header.header_length
         assert result.fns == packet.header.fns
+
+
+# ----------------------------------------------------------------------
+# the compiled parse plan
+# ----------------------------------------------------------------------
+def _bounds(wire):
+    """``(fn_num, loc_start, header_length)`` read off a wire's header."""
+    from repro.core.header import MAX_LOC_LEN
+
+    loc_start = 6 + 6 * wire[2]
+    param = (wire[4] << 8) | wire[5]
+    return wire[2], loc_start, loc_start + ((param >> 1) & MAX_LOC_LEN)
+
+
+def _takes_plan(wire, max_fns):
+    """True when a wire passes the plan's bounds check."""
+    if len(wire) < 6:
+        return False
+    fn_num, _, header_length = _bounds(wire)
+    return fn_num <= max_fns and len(wire) >= header_length
+
+
+def _program_variants(wire, max_fns):
+    """Wires sharing ``wire``'s program that each fail in their own way:
+    truncated in the FN definitions and in the locations, locations too
+    short for the program's fields, hop limit 0, and over the unroll
+    budget."""
+    fn_num, loc_start, header_length = _bounds(wire)
+    payload = wire[header_length:]
+    variants = [
+        wire[:loc_start - 1],
+        wire[:header_length - 1],
+        wire[:3] + b"\x00" + wire[4:],
+        # Locations dropped entirely: any FN field past bit 0 is out of
+        # range, checked before the (expired) hop limit.
+        wire[:3] + b"\x00" + bytes((0, wire[5] & 1)) + wire[6:loc_start]
+        + payload,
+    ]
+    defs = wire[6:loc_start]
+    if defs:
+        over = max_fns + 1
+        variants.append(
+            wire[:2] + bytes((over,)) + wire[3:6]
+            + (defs * over)[:6 * over] + wire[loc_start:]
+        )
+    return [v for v in variants if len(v) >= 6]
+
+
+def _outcome(pipeline, wire):
+    try:
+        r = pipeline.process(wire, ingress_port=1)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        r.decision, r.ports, r.wire, r.notes, r.fns, r.header_length,
+        r.stages_executed, r.unsupported_key,
+    )
+
+
+def _corpus_groups():
+    from repro.conformance import load_corpus
+    from tests.conformance.conftest import CORPUS_DIR
+
+    groups = {}
+    for vector in load_corpus(CORPUS_DIR):
+        groups.setdefault((vector.scenario, vector.seed), []).extend(
+            vector.wire_bytes()
+        )
+    return groups
+
+
+CORPUS_GROUPS = _corpus_groups()
+
+
+class TestCompiledPlan:
+    """A warm plan decides exactly like a fresh pipeline's graph walk."""
+
+    @pytest.mark.parametrize(
+        "group", sorted(CORPUS_GROUPS), ids=lambda g: f"{g[0]}-seed{g[1]}"
+    )
+    def test_warm_plans_match_a_fresh_pipeline(self, group):
+        from repro.conformance.scenarios import (
+            scenario_registry,
+            scenario_state,
+        )
+
+        name, seed = group
+        wires = list(CORPUS_GROUPS[group])
+        programs = {}
+        for wire in wires:
+            if _takes_plan(wire, 12):
+                programs.setdefault(wire[6:_bounds(wire)[1]], wire)
+        for wire in programs.values():
+            wires.extend(_program_variants(wire, 12))
+
+        warm = DipPipeline(
+            scenario_state(name, seed),
+            scenario_registry(name) or default_registry(),
+        )
+        fresh_state = scenario_state(name, seed)
+        fresh_registry = scenario_registry(name) or default_registry()
+        for replay in ("cold", "warm"):
+            for wire in wires:
+                walks = warm.parse_graph_walks
+                got = _outcome(warm, wire)
+                assert got == _outcome(
+                    DipPipeline(fresh_state, fresh_registry), wire
+                ), (replay, wire.hex())
+                if replay == "warm":
+                    # Only a wire that fails the bounds check walks.
+                    walked = warm.parse_graph_walks - walks
+                    assert walked == (not _takes_plan(wire, 12)), wire.hex()
+
+    def test_a_compiled_program_keeps_the_error_order(self):
+        from repro.errors import FieldRangeError, TruncatedHeaderError
+
+        state, _ = paired_states()
+        pipeline = DipPipeline(state, max_fns=4)
+        wire = build_ipv4_packet(0x0A000001, 7, payload=b"ok").encode()
+        pipeline.process(wire)
+        cut_defs, cut_locs, expired, range_first, over = (
+            _program_variants(wire, 4)
+        )
+        with pytest.raises(TruncatedHeaderError):
+            pipeline.process(cut_defs)
+        with pytest.raises(TruncatedHeaderError):
+            pipeline.process(cut_locs)
+        assert pipeline.process(expired).notes == ["hop limit expired"]
+        with pytest.raises(FieldRangeError):
+            pipeline.process(range_first)
+        with pytest.raises(PipelineConstraintError):
+            pipeline.process(over)
+        # The first frame and the three failing the bounds check walked.
+        assert pipeline.parse_graph_walks == 4
+
+    def test_plans_are_bounded_like_the_program_cache(self):
+        from repro.core.fn import FieldOperation
+        from repro.core.header import DipHeader
+        from repro.core.packet import DipPacket
+        from repro.core.program import PROGRAM_CACHE_BOUND
+
+        state, _ = paired_states()
+        pipeline = DipPipeline(state)
+        for key in range(2 * PROGRAM_CACHE_BOUND):
+            fn = FieldOperation(0, 0, key=key, tag=True)
+            pipeline.process(DipPacket(header=DipHeader(fns=(fn,))).encode())
+            assert len(pipeline._plans) <= PROGRAM_CACHE_BOUND
+        assert pipeline.parse_graph_walks == 2 * PROGRAM_CACHE_BOUND
+
+    def test_a_registry_mutation_walks_the_graph_again(self):
+        from repro.core.registry import RegistryMutation
+        from repro.errors import UnknownOperationError
+
+        state, _ = paired_states()
+        pipeline = DipPipeline(state)
+        wire = build_ipv4_packet(0x0A000001, 7).encode()
+        first = pipeline.process(wire, ingress_port=1)
+        pipeline.process(wire, ingress_port=1)
+        assert pipeline.parse_graph_walks == 1
+        RegistryMutation(restore_defaults=True).apply(pipeline.registry)
+        again = pipeline.process(wire, ingress_port=1)
+        assert pipeline.parse_graph_walks == 2
+        assert (again.decision, again.ports, again.wire) == (
+            first.decision, first.ports, first.wire
+        )
+        # A dispatched module that left the registry fails its lookup,
+        # as it does in a walk, on every frame.
+        RegistryMutation(drop_keys=(1,)).apply(pipeline.registry)
+        for _ in range(2):
+            with pytest.raises(UnknownOperationError):
+                pipeline.process(wire, ingress_port=1)
+        assert pipeline.parse_graph_walks == 3

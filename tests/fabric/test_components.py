@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.packet import DipPacket
 from repro.core.state import NodeState
 from repro.dataplane.costs import CycleCostModel
 from repro.errors import FabricError
@@ -19,6 +20,7 @@ from repro.fabric.messages import KIND_CONTROL, KIND_DIP, Advance, Deliver, Inje
 from repro.fabric.runner import FabricRun, duplex
 from repro.netsim.nodes import DipRouterNode, HostNode
 from repro.realize import build_ipv4_packet
+from repro.workloads.paper import FABRIC_LOSSES
 
 DST = 0x0A020001
 SRC = 0x0A030001
@@ -345,6 +347,34 @@ class TestNetsimComponent:
         )
         component.accept(advance("t", "isl", 0))
         component.step()
+        assert component.decode_errors == 1
+        # One loss counter per lost frame: the boundary router walks the
+        # wire and counts the codec error, not a drop as well.
+        counters = component.counters()
+        assert sum(counters[name] for name in FABRIC_LOSSES
+                   if name in counters) == 1
+
+    def test_host_boundary_receives_a_decoded_packet(self):
+        component = NetsimComponent("hisl")
+        host = HostNode("hisl-h", component.topology.engine,
+                        trace=component.topology.trace)
+        component.topology.add(host)
+        component.open_port(0, "hisl-h", 0)
+        component.add_input("t", 0, rank=0)
+        packet = build_ipv4_packet(SRC, DST, payload=b"to-host")
+        component.accept(
+            Deliver(1.0, "t", "hisl", 0, KIND_DIP, packet.encode(),
+                    packet.size, 1)
+        )
+        component.accept(
+            Deliver(2.0, "t", "hisl", 0, KIND_DIP, b"\x00garbage", 8, 2)
+        )
+        component.accept(advance("t", "hisl", 0))
+        component.step()
+        [(received, result)] = host.inbox
+        assert isinstance(received, DipPacket)
+        assert received == packet
+        assert result.accepted
         assert component.decode_errors == 1
 
     def test_counters_aggregate_island_stats(self):

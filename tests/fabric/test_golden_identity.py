@@ -91,6 +91,46 @@ class TestSchedule:
         assert calls == [spec]
 
 
+class TestPerProgramWork:
+    def test_codec_and_parse_graph_run_once_per_program(self, monkeypatch):
+        from collections import Counter
+
+        from repro.core.packet import DipPacket
+        from repro.dataplane.parser import Parser
+        from repro.dataplane.phv import PacketHeaderVector
+
+        calls = Counter()
+        decode = DipPacket.decode.__func__
+        parse = Parser.parse
+        allocate = PacketHeaderVector.allocate
+
+        def counting_decode(cls, data):
+            calls["decode"] += 1
+            return decode(cls, data)
+
+        def counting_parse(self, packet, phv=None):
+            calls["parse"] += 1
+            return parse(self, packet, phv)
+
+        def counting_allocate(self, name, width, value=0):
+            calls["allocate"] += 1
+            return allocate(self, name, width, value)
+
+        monkeypatch.setattr(DipPacket, "decode", classmethod(counting_decode))
+        monkeypatch.setattr(Parser, "parse", counting_parse)
+        monkeypatch.setattr(PacketHeaderVector, "allocate", counting_allocate)
+        report = golden_fabric(SPEC).run()
+        assert len(report.records) == SPEC.packets
+        # Golden traffic is one IPv4 FN program: stub routers walk the
+        # wire the fabric hands them, the PISA transit walks its parse
+        # graph for the first frame only (basic header + two FN states
+        # = 10 PHV fields), and the engine transit decodes only on
+        # first sight of the program.
+        assert calls == {"decode": 1, "parse": 1, "allocate": 10}
+        t1 = report.components["t1"]["counters"]
+        assert t1["parse_graph_walks"] == 1
+
+
 class TestMultiprocess:
     @pytest.mark.parametrize("processes", [2, 3])
     def test_process_placement_is_invisible(self, processes, fabric_report):
