@@ -8,9 +8,11 @@ Two of the paper's "opportunities with DIP" in one scenario:
    their identity and timestamp into pre-allocated slots, and the
    receiver reads the actual path taken off the packet;
 2. **upgrading FNs instead of replacing hardware** -- the middle router
-   initially does NOT have the telemetry module.  The operator stages
-   and activates it at runtime (RuntimeManager); the very next packet
-   shows the previously-invisible hop.
+   initially does NOT have the telemetry module.  The operator installs
+   it at runtime with a ``RegistryMutation`` -- the same declarative
+   edit the serving daemon's ``/reconfig`` applies -- and the very next
+   packet shows the previously-invisible hop.  Dropping the key again
+   rolls the upgrade back.
 
 Topology::   sender --- edge --- core --- exit --- receiver
 """
@@ -19,10 +21,8 @@ from repro.core.operations.telemetry import (
     node_digest32,
     read_telemetry_array,
 )
-from repro.core.operations.telemetry import TelemetryArrayOperation
-from repro.core.registry import default_registry
+from repro.core.registry import RegistryMutation, default_registry
 from repro.core.fn import OperationKey
-from repro.dataplane.runtime import RuntimeManager
 from repro.netsim import DipRouterNode, HostNode, Topology
 from repro.protocols.ip.addresses import parse_ipv4
 from repro.realize.extensions import with_telemetry_array
@@ -75,14 +75,10 @@ def main() -> None:
     assert first_path == ["edge", "exit"]
 
     # --- runtime upgrade: operator installs F_tel_array on core ------
-    manager = RuntimeManager(routers["core"].processor.registry)
-    manager.stage_install(
-        TelemetryArrayOperation(), note="rollout: INT on the core"
-    )
-    manager.validate_staged_against(
-        with_telemetry_array(build_ipv4_header(RECEIVER, 0), 4).fns
-    )
-    version = manager.activate()
+    # The core lacks only key 19, so restoring the defaults installs it.
+    core_registry = routers["core"].processor.registry
+    version = RegistryMutation(restore_defaults=True).apply(core_registry)
+    assert core_registry.supports(OperationKey.TELEMETRY_ARRAY)
     print(f"core upgraded to FN-set version {version} "
           f"(no reboot, no hardware swap)")
 
@@ -94,7 +90,9 @@ def main() -> None:
     assert second_path == ["edge", "core", "exit"]
 
     # --- rollback works too -------------------------------------------
-    manager.rollback()
+    RegistryMutation(drop_keys=(OperationKey.TELEMETRY_ARRAY,)).apply(
+        core_registry
+    )
     send_probe(sender)
     topo.run()
     third_path = path_of(receiver.inbox[-1][0])

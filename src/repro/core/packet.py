@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.header import DipHeader
-from repro.errors import HeaderValueError
 
 
 @dataclass(frozen=True)
@@ -44,16 +43,3 @@ class DipPacket:
     def with_header(self, header: DipHeader) -> "DipPacket":
         """Copy with a replaced header."""
         return replace(self, header=header)
-
-    def padded_to(self, total_size: int, fill: int = 0) -> "DipPacket":
-        """Pad the payload so the whole packet reaches ``total_size``.
-
-        Used by the Figure 2 workloads to build 128/768/1500-byte
-        packets regardless of header size.
-        """
-        if total_size < self.size:
-            raise HeaderValueError(
-                f"packet already {self.size} bytes, cannot pad to {total_size}"
-            )
-        padding = bytes([fill]) * (total_size - self.size)
-        return replace(self, payload=self.payload + padding)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.core.limits import ProcessingLimits
-from repro.crypto.keys import KeyStore, RouterKey
+from repro.crypto.keys import RouterKey
 from repro.protocols.ip.fib import LpmTable
 from repro.protocols.ndn.cs import ContentStore
 from repro.protocols.ndn.fib import NameFib
@@ -66,7 +66,6 @@ class NodeState:
 
     # -- OPT (F_parm / F_MAC / F_mark / F_ver) ---------------------------
     router_key: RouterKey = field(default=None)  # type: ignore[assignment]
-    key_store: KeyStore = field(default_factory=KeyStore)
     # The router's OPV slot per session (installed at session setup).
     opt_positions: Dict[bytes, int] = field(default_factory=dict)
     # Ingress port -> upstream neighbour id (previous validator label).

@@ -18,7 +18,7 @@ package provides:
 
 from repro.crypto.aes import AES128
 from repro.crypto.even_mansour import EvenMansour2
-from repro.crypto.keys import KeyStore, RouterKey
+from repro.crypto.keys import RouterKey
 from repro.crypto.mac import CbcMac, mac_bytes
 from repro.crypto.permutation import FeistelPermutation
 from repro.crypto.prf import derive_key, prf
@@ -31,6 +31,5 @@ __all__ = [
     "mac_bytes",
     "prf",
     "derive_key",
-    "KeyStore",
     "RouterKey",
 ]

@@ -1,18 +1,13 @@
 """Key-material containers for routers and hosts.
 
 A :class:`RouterKey` wraps a router's long-lived local secret and the
-dynamic-key derivation OPT performs per packet.  A :class:`KeyStore`
-holds the session-side view (the host that negotiated the session knows
-every on-path dynamic key, which is what lets it verify the PVF/OPV
-tags on receipt).
+dynamic-key derivation OPT performs per packet.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Iterable, List
-
 from repro.crypto.prf import KEY_SIZE, derive_key
 
 # F_parm derives a key for whatever session ID the wire carries, so a
@@ -68,40 +63,3 @@ class RouterKey:
     def clear_cache(self) -> None:
         """Drop all cached dynamic keys (e.g. on session teardown)."""
         self._dynamic_cache.clear()
-
-
-class KeyStore:
-    """Host-side view of the dynamic keys along a session's path.
-
-    During OPT key negotiation the source learns the dynamic key of each
-    on-path router (shared via the key-distribution protocol the OPT
-    paper describes); the destination needs them to verify tags.
-    """
-
-    def __init__(self) -> None:
-        self._by_session: Dict[bytes, List[bytes]] = {}
-
-    def install_path_keys(self, session_id: bytes, keys: Iterable[bytes]) -> None:
-        """Record the ordered per-hop dynamic keys for a session."""
-        key_list = [bytes(k) for k in keys]
-        for key in key_list:
-            if len(key) != KEY_SIZE:
-                raise ValueError(f"dynamic keys must be {KEY_SIZE} bytes")
-        self._by_session[bytes(session_id)] = key_list
-
-    def path_keys(self, session_id: bytes) -> List[bytes]:
-        """Return the ordered per-hop keys for ``session_id``."""
-        try:
-            return list(self._by_session[bytes(session_id)])
-        except KeyError:
-            raise KeyError(
-                f"no path keys installed for session {bytes(session_id).hex()}"
-            ) from None
-
-    def has_session(self, session_id: bytes) -> bool:
-        """True if keys for ``session_id`` are installed."""
-        return bytes(session_id) in self._by_session
-
-    def drop_session(self, session_id: bytes) -> None:
-        """Forget a session's keys."""
-        self._by_session.pop(bytes(session_id), None)

@@ -5,29 +5,26 @@ the software stand-in (see DESIGN.md, substitutions):
 
 - :mod:`repro.dataplane.phv` -- packet header vector containers;
 - :mod:`repro.dataplane.parser` -- programmable parser (parse graph);
-- :mod:`repro.dataplane.tables` -- exact/LPM/ternary match-action
-  tables;
-- :mod:`repro.dataplane.pipeline` -- staged match-action pipeline with
-  Tofino-like constraints (fixed stage budget, no loops);
-- :mod:`repro.dataplane.compiler` -- compile an FN list into a pipeline
-  program the way Section 4.1 describes (if-else unrolling on FN_Num,
-  preset field slices);
+- :mod:`repro.dataplane.dip_pipeline` -- the one executor: the unrolled
+  DIP parse, one stage per router FN matched by operation key against
+  the live registry, compiled once per FN program, within the
+  ``MAX_STAGES`` budget and with a second pass for AES-backed MACs
+  (Section 4.1);
 - :mod:`repro.dataplane.costs` -- the deterministic cycle cost model
   behind the Figure 2 reproduction.
+
+A live node is reprogrammed with
+:class:`repro.core.registry.RegistryMutation`, the same mechanism the
+engine and the serving daemon use.
 """
 
 from repro.dataplane.costs import CycleCostModel
+from repro.dataplane.dip_pipeline import DipPipeline, PipelineResult
 from repro.dataplane.phv import PacketHeaderVector
-from repro.dataplane.pipeline import Pipeline, PipelineConfig, Stage
-from repro.dataplane.tables import ExactTable, LpmMatchTable, TernaryTable
 
 __all__ = [
     "CycleCostModel",
+    "DipPipeline",
     "PacketHeaderVector",
-    "Pipeline",
-    "PipelineConfig",
-    "Stage",
-    "ExactTable",
-    "LpmMatchTable",
-    "TernaryTable",
+    "PipelineResult",
 ]

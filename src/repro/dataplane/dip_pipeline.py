@@ -16,10 +16,16 @@ dataplane pieces the way the paper describes its prototype:
 - one pipeline stage exists per unrolled FN slot ("we use the simple
   if-else statement with FN_Num to determine how many field operations
   to perform");
-- each stage holds an exact-match *dispatch table* keyed on the slot's
-  operation key ("we pre-write the required operation modules on the
-  data plane and use the operation key to match these operation
-  modules"); a miss means the FN is unsupported at this node;
+- each stage matches the slot's operation key against the installed
+  modules ("we pre-write the required operation modules on the data
+  plane and use the operation key to match these operation modules");
+  a miss means the FN is unsupported at this node.  The compiled plan
+  is that dispatch: it resolves every slot against the live registry
+  and is recompiled whenever ``registry.version`` moves, so a
+  ``RegistryMutation`` reprograms the pipeline with no other step;
+- a program whose router FNs include an AES-backed MAC, MARK or VERIFY
+  needs a second pass (the paper: AES "needs to resubmit the packet"
+  on Tofino, which is why it picked 2EM); the plan records ``passes``;
 - matched entries invoke the pre-installed operation module against
   the packet's FN-locations buffer (the part of the packet the PHV
   does not hold -- real PISA programs likewise keep payloads in the
@@ -39,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, NoReturn, Optional, Tuple, Union
 
-from repro.core.fn import FN_ENCODED_SIZE, FieldOperation
+from repro.core.fn import FN_ENCODED_SIZE, FieldOperation, OperationKey
 from repro.core.header import (
     BASIC_HEADER_SIZE,
     MAX_LOC_LEN,
@@ -56,8 +62,6 @@ from repro.core.program import PROGRAM_CACHE_BOUND, is_path_critical
 from repro.core.registry import OperationRegistry, default_registry
 from repro.core.state import NodeState
 from repro.dataplane.parser import dip_parse_graph
-from repro.dataplane.pipeline import PipelineConfig
-from repro.dataplane.tables import ExactTable, TableEntry
 from repro.errors import (
     FieldRangeError,
     OperationError,
@@ -74,7 +78,8 @@ class PipelineResult:
     ``wire`` holds the output packet's bytes on a FORWARD (None
     otherwise); :attr:`packet` decodes them only when read.  ``fns`` and
     ``header_length`` are what the parse read off the input, which is
-    all a cycle charge needs.
+    all a cycle charge needs.  ``passes`` is the program's pipeline
+    passes: 2 when an AES-backed MAC module needs a resubmission.
     """
 
     decision: Decision
@@ -85,6 +90,7 @@ class PipelineResult:
     unsupported_key: Optional[int] = None
     fns: Tuple[FieldOperation, ...] = ()
     header_length: int = 0
+    passes: int = 1
 
     @cached_property
     def packet(self) -> Optional[DipPacket]:
@@ -95,26 +101,34 @@ class PipelineResult:
 # Stage kinds of a compiled plan: note only, unsupported, invoke.
 _NOTE, _UNSUPPORTED, _INVOKE = range(3)
 
+# The hardware's match-action stage budget (Tofino-shaped).
+MAX_STAGES = 12
+
+# Keys whose module needs a second pass when backed by AES.
+_RECIRCULATING_KEYS = (OperationKey.MAC, OperationKey.MARK, OperationKey.VERIFY)
+
 
 @dataclass(frozen=True)
 class _Plan:
     """One FN program's parse, compiled: what the parse graph would read.
 
     ``stages`` holds one ``(kind, slot, fn, stages_used, operation,
-    note)`` row per FN slot the walk reaches, with the dispatch entry
-    already resolved to its module and the note text already built.
+    note)`` row per FN slot the walk reaches, with the key already
+    matched to its module and the note text already built.
     ``field_end`` is the largest target-field end over ``fns``: a frame
     whose locations region is shorter fails the range check.
+    ``passes`` is 2 when an invoked module needs recirculation.
     """
 
     fns: Tuple[FieldOperation, ...]
     field_end: int
     stages: Tuple[tuple, ...]
     stages_used: int
+    passes: int
 
 
 class DipPipeline:
-    """Stage-per-FN-slot pipeline with key-dispatch tables.
+    """Stage-per-FN-slot pipeline with key dispatch.
 
     Parameters
     ----------
@@ -122,12 +136,13 @@ class DipPipeline:
         The node's protocol state (shared with any reference processor
         for equivalence testing).
     registry:
-        Installed operation modules; each becomes one dispatch-table
-        entry in every stage.
+        Installed operation modules, matched by key in every stage;
+        the pipeline follows the registry's live contents.
     max_fns:
-        The unroll budget: packets carrying more router FNs than stages
-        cannot be programmed (PipelineConstraintError), mirroring the
-        hardware limitation the paper works around.
+        The unroll budget, at most ``MAX_STAGES``: packets carrying
+        more router FNs than stages cannot be programmed
+        (PipelineConstraintError), mirroring the hardware limitation
+        the paper works around.
 
     A frame takes its program's compiled plan only when it carries at
     most ``max_fns`` FNs and its wire holds the whole header; every
@@ -139,29 +154,19 @@ class DipPipeline:
         self,
         state: NodeState,
         registry: Optional[OperationRegistry] = None,
-        max_fns: int = 12,
-        config: Optional[PipelineConfig] = None,
+        max_fns: int = MAX_STAGES,
     ) -> None:
+        if max_fns > MAX_STAGES:
+            raise PipelineConstraintError(
+                f"{max_fns} FN stages exceed the {MAX_STAGES}-stage budget"
+            )
         self.state = state
         self.registry = registry if registry is not None else default_registry()
-        self.config = config if config is not None else PipelineConfig()
-        if max_fns > self.config.max_stages:
-            raise PipelineConstraintError(
-                f"{max_fns} FN stages exceed the "
-                f"{self.config.max_stages}-stage budget"
-            )
         self.max_fns = max_fns
         self.parser = dip_parse_graph(max_fns=max_fns)
-        # One dispatch table per stage; entries are installed per
-        # registered operation key (the "pre-written" modules).
-        self._dispatch: List[ExactTable] = []
-        for stage_index in range(max_fns):
-            table = ExactTable(f"fn_dispatch_{stage_index}", size=64)
-            for key in self.registry.supported_keys():
-                table.insert(key, TableEntry("invoke", (key,)))
-            self._dispatch.append(table)
-        # The compiled parse: one plan per FN-definition region, cleared
-        # when the registry moves and bounded like the program cache.
+        # The compiled parse and dispatch: one plan per FN-definition
+        # region, cleared when the registry moves and bounded like the
+        # program cache.
         self._plans: Dict[bytes, _Plan] = {}
         self._plans_version = self.registry.version
         self.parse_graph_walks = 0
@@ -207,7 +212,10 @@ class DipPipeline:
         if plan.field_end > (header_length - loc_start) * 8:
             check_field_ranges(fns, header_length - loc_start)
         result = PipelineResult(
-            decision=Decision.DROP, fns=fns, header_length=header_length
+            decision=Decision.DROP,
+            fns=fns,
+            header_length=header_length,
+            passes=plan.passes,
         )
         notes = result.notes
         hop_limit = wire[3]
@@ -228,10 +236,6 @@ class DipPipeline:
         fate = None
         for kind, slot, fn, stages, operation, note in plan.stages:
             if kind == _INVOKE:
-                if operation is None:
-                    # Dispatched, but the module left the registry: the
-                    # lookup raises, as it does for the walk.
-                    self.registry.get(fn.key)
                 try:
                     op_result = operation.execute(ctx, fn)
                 except (OperationError, FieldRangeError) as exc:
@@ -314,23 +318,20 @@ class DipPipeline:
         return plan, loc_start, header_length
 
     def _compile(self, fns: Tuple[FieldOperation, ...]) -> _Plan:
-        """Resolve every FN slot's stage, dispatch entry and note once."""
+        """Resolve every FN slot's stage, module and note once."""
         stages = []
         cursor = 0
+        recirculate = False
         for slot, fn in enumerate(fns):
-            operation = None
             if fn.tag:
+                operation = None
                 kind, note = _NOTE, f"stage {slot}: host FN skipped"
             else:
-                entry = self._dispatch[cursor].match(fn.key)
+                operation = self.registry.find(fn.key)
                 cursor += 1
-                if entry is not None:
-                    operation = self.registry.find(entry.data[0])
-                    kind = _INVOKE
-                    note = (
-                        None if operation is None
-                        else f"stage {slot}: {operation.name}"
-                    )
+                if operation is not None:
+                    kind, note = _INVOKE, f"stage {slot}: {operation.name}"
+                    recirculate = recirculate or fn.key in _RECIRCULATING_KEYS
                 elif is_path_critical(fn.key):
                     kind = _UNSUPPORTED
                     note = f"stage {slot}: unsupported path-critical key {fn.key}"
@@ -344,6 +345,7 @@ class DipPipeline:
             max((fn.field_end for fn in fns), default=0),
             tuple(stages),
             cursor,
+            2 if recirculate and self.state.mac_backend == "aes" else 1,
         )
 
     # ------------------------------------------------------------------

@@ -46,10 +46,6 @@ class OperationStateError(OperationError):
     """An operation needs router/host state that is missing or invalid."""
 
 
-class VerificationError(OperationError):
-    """A cryptographic verification (source/path) failed."""
-
-
 class ProcessingLimitError(ReproError):
     """A packet exceeded the router's per-packet processing limits."""
 

@@ -113,29 +113,6 @@ class LpmTable:
             shift -= 1
         return best
 
-    def lookup_with_prefix(self, address: int) -> Optional[Tuple[int, int, Any]]:
-        """Like :meth:`lookup` but returns ``(prefix, prefix_len, value)``."""
-        if address >> self.width:
-            raise ProtocolError(
-                f"address {address:#x} wider than {self.width} bits"
-            )
-        node = self._root
-        best: Optional[Tuple[int, int, Any]] = (
-            (0, 0, node.value) if node.occupied else None
-        )
-        consumed = 0
-        for depth in range(self.width):
-            bit = (address >> (self.width - 1 - depth)) & 1
-            node = node.children[bit]
-            if node is None:
-                break
-            consumed = depth + 1
-            if node.occupied:
-                low_bits = self.width - consumed
-                prefix = (address >> low_bits) << low_bits
-                best = (prefix, consumed, node.value)
-        return best
-
     def routes(self) -> Iterator[Tuple[int, int, Any]]:
         """Yield all installed routes as ``(prefix, prefix_len, value)``."""
 

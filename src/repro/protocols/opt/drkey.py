@@ -19,7 +19,7 @@ import hashlib
 from typing import Sequence
 
 from repro.crypto.keys import RouterKey
-from repro.crypto.prf import KEY_SIZE, derive_key
+from repro.crypto.prf import KEY_SIZE
 from repro.protocols.opt.session import OptSession
 
 
@@ -74,8 +74,3 @@ def negotiate_session(
         hop_keys=tuple(hop_keys),
         dest_key=dest_key,
     )
-
-
-def host_session_key(host_secret: bytes, session_id: bytes) -> bytes:
-    """Derive a host's session key from its secret (source side)."""
-    return derive_key(host_secret, session_id, b"host")

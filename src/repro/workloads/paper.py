@@ -37,9 +37,8 @@ from repro.core.packet import DipPacket
 from repro.core.processor import Decision, RouterProcessor
 from repro.core.state import NodeState
 from repro.crypto.keys import RouterKey
-from repro.dataplane.compiler import compile_fn_program
 from repro.dataplane.costs import CycleCostModel
-from repro.dataplane.pipeline import PipelineConfig
+from repro.dataplane.dip_pipeline import DipPipeline
 from repro.fabric import GoldenSpec, golden_fabric, golden_netsim
 from repro.protocols.dps.csfq import CsfqCore, EdgeRateEstimator
 from repro.protocols.ip.fib import LpmTable
@@ -326,10 +325,10 @@ def run_mac() -> Tuple[Rows]:
         session = negotiate_session(
             "s", "d", [RouterKey("mac")], RouterKey("d"), nonce=b"m"
         )
-        fns = build_opt_packet(session, b"p").header.fns
         # AES needs a second pipeline pass (packet resubmission).
-        config = PipelineConfig(allow_recirculation=backend == "aes")
-        passes = compile_fn_program(fns, config, mac_backend=backend).passes
+        passes = DipPipeline(
+            NodeState(node_id="mac", mac_backend=backend)
+        ).process(build_opt_packet(session, b"p")).passes
         rows.append([
             backend,
             timed(workload.run_all, 1e6 / 100),

@@ -1,12 +1,10 @@
 """Tests for full DIP packets."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.fn import FieldOperation
 from repro.core.header import DipHeader
 from repro.core.packet import DipPacket
-from repro.errors import HeaderValueError
 
 
 def make_packet(payload=b"data"):
@@ -34,26 +32,6 @@ class TestDipPacket:
         new_header = packet.header.with_hop_limit(1)
         assert packet.with_header(new_header).header.hop_limit == 1
         assert packet.header.hop_limit == 64  # original untouched
-
-    def test_padded_to(self):
-        packet = make_packet(b"x")
-        padded = packet.padded_to(128)
-        assert padded.size == 128
-        assert padded.payload.startswith(b"x")
-        assert set(padded.payload[1:]) == {0}
-
-    def test_padded_to_fill_byte(self):
-        padded = make_packet(b"").padded_to(64, fill=0xAB)
-        assert set(padded.payload) == {0xAB}
-
-    def test_padded_to_too_small(self):
-        packet = make_packet(b"x" * 100)
-        with pytest.raises(HeaderValueError):
-            packet.padded_to(50)
-
-    def test_padded_to_exact_size_noop(self):
-        packet = make_packet(b"x")
-        assert packet.padded_to(packet.size) == packet
 
     @given(st.binary(max_size=512))
     def test_property_roundtrip(self, payload):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.crypto.keys import (
     DYNAMIC_KEY_CACHE_BOUND,
-    KeyStore,
     RouterKey,
     secret_from_seed,
 )
@@ -78,33 +77,3 @@ class TestRouterKey:
             router.dynamic_key(i.to_bytes(16, "big"))
             router.dynamic_key(hot)
         assert hot in router._dynamic_cache
-
-
-class TestKeyStore:
-    def test_install_and_fetch(self):
-        store = KeyStore()
-        keys = [bytes([i]) * 16 for i in range(3)]
-        store.install_path_keys(b"\x01" * 16, keys)
-        assert store.path_keys(b"\x01" * 16) == keys
-        assert store.has_session(b"\x01" * 16)
-
-    def test_missing_session_raises(self):
-        with pytest.raises(KeyError):
-            KeyStore().path_keys(b"\x00" * 16)
-
-    def test_bad_key_size_rejected(self):
-        with pytest.raises(ValueError):
-            KeyStore().install_path_keys(b"\x01" * 16, [b"short"])
-
-    def test_drop_session(self):
-        store = KeyStore()
-        store.install_path_keys(b"\x01" * 16, [bytes(16)])
-        store.drop_session(b"\x01" * 16)
-        assert not store.has_session(b"\x01" * 16)
-        store.drop_session(b"\x01" * 16)  # idempotent
-
-    def test_returned_list_is_a_copy(self):
-        store = KeyStore()
-        store.install_path_keys(b"\x01" * 16, [bytes(16)])
-        store.path_keys(b"\x01" * 16).append(b"\xff" * 16)
-        assert len(store.path_keys(b"\x01" * 16)) == 1

@@ -1,12 +1,14 @@
-"""Tests for the FN compiler and the cycle cost model."""
+"""Tests for the compiled plan's layout and the cycle cost model."""
 
 import pytest
 
 from repro.core.fn import FieldOperation, OperationKey
+from repro.core.header import DipHeader
+from repro.core.packet import DipPacket
+from repro.core.state import NodeState
 from repro.crypto.keys import RouterKey
-from repro.dataplane.compiler import compile_fn_program
 from repro.dataplane.costs import CycleCostModel
-from repro.dataplane.pipeline import PipelineConfig
+from repro.dataplane.dip_pipeline import DipPipeline
 from repro.errors import PipelineConstraintError
 from repro.protocols.opt import negotiate_session
 from repro.realize.derived import build_ndn_opt_interest
@@ -23,49 +25,50 @@ def session():
 
 
 class TestCompiler:
+    """``DipPipeline``'s plan: one stage per router FN, and passes."""
+
     def test_ip_program_layout(self):
-        fns = build_ipv4_packet(1, 2).header.fns
-        program = compile_fn_program(fns)
-        assert program.stage_count == 2
-        assert program.passes == 1
-        assert [s.operation_name for s in program.stages] == [
-            "MATCH_32",
-            "SOURCE",
-        ]
+        state = NodeState()
+        state.fib_v4.insert(0x0A000000, 8, 2)
+        result = DipPipeline(state).process(build_ipv4_packet(0x0A000001, 7))
+        assert result.stages_executed == 2
+        assert result.passes == 1
+        assert result.notes == ["stage 0: F_32_match", "stage 1: F_source"]
 
     def test_host_fns_not_compiled(self, session):
-        fns = build_opt_packet(session, b"p").header.fns
-        program = compile_fn_program(fns)
-        assert program.stage_count == 3  # parm, mac, mark
-        assert len(program.host_fns) == 1
-        assert program.host_fns[0].key == OperationKey.VERIFY
+        state = NodeState(node_id="r")
+        state.opt_positions[session.session_id] = 0
+        state.default_port = 9
+        result = DipPipeline(state).process(
+            build_opt_packet(session, b"p"), ingress_port=1
+        )
+        assert result.stages_executed == 3  # parm, mac, mark
+        assert result.notes == [
+            "stage 0: F_parm",
+            "stage 1: F_MAC",
+            "stage 2: F_mark",
+            "stage 3: host FN skipped",
+        ]
+        assert build_opt_packet(session, b"p").header.fns[3].key == (
+            OperationKey.VERIFY
+        )
 
     def test_stage_budget(self):
         fns = tuple(FieldOperation(0, 8, 13) for _ in range(13))
+        packet = DipPacket(header=DipHeader(fns=fns, locations=b"\x00"))
         with pytest.raises(PipelineConstraintError):
-            compile_fn_program(fns, PipelineConfig(max_stages=12))
+            DipPipeline(NodeState()).process(packet)
 
     def test_aes_requires_recirculation(self, session):
-        fns = build_ndn_opt_interest("/a", session, b"p").header.fns
-        with pytest.raises(PipelineConstraintError):
-            compile_fn_program(fns, mac_backend="aes")
-        program = compile_fn_program(
-            fns,
-            PipelineConfig(allow_recirculation=True),
-            mac_backend="aes",
-        )
-        assert program.passes == 2
-        assert any(stage.recirculate for stage in program.stages)
+        """AES "needs to resubmit the packet": a second pass."""
+        packet = build_ndn_opt_interest("/a", session, b"p")
+        state = NodeState(mac_backend="aes")
+        assert DipPipeline(state).process(packet).passes == 2
 
     def test_2em_single_pass(self, session):
         """The paper's 2EM choice: no resubmission needed."""
-        fns = build_ndn_opt_interest("/a", session, b"p").header.fns
-        program = compile_fn_program(fns, mac_backend="2em")
-        assert program.passes == 1
-
-    def test_unknown_key_named(self):
-        program = compile_fn_program((FieldOperation(0, 8, 99),))
-        assert program.stages[0].operation_name == "key_99"
+        packet = build_ndn_opt_interest("/a", session, b"p")
+        assert DipPipeline(NodeState()).process(packet).passes == 1
 
 
 class TestCycleCostModel:

@@ -9,7 +9,6 @@ from repro.core.registry import default_registry
 from repro.core.state import NodeState
 from repro.crypto.keys import RouterKey
 from repro.dataplane.dip_pipeline import DipPipeline
-from repro.dataplane.pipeline import PipelineConfig
 from repro.errors import PipelineConstraintError
 from repro.protocols.opt import negotiate_session
 from repro.protocols.xia import DagAddress, Xid, XidType
@@ -153,7 +152,7 @@ class TestHardwareConstraints:
     def test_unroll_cannot_exceed_global_budget(self):
         state, _ = paired_states()
         with pytest.raises(PipelineConstraintError):
-            DipPipeline(state, max_fns=20, config=PipelineConfig(max_stages=12))
+            DipPipeline(state, max_fns=20)
 
     def test_host_fns_consume_no_stage(self):
         session = negotiate_session(
@@ -404,7 +403,6 @@ class TestCompiledPlan:
 
     def test_a_registry_mutation_walks_the_graph_again(self):
         from repro.core.registry import RegistryMutation
-        from repro.errors import UnknownOperationError
 
         state, _ = paired_states()
         pipeline = DipPipeline(state)
@@ -418,10 +416,52 @@ class TestCompiledPlan:
         assert (again.decision, again.ports, again.wire) == (
             first.decision, first.ports, first.wire
         )
-        # A dispatched module that left the registry fails its lookup,
-        # as it does in a walk, on every frame.
+        # A module that left the registry is a miss in the recompiled
+        # plan, on every frame, exactly as in a fresh pipeline.
         RegistryMutation(drop_keys=(1,)).apply(pipeline.registry)
+        fresh = DipPipeline(paired_states()[0], pipeline.registry)
         for _ in range(2):
-            with pytest.raises(UnknownOperationError):
-                pipeline.process(wire, ingress_port=1)
+            assert _outcome(pipeline, wire) == _outcome(fresh, wire)
         assert pipeline.parse_graph_walks == 3
+
+    @pytest.mark.parametrize("change", ["install", "drop"])
+    def test_a_stale_pipeline_dispatches_like_a_fresh_one(self, change):
+        """A pipeline built before a ``RegistryMutation`` follows the
+        live registry: installing F_tel_array (key 19) or dropping
+        F_32_match (key 1) decides like a fresh pipeline and like
+        ``RouterProcessor``."""
+        from repro.core.fn import OperationKey
+        from repro.core.header import DipHeader
+        from repro.core.packet import DipPacket
+        from repro.core.registry import RegistryMutation
+        from repro.realize.extensions import with_telemetry_array
+        from repro.realize.ip import build_ipv4_header
+
+        registry = default_registry()
+        if change == "install":
+            registry.unregister(OperationKey.TELEMETRY_ARRAY)
+            mutation = RegistryMutation(restore_defaults=True)
+        else:
+            mutation = RegistryMutation(drop_keys=(OperationKey.MATCH_32,))
+        header = with_telemetry_array(build_ipv4_header(0x0A000001, 7), 4)
+        wire = DipPacket(header=header, payload=b"t").encode()
+        stale = DipPipeline(paired_states()[0], registry)
+        stale.process(wire, ingress_port=1)
+        mutation.apply(registry)
+
+        got = stale.process(wire, ingress_port=1)
+        fresh = DipPipeline(paired_states()[0], registry).process(
+            wire, ingress_port=1
+        )
+        reference = RouterProcessor(
+            paired_states()[0], registry=registry
+        ).process(DipPacket.decode(wire), ingress_port=1)
+        assert (got.decision, got.ports, got.wire, got.notes) == (
+            fresh.decision, fresh.ports, fresh.wire, fresh.notes
+        )
+        packet = reference.packet
+        assert (got.decision, got.ports, got.wire) == (
+            reference.decision,
+            reference.ports,
+            None if packet is None else packet.encode(),
+        )

@@ -19,7 +19,7 @@ from repro.core.operations.keysetup import read_collected_keys
 from repro.core.operations.telemetry import node_digest32, read_telemetry_array
 from repro.core.packet import DipPacket
 from repro.core.header import DipHeader
-from repro.dataplane.runtime import RuntimeManager
+from repro.core.registry import RegistryMutation
 from repro.netsim import DipRouterNode, HostNode, Topology
 from repro.netsim.bootstrap import bootstrap_host_async
 from repro.protocols.ndn.cs import ContentStore
@@ -152,13 +152,13 @@ def test_full_life_cycle(network):
 
     r1.state.content_store.clear()
     r1.state.passport_enabled = True
-    manager = RuntimeManager(r1.processor.registry)
-    manager.stage_remove(OperationKey.PIT, note="quarantine data plane")
-    manager.activate()
+    # quarantine the data plane: the same edit /reconfig?drop= applies
+    RegistryMutation(drop_keys=(OperationKey.PIT,)).apply(r1.processor.registry)
     attacker.send_packet(poison)
     topo.run()
     assert r1.state.content_store.lookup(
         digest_name(name_digest(CONTENT_NAME))
     ) is None
-    manager.rollback()  # service restored after the attack subsides
+    # service restored after the attack subsides
+    RegistryMutation(restore_defaults=True).apply(r1.processor.registry)
     assert r1.processor.registry.supports(OperationKey.PIT)

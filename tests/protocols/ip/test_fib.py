@@ -57,13 +57,6 @@ class TestLpmBasics:
         table.remove(0x0A010000, 16)
         assert table.lookup(0x0A010203) == "parent"
 
-    def test_lookup_with_prefix(self):
-        table = LpmTable(32)
-        table.insert(0x0A000000, 8, "x")
-        prefix, prefix_len, value = table.lookup_with_prefix(0x0A010203)
-        assert (prefix, prefix_len, value) == (0x0A000000, 8, "x")
-        assert table.lookup_with_prefix(0x0B000000) is None
-
     def test_routes_iteration(self):
         table = LpmTable(32)
         table.insert(0x0A000000, 8, 1)
