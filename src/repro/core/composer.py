@@ -18,7 +18,8 @@ E-LEN     an FN's field length is illegal for its operation
 W-KEY     unknown operation key (ignored by compliant routers)
 W-POISON  F_FIB and F_PIT over the same field in one packet --
           the content-poisoning combination of Section 2.4
-W-STAGES  the router program exceeds a typical stage budget
+W-STAGES  more FNs than the pipeline's FN_Num parse unrolls
+          (``MAX_STAGES``: the PISA pipeline refuses the packet)
 I-PAR     the parallel flag is set but no two FNs can actually
           run concurrently
 ========  =====================================================
@@ -32,8 +33,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.fn import FieldOperation, OperationKey
 from repro.core.header import DipHeader
-from repro.core.processor import fns_conflict
-from repro.errors import HeaderValueError
+from repro.core.program import MAX_STAGES, fns_conflict
 
 
 class Severity(Enum):
@@ -79,12 +79,8 @@ _FIXED_LENGTHS = {
     OperationKey.POLICE: 256,
 }
 
-DEFAULT_STAGE_BUDGET = 12
 
-
-def lint_program(
-    header: DipHeader, stage_budget: int = DEFAULT_STAGE_BUDGET
-) -> List[Diagnostic]:
+def lint_program(header: DipHeader) -> List[Diagnostic]:
     """Lint an FN composition; returns diagnostics, worst first."""
     diagnostics: List[Diagnostic] = []
     total_bits = header.loc_len * 8
@@ -174,16 +170,16 @@ def lint_program(
                     )
                 )
 
-    router_fns = header.router_fns()
-    if len(router_fns) > stage_budget:
+    if len(header.fns) > MAX_STAGES:
         diagnostics.append(
             Diagnostic(
                 Severity.WARNING, "W-STAGES",
-                f"{len(router_fns)} router FNs exceed a "
-                f"{stage_budget}-stage pipeline budget",
+                f"{len(header.fns)} FNs exceed the {MAX_STAGES} FN states "
+                f"a pipeline's parse graph unrolls",
             )
         )
 
+    router_fns = header.router_fns()
     if header.parallel and len(router_fns) > 1:
         any_independent = any(
             not fns_conflict(a, b)
@@ -202,15 +198,3 @@ def lint_program(
     order = {Severity.ERROR: 0, Severity.WARNING: 1, Severity.INFO: 2}
     diagnostics.sort(key=lambda d: (order[d.severity], d.fn_index or 0))
     return diagnostics
-
-
-def assert_valid(header: DipHeader, stage_budget: int = DEFAULT_STAGE_BUDGET) -> None:
-    """Raise on any ERROR-level diagnostic (host-side pre-send gate)."""
-    errors = [
-        d for d in lint_program(header, stage_budget)
-        if d.severity is Severity.ERROR
-    ]
-    if errors:
-        raise HeaderValueError(
-            "invalid FN composition: " + "; ".join(str(e) for e in errors)
-        )

@@ -109,13 +109,6 @@ class FieldOperation:
             return False
         return self.field_loc < other.field_end and other.field_loc < self.field_end
 
-    def operation_key(self) -> OperationKey:
-        """The key as an :class:`OperationKey` (raises on unknown keys)."""
-        try:
-            return OperationKey(self.key)
-        except ValueError:
-            raise HeaderValueError(f"unknown operation key {self.key}") from None
-
     # ------------------------------------------------------------------
     # wire format
     # ------------------------------------------------------------------

@@ -231,19 +231,6 @@ class DipHeader:
         """A mutable bit-level view of a *copy* of the locations."""
         return BitView(self.locations)
 
-    def target_field(self, fn: FieldOperation) -> bytes:
-        """Extract one FN's target field (left-aligned bytes)."""
-        view = BitView(self.locations)
-        return view.get_bits(fn.field_loc, fn.field_len)
-
-    def with_locations(self, locations: bytes) -> "DipHeader":
-        """Copy with a replaced locations blob (same length required)."""
-        if len(locations) != self.loc_len:
-            raise HeaderValueError(
-                "replacement locations must keep the advertised length"
-            )
-        return replace(self, locations=bytes(locations))
-
     def with_hop_limit(self, hop_limit: int) -> "DipHeader":
         """Copy with a new hop limit."""
         return replace(self, hop_limit=hop_limit)
@@ -251,7 +238,3 @@ class DipHeader:
     def router_fns(self) -> Tuple[FieldOperation, ...]:
         """The FNs routers execute (tag == 0)."""
         return tuple(fn for fn in self.fns if not fn.tag)
-
-    def host_fns(self) -> Tuple[FieldOperation, ...]:
-        """The FNs hosts execute (tag == 1)."""
-        return tuple(fn for fn in self.fns if fn.tag)

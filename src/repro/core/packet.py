@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.header import DipHeader
 
@@ -39,7 +39,3 @@ class DipPacket:
         """Parse a packet (the header knows its own length)."""
         header, consumed = DipHeader.decode(data)
         return cls(header=header, payload=bytes(data[consumed:]))
-
-    def with_header(self, header: DipHeader) -> "DipPacket":
-        """Copy with a replaced header."""
-        return replace(self, header=header)

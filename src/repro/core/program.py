@@ -7,11 +7,15 @@ Section 2.4 path-critical judgement, model cycles, the modular
 parallelism analysis, the flow-cache purity class and read plan -- is
 lowered once into a :class:`Program` and shared by every back end: the
 scalar walk (:meth:`RouterProcessor.walk`), the flow cache in front of
-it, and the columnar kernels (:mod:`repro.engine.columnar`).
+it, the columnar kernels (:mod:`repro.engine.columnar`) and the PISA
+pipeline (:class:`repro.dataplane.dip_pipeline.DipPipeline`), whose
+stage budget :data:`MAX_STAGES` is also what the composition linter
+checks.
 
-:class:`ProgramCache` is the one owner of a processor's programs: the
-only place that looks one up, drops them when the registry changes, and
-bounds how many a hostile traffic mix can make it keep.
+:class:`ProgramCache` is the one owner of a processor's (or a PISA
+pipeline's) programs: the only place that looks one up, drops them
+when the registry changes, and bounds how many a hostile traffic mix
+can make it keep.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ STEP_EXECUTE = 0      # run the operation module
 STEP_HOST_SKIP = 1    # host-tagged FN: routers skip it
 STEP_IGNORE = 2       # no module installed, safe to ignore
 STEP_UNSUPPORTED = 3  # no module installed, path-critical: stop and signal
+
+# The match-action stage budget (Tofino-shaped): the PISA parse graph
+# unrolls at most this many FN states, so a program with more FNs
+# cannot be programmed (Section 4.1's "if-else with FN_Num").
+MAX_STAGES = 12
+
+# Keys whose module needs a second pipeline pass when backed by AES.
+_RECIRCULATING_KEYS = (OperationKey.MAC, OperationKey.MARK, OperationKey.VERIFY)
 
 # Most cache entries (two keys per program) a ProgramCache keeps before
 # it starts over.  Honest traffic carries a handful of compositions;
@@ -132,6 +144,11 @@ class Program:
         Executed FNs per operation key, for the telemetry op counters
         (program-attributed: an early-exit drop still counts the full
         program, DESIGN.md 3.8).
+    stage_ends, recirculates:
+        Router stages used per walked step-prefix length (one stage per
+        router FN slot, executed or not), and whether an executed module
+        is MAC, MARK or VERIFY -- the PISA pipeline's stage count and
+        its AES second pass.
     """
 
     __slots__ = (
@@ -146,6 +163,8 @@ class Program:
         "read_slices",
         "read_cover",
         "op_counts",
+        "stage_ends",
+        "recirculates",
     )
 
     def __init__(
@@ -176,6 +195,14 @@ class Program:
             steps.append((STEP_EXECUTE, fn, operation, cycles))
             executed.append((fn, cycles))
         self.steps = tuple(steps)
+        self.stage_ends = [0]
+        for step in steps:
+            self.stage_ends.append(
+                self.stage_ends[-1] + (step[0] != STEP_HOST_SKIP)
+            )
+        self.recirculates = any(
+            fn.key in _RECIRCULATING_KEYS for fn, _ in executed
+        )
         self.cacheable = all(
             step[2].pure for step in steps if step[0] == STEP_EXECUTE
         )
@@ -209,7 +236,7 @@ class Program:
 
 
 class ProgramCache:
-    """The one owner of a processor's lowered programs.
+    """The one owner of a processor's (or a PISA pipeline's) lowered programs.
 
     Every program is stored under two keys -- its decoded ``fns`` tuple
     (``DipPacket`` input) and its raw FN-definition bytes (wire input);

@@ -6,8 +6,8 @@ the software stand-in (see DESIGN.md, substitutions):
 - :mod:`repro.dataplane.phv` -- packet header vector containers;
 - :mod:`repro.dataplane.parser` -- programmable parser (parse graph);
 - :mod:`repro.dataplane.dip_pipeline` -- the one executor: the unrolled
-  DIP parse, one stage per router FN matched by operation key against
-  the live registry, compiled once per FN program, within the
+  DIP parse, then one stage per router FN of the program it lowers
+  through :class:`repro.core.program.ProgramCache`, within the
   ``MAX_STAGES`` budget and with a second pass for AES-backed MACs
   (Section 4.1);
 - :mod:`repro.dataplane.costs` -- the deterministic cycle cost model

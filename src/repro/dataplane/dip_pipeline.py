@@ -9,23 +9,25 @@ dataplane pieces the way the paper describes its prototype:
 - the packet is parsed by the unrolled DIP parse graph
   (:func:`repro.dataplane.parser.dip_parse_graph`) into a PHV -- no
   loops, ``FN_Num`` bounds how many FN states fire.  The walk runs
-  once per FN program: its result is compiled into a plan keyed on the
-  FN-definition bytes (P4 compiles its parser from the program), and
-  later frames of that program read their header scalars straight off
-  the wire (``parse_graph_walks`` counts the walks);
+  once per FN program: the triples it reads are lowered into a
+  :class:`~repro.core.program.Program` kept in the pipeline's own
+  :class:`~repro.core.program.ProgramCache` (P4 compiles its parser
+  and its tables from one program), and later frames of that program
+  read their header scalars straight off the wire
+  (``parse_graph_walks`` counts the walks);
 - one pipeline stage exists per unrolled FN slot ("we use the simple
   if-else statement with FN_Num to determine how many field operations
-  to perform");
+  to perform"), within the ``MAX_STAGES`` budget;
 - each stage matches the slot's operation key against the installed
   modules ("we pre-write the required operation modules on the data
   plane and use the operation key to match these operation modules");
-  a miss means the FN is unsupported at this node.  The compiled plan
-  is that dispatch: it resolves every slot against the live registry
-  and is recompiled whenever ``registry.version`` moves, so a
+  a miss means the FN is unsupported at this node.  The program's
+  steps are that dispatch: they are lowered against the live registry
+  and dropped whenever ``registry.version`` moves, so a
   ``RegistryMutation`` reprograms the pipeline with no other step;
-- a program whose router FNs include an AES-backed MAC, MARK or VERIFY
+- a program whose router FNs execute an AES-backed MAC, MARK or VERIFY
   needs a second pass (the paper: AES "needs to resubmit the packet"
-  on Tofino, which is why it picked 2EM); the plan records ``passes``;
+  on Tofino, which is why it picked 2EM); the result records ``passes``;
 - matched entries invoke the pre-installed operation module against
   the packet's FN-locations buffer (the part of the packet the PHV
   does not hold -- real PISA programs likewise keep payloads in the
@@ -41,11 +43,11 @@ the conformance matrix holds both to the reference interpreter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NoReturn, Optional, Tuple, Union
+from typing import List, NoReturn, Optional, Tuple, Union
 
-from repro.core.fn import FN_ENCODED_SIZE, FieldOperation, OperationKey
+from repro.core.fn import FN_ENCODED_SIZE, FieldOperation
 from repro.core.header import (
     BASIC_HEADER_SIZE,
     MAX_LOC_LEN,
@@ -58,7 +60,15 @@ from repro.core.operations.base import (
     OperationResult,
 )
 from repro.core.packet import DipPacket
-from repro.core.program import PROGRAM_CACHE_BOUND, is_path_critical
+from repro.core.program import (
+    MAX_STAGES,
+    STEP_EXECUTE,
+    STEP_HOST_SKIP,
+    STEP_IGNORE,
+    STEP_UNSUPPORTED,
+    Program,
+    ProgramCache,
+)
 from repro.core.registry import OperationRegistry, default_registry
 from repro.core.state import NodeState
 from repro.dataplane.parser import dip_parse_graph
@@ -69,6 +79,15 @@ from repro.errors import (
     TruncatedHeaderError,
 )
 from repro.util.bitview import BitView
+
+
+# Stage-note text per step code, formatted with the slot, FN and module.
+_STAGE_NOTES = {
+    STEP_EXECUTE: "stage {slot}: {op.name}",
+    STEP_HOST_SKIP: "stage {slot}: host FN skipped",
+    STEP_IGNORE: "stage {slot}: key {fn.key} ignored",
+    STEP_UNSUPPORTED: "stage {slot}: unsupported path-critical key {fn.key}",
+}
 
 
 @dataclass
@@ -86,45 +105,42 @@ class PipelineResult:
     ports: Tuple[int, ...] = ()
     wire: Optional[bytes] = None
     stages_executed: int = 0
-    notes: List[str] = field(default_factory=list)
     unsupported_key: Optional[int] = None
     fns: Tuple[FieldOperation, ...] = ()
     header_length: int = 0
     passes: int = 1
+    # The steps noted and why the walk ended; :attr:`notes` formats them when read.
+    _steps = ()
+    _closing = None
+
+    def _end(
+        self,
+        program: Program,
+        walked: int,
+        closing: Optional[str] = None,
+        noted: Optional[int] = None,
+    ) -> "PipelineResult":
+        """Close the walk after the first ``walked`` steps of ``program``."""
+        self.stages_executed = program.stage_ends[walked]
+        self._steps = program.steps[: walked if noted is None else noted]
+        self._closing = closing
+        return self
+
+    @cached_property
+    def notes(self) -> List[str]:
+        """One note per stage walked, then why the walk ended (formatted once)."""
+        notes = [
+            _STAGE_NOTES[code].format(slot=slot, fn=fn, op=op)
+            for slot, (code, fn, op, _) in enumerate(self._steps)
+        ]
+        if self._closing is not None:
+            notes.append(self._closing)
+        return notes
 
     @cached_property
     def packet(self) -> Optional[DipPacket]:
         """The output packet, decoded from :attr:`wire` on first read."""
         return DipPacket.decode(self.wire) if self.wire is not None else None
-
-
-# Stage kinds of a compiled plan: note only, unsupported, invoke.
-_NOTE, _UNSUPPORTED, _INVOKE = range(3)
-
-# The hardware's match-action stage budget (Tofino-shaped).
-MAX_STAGES = 12
-
-# Keys whose module needs a second pass when backed by AES.
-_RECIRCULATING_KEYS = (OperationKey.MAC, OperationKey.MARK, OperationKey.VERIFY)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """One FN program's parse, compiled: what the parse graph would read.
-
-    ``stages`` holds one ``(kind, slot, fn, stages_used, operation,
-    note)`` row per FN slot the walk reaches, with the key already
-    matched to its module and the note text already built.
-    ``field_end`` is the largest target-field end over ``fns``: a frame
-    whose locations region is shorter fails the range check.
-    ``passes`` is 2 when an invoked module needs recirculation.
-    """
-
-    fns: Tuple[FieldOperation, ...]
-    field_end: int
-    stages: Tuple[tuple, ...]
-    stages_used: int
-    passes: int
 
 
 class DipPipeline:
@@ -140,14 +156,15 @@ class DipPipeline:
         the pipeline follows the registry's live contents.
     max_fns:
         The unroll budget, at most ``MAX_STAGES``: packets carrying
-        more router FNs than stages cannot be programmed
+        more FNs than that cannot be programmed
         (PipelineConstraintError), mirroring the hardware limitation
         the paper works around.
 
-    A frame takes its program's compiled plan only when it carries at
-    most ``max_fns`` FNs and its wire holds the whole header; every
-    other frame walks the parse graph, so errors, their order and
-    their text never depend on what was compiled before.
+    ``programs`` is the pipeline's own :class:`ProgramCache`.  A frame
+    takes its program from it only when it carries at most ``max_fns``
+    FNs and its wire holds the whole header; every other frame walks
+    the parse graph, so errors, their order and their text never
+    depend on what was lowered before.
     """
 
     def __init__(
@@ -164,11 +181,7 @@ class DipPipeline:
         self.registry = registry if registry is not None else default_registry()
         self.max_fns = max_fns
         self.parser = dip_parse_graph(max_fns=max_fns)
-        # The compiled parse and dispatch: one plan per FN-definition
-        # region, cleared when the registry moves and bounded like the
-        # program cache.
-        self._plans: Dict[bytes, _Plan] = {}
-        self._plans_version = self.registry.version
+        self.programs = ProgramCache(self.registry)
         self.parse_graph_walks = 0
 
     # ------------------------------------------------------------------
@@ -181,19 +194,16 @@ class DipPipeline:
         """Run one packet's wire bytes through parser + stages.
 
         A :class:`DipPacket` is encoded first.  The wire is parsed once:
-        the FN triples come from the program's plan (the parse graph on
-        first sight), and the FN locations and the payload stay slices
-        of the packet buffer -- nothing decodes the input to a
-        ``DipPacket``.  A malformed wire raises exactly what
-        ``DipPacket.decode`` raises, in the same order: codec errors
-        before the unroll budget, field ranges before the hop limit.
+        the FN triples come from the program (the parse graph on first
+        sight), and the FN locations and the payload stay slices of the
+        packet buffer -- nothing decodes the input to a ``DipPacket``.
+        A malformed wire raises exactly what ``DipPacket.decode``
+        raises, in the same order: codec errors before the unroll
+        budget, field ranges before the hop limit.
         """
         wire = packet.encode() if isinstance(packet, DipPacket) else bytes(packet)
-        if self._plans_version != self.registry.version:
-            # Plans captured module lookups: recompile under the new set.
-            self._plans.clear()
-            self._plans_version = self.registry.version
-        plan = None
+        self.programs.sync()
+        program = None
         if len(wire) >= BASIC_HEADER_SIZE:
             fn_num = wire[2]
             loc_start = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * fn_num
@@ -201,27 +211,24 @@ class DipPipeline:
                 (((wire[4] << 8) | wire[5]) >> 1) & MAX_LOC_LEN
             )
             if fn_num <= self.max_fns and len(wire) >= header_length:
-                plan = self._plans.get(wire[BASIC_HEADER_SIZE:loc_start])
-        if plan is None:
-            plan, loc_start, header_length = self._parse(wire)
-        fns = plan.fns
+                program = self.programs.get(wire[BASIC_HEADER_SIZE:loc_start])
+        if program is None:
+            program, loc_start, header_length = self._parse(wire)
+        fns = program.fns
         # Field ranges are validated before the hop-limit check, in
         # Algorithm 1 order: a malformed program is a codec error even
         # when the hop limit already expired (conformance regression
         # vector pipeline-fieldrange-before-hoplimit).
-        if plan.field_end > (header_length - loc_start) * 8:
+        if program.max_field_end > (header_length - loc_start) * 8:
             check_field_ranges(fns, header_length - loc_start)
+        aes = self.state.mac_backend == "aes"
         result = PipelineResult(
-            decision=Decision.DROP,
-            fns=fns,
-            header_length=header_length,
-            passes=plan.passes,
+            Decision.DROP, fns=fns, header_length=header_length,
+            passes=2 if aes and program.recirculates else 1,
         )
-        notes = result.notes
         hop_limit = wire[3]
         if hop_limit == 0:
-            notes.append("hop limit expired")
-            return result
+            return result._end(program, 0, "hop limit expired")
 
         ctx = OperationContext(
             state=self.state,
@@ -234,36 +241,28 @@ class DipPipeline:
         )
 
         fate = None
-        for kind, slot, fn, stages, operation, note in plan.stages:
-            if kind == _INVOKE:
+        steps = program.steps
+        for slot, (code, fn, operation, _) in enumerate(steps):
+            if code == STEP_EXECUTE:
                 try:
                     op_result = operation.execute(ctx, fn)
                 except (OperationError, FieldRangeError) as exc:
-                    notes.append(f"stage {slot}: {exc}")
-                    result.stages_executed = stages
-                    return result
-                notes.append(note)
+                    return result._end(
+                        program, slot + 1, f"stage {slot}: {exc}", noted=slot
+                    )
                 if op_result.decision is Decision.DROP:
-                    notes.append(op_result.note)
-                    result.stages_executed = stages
-                    return result
+                    return result._end(program, slot + 1, op_result.note)
                 if op_result.decision in (Decision.FORWARD, Decision.DELIVER):
                     fate = op_result
-            elif kind == _UNSUPPORTED:
-                result.decision = Decision.UNSUPPORTED
-                result.unsupported_key = fn.key
-                notes.append(note)
-                result.stages_executed = stages
-                return result
-            else:
-                notes.append(note)
+            elif code == STEP_UNSUPPORTED:
+                result.decision, result.unsupported_key = Decision.UNSUPPORTED, fn.key
+                return result._end(program, slot + 1)
 
-        result.stages_executed = plan.stages_used
         if fate is None and self.state.default_port is not None:
             fate = OperationResult.forward(self.state.default_port)
         if fate is None:
-            notes.append("no forwarding decision")
-            return result
+            return result._end(program, len(steps), "no forwarding decision")
+        result._end(program, len(steps))
         result.decision = fate.decision
         result.ports = fate.ports
         if fate.decision is Decision.FORWARD:
@@ -283,13 +282,13 @@ class DipPipeline:
         return result
 
     # ------------------------------------------------------------------
-    def _parse(self, wire: bytes) -> Tuple[_Plan, int, int]:
-        """Walk the parse graph; returns ``(plan, loc_start, header_length)``.
+    def _parse(self, wire: bytes) -> Tuple[Program, int, int]:
+        """Walk the parse graph; returns ``(program, loc_start, header_length)``.
 
         The path for a program's first frame and for every wire that
-        fails the plan's bounds check, so every codec and unroll-budget
-        error is raised here.  A program that parses is compiled and
-        kept, keyed on its FN-definition bytes.
+        fails the bounds check, so every codec and unroll-budget error
+        is raised here.  A program that parses is lowered into
+        ``programs``, keyed on its FN-definition bytes.
         """
         self.parse_graph_walks += 1
         parse = self.parser.parse(wire)
@@ -308,45 +307,8 @@ class DipPipeline:
                 f"packet carries {fn_num} FNs; the parse graph unrolls "
                 f"only {self.max_fns} FN states"
             )
-        plan = self._compile(
-            tuple(self._fn_from_phv(phv, slot) for slot in range(fn_num))
-        )
-        plans = self._plans
-        if len(plans) >= PROGRAM_CACHE_BOUND:
-            plans.clear()
-        plans[wire[BASIC_HEADER_SIZE:loc_start]] = plan
-        return plan, loc_start, header_length
-
-    def _compile(self, fns: Tuple[FieldOperation, ...]) -> _Plan:
-        """Resolve every FN slot's stage, module and note once."""
-        stages = []
-        cursor = 0
-        recirculate = False
-        for slot, fn in enumerate(fns):
-            if fn.tag:
-                operation = None
-                kind, note = _NOTE, f"stage {slot}: host FN skipped"
-            else:
-                operation = self.registry.find(fn.key)
-                cursor += 1
-                if operation is not None:
-                    kind, note = _INVOKE, f"stage {slot}: {operation.name}"
-                    recirculate = recirculate or fn.key in _RECIRCULATING_KEYS
-                elif is_path_critical(fn.key):
-                    kind = _UNSUPPORTED
-                    note = f"stage {slot}: unsupported path-critical key {fn.key}"
-                else:
-                    kind, note = _NOTE, f"stage {slot}: key {fn.key} ignored"
-            stages.append((kind, slot, fn, cursor, operation, note))
-            if kind == _UNSUPPORTED:
-                break
-        return _Plan(
-            fns,
-            max((fn.field_end for fn in fns), default=0),
-            tuple(stages),
-            cursor,
-            2 if recirculate and self.state.mac_backend == "aes" else 1,
-        )
+        fns = tuple(self._fn_from_phv(phv, slot) for slot in range(fn_num))
+        return self.programs.lookup(fns), loc_start, header_length
 
     # ------------------------------------------------------------------
     @staticmethod

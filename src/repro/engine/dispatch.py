@@ -29,6 +29,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 from repro.core.fn import FN_ENCODED_SIZE, OperationKey
 from repro.core.header import BASIC_HEADER_SIZE, MAX_LOC_LEN
 from repro.core.packet import DipPacket
+from repro.core.program import PROGRAM_CACHE_BOUND
 
 # Router FNs whose target field identifies the flow (addresses, names,
 # DAG intents).  Fields of other FNs -- MACs, telemetry slots, marks --
@@ -113,7 +114,10 @@ class FlowDispatcher:
 
     The per-program extraction plan is cached (keyed by the program
     bytes), so dispatching costs one dict hit plus one CRC call per
-    packet on the steady state.
+    packet on the steady state.  The cache starts over at
+    ``PROGRAM_CACHE_BOUND`` plans, like a ``ProgramCache``: every
+    offered packet is keyed, refused ones included, so a stream of
+    ever-new programs must not grow it without bound.
     """
 
     def __init__(self, num_shards: int) -> None:
@@ -161,6 +165,8 @@ class FlowDispatcher:
                     # slice bounds flat so the steady state is
                     # slice + hash, no loop.
                     plan = plan[0]
+                if len(plans) >= PROGRAM_CACHE_BOUND:
+                    plans.clear()
                 plans[defs] = plan
             if not plan:
                 # No forwarding-relevant fields: the program is the flow.

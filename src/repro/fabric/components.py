@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.fn import FieldOperation
 from repro.core.operations.base import Decision
 from repro.core.packet import DipPacket
+from repro.core.program import MAX_STAGES
 from repro.dataplane.costs import CycleCostModel
 from repro.dataplane.dip_pipeline import DipPipeline
 from repro.engine import EngineConfig, ForwardingEngine, ManualClock
@@ -316,7 +317,7 @@ class PisaRouterComponent(Component):
         registry_factory=None,
         cost_model: Optional[CycleCostModel] = None,
         cycle_time: float = 0.0,
-        max_fns: int = 12,
+        max_fns: int = MAX_STAGES,
     ) -> None:
         super().__init__(component_id)
         from repro.core.registry import default_registry

@@ -26,10 +26,3 @@ def hexdump(data: bytes, width: int = 16) -> str:
         )
         lines.append(f"{offset:08x}  {hex_part:<{width * 3}} {ascii_part}")
     return "\n".join(lines)
-
-
-def pad_to(data: bytes, length: int, fill: int = 0) -> bytes:
-    """Right-pad ``data`` with ``fill`` bytes up to ``length``."""
-    if len(data) > length:
-        raise ValueError(f"data of {len(data)} bytes exceeds target {length}")
-    return data + bytes([fill]) * (length - len(data))

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.fn import FN_ENCODED_SIZE, FieldOperation, OperationKey
+from repro.core.fn import FN_ENCODED_SIZE, FieldOperation
 from repro.errors import HeaderValueError, TruncatedHeaderError
 
 
@@ -49,11 +49,6 @@ class TestFieldOperation:
     def test_truncated_decode(self):
         with pytest.raises(TruncatedHeaderError):
             FieldOperation.decode(b"\x00\x00\x00")
-
-    def test_operation_key_enum(self):
-        assert FieldOperation(0, 32, 4).operation_key() is OperationKey.FIB
-        with pytest.raises(HeaderValueError):
-            FieldOperation(0, 32, 99).operation_key()
 
     def test_str_mentions_key_and_role(self):
         text = str(FieldOperation(0, 544, 9, tag=True))

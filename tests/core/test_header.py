@@ -120,25 +120,11 @@ class TestDipHeader:
             fns=(FieldOperation(0, 32, 1),), locations=bytes(4)
         ).validate_field_ranges()
 
-    def test_target_field_extraction(self):
-        header = DipHeader(
-            fns=(FieldOperation(8, 16, 1),), locations=b"\xaa\xbb\xcc\xdd"
-        )
-        assert header.target_field(header.fns[0]) == b"\xbb\xcc"
-
     def test_router_host_split(self):
         router_fn = FieldOperation(0, 32, 4)
         host_fn = FieldOperation(0, 32, 9, tag=True)
         header = DipHeader(fns=(router_fn, host_fn), locations=bytes(4))
         assert header.router_fns() == (router_fn,)
-        assert header.host_fns() == (host_fn,)
-
-    def test_with_locations_length_guard(self):
-        header = DipHeader(locations=bytes(4))
-        updated = header.with_locations(b"\x01\x02\x03\x04")
-        assert updated.locations == b"\x01\x02\x03\x04"
-        with pytest.raises(HeaderValueError):
-            header.with_locations(bytes(5))
 
     def test_with_hop_limit(self):
         assert DipHeader(hop_limit=5).with_hop_limit(4).hop_limit == 4

@@ -27,12 +27,6 @@ class TestDipPacket:
         packet = make_packet(b"")
         assert DipPacket.decode(packet.encode()) == packet
 
-    def test_with_header(self):
-        packet = make_packet()
-        new_header = packet.header.with_hop_limit(1)
-        assert packet.with_header(new_header).header.hop_limit == 1
-        assert packet.header.hop_limit == 64  # original untouched
-
     @given(st.binary(max_size=512))
     def test_property_roundtrip(self, payload):
         packet = make_packet(payload)

@@ -19,6 +19,7 @@ from repro.errors import (
 )
 from repro.protocols.ip.ipv4 import IPv4Header
 from repro.protocols.ip.ipv6 import IPv6Header
+from repro.util.bitview import BitView
 
 
 class TestRegistry:
@@ -100,7 +101,8 @@ class TestLegacyWrap:
         wrapped = wrap_legacy_packet(legacy, "ipv4")
         match_fn = wrapped.header.fns[0]
         assert match_fn.key == OperationKey.MATCH_32
-        dst = int.from_bytes(wrapped.header.target_field(match_fn), "big")
+        view = BitView(wrapped.header.locations)
+        dst = view.get_uint(match_fn.field_loc, match_fn.field_len)
         assert dst == 0x0A000001
 
     def test_unknown_kind_rejected(self):

@@ -3,7 +3,13 @@ interpreter, across every protocol realization.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.composer import lint_program
+from repro.core.fn import FieldOperation, OperationKey
+from repro.core.header import DipHeader
+from repro.core.packet import DipPacket
 from repro.core.processor import Decision, RouterProcessor
 from repro.core.registry import default_registry
 from repro.core.state import NodeState
@@ -169,6 +175,39 @@ class TestHardwareConstraints:
         assert result.decision is Decision.FORWARD
         assert result.stages_executed == 3
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fns=st.lists(
+            st.builds(
+                FieldOperation,
+                field_loc=st.just(0),
+                field_len=st.sampled_from([0, 8]),
+                key=st.sampled_from([int(key) for key in OperationKey] + [99]),
+                tag=st.booleans(),
+            ),
+            max_size=16,
+        )
+    )
+    # IPv4's two router FNs plus 11 host FNs: 13 FNs, 2 for routers.
+    @example(
+        fns=[
+            FieldOperation(0, 8, OperationKey.MATCH_32),
+            FieldOperation(0, 8, OperationKey.SOURCE),
+        ]
+        + [FieldOperation(0, 8, OperationKey.VERIFY, tag=True)] * 11
+    )
+    def test_linter_and_pipeline_share_the_stage_budget(self, fns):
+        """W-STAGES fires exactly when the pipeline refuses the program."""
+        # Hop limit 0: the parse and its unroll budget run, no module does.
+        header = DipHeader(fns=tuple(fns), locations=b"\x00", hop_limit=0)
+        wire = DipPacket(header=header).encode()
+        pipeline = DipPipeline(NodeState())
+        if "W-STAGES" in [d.code for d in lint_program(header)]:
+            with pytest.raises(PipelineConstraintError):
+                pipeline.process(wire)
+        else:
+            assert pipeline.process(wire).notes == ["hop limit expired"]
+
     def test_parser_rejects_truncated(self):
         state, _ = paired_states()
         pipeline = DipPipeline(state)
@@ -245,8 +284,9 @@ class TestWireInput:
         packet = build_ipv4_packet(0x0A000001, 7, payload=b"payload")
         state, _ = paired_states()
         result = DipPipeline(state).process(packet.encode(), ingress_port=1)
-        expected = packet.with_header(
-            packet.header.with_hop_limit(packet.header.hop_limit - 1)
+        expected = DipPacket(
+            packet.header.with_hop_limit(packet.header.hop_limit - 1),
+            packet.payload,
         )
         assert result.wire == expected.encode()
         assert result.packet == expected
@@ -398,7 +438,7 @@ class TestCompiledPlan:
         for key in range(2 * PROGRAM_CACHE_BOUND):
             fn = FieldOperation(0, 0, key=key, tag=True)
             pipeline.process(DipPacket(header=DipHeader(fns=(fn,))).encode())
-            assert len(pipeline._plans) <= PROGRAM_CACHE_BOUND
+            assert len(pipeline.programs) <= PROGRAM_CACHE_BOUND
         assert pipeline.parse_graph_walks == 2 * PROGRAM_CACHE_BOUND
 
     def test_a_registry_mutation_walks_the_graph_again(self):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.fn import FieldOperation, OperationKey
 from repro.core.header import DipHeader
 from repro.core.packet import DipPacket
+from repro.core.program import PROGRAM_CACHE_BOUND
 from repro.engine.dispatch import FlowDispatcher, flow_key
 from repro.realize.ip import build_ipv4_packet
 
@@ -106,3 +107,15 @@ def test_distribution_within_2x_of_uniform(num_shards):
         counts[dispatcher.shard_of(raw)] += 1
     assert sum(counts) == flows
     assert max(counts) <= 2 * flows / num_shards
+
+
+def test_plan_cache_is_bounded_like_the_program_cache():
+    """Ever-new programs keep the plan cache at ``PROGRAM_CACHE_BOUND``
+    and hash exactly as a cold dispatcher hashes them."""
+    dispatcher = FlowDispatcher(num_shards=1)
+    for key in range(2 * PROGRAM_CACHE_BOUND):
+        fns = (FieldOperation(0, 32, OperationKey.MATCH_32),
+               FieldOperation(0, 0, key=key, tag=True))
+        wire = DipPacket(header=DipHeader(fns=fns, locations=bytes(4))).encode()
+        assert dispatcher.key_of(wire) == FlowDispatcher(1).key_of(wire)
+        assert len(dispatcher._plans) <= PROGRAM_CACHE_BOUND

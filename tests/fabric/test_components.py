@@ -283,7 +283,7 @@ class TestPisaRouterComponent:
 
     def test_hop_limit_zero_dropped(self):
         packet = build_ipv4_packet(DST, SRC)
-        expired = packet.with_header(packet.header.with_hop_limit(0))
+        expired = DipPacket(packet.header.with_hop_limit(0), packet.payload)
         assert self._counters_after(expired) == {
             "forwarded": 0, "delivered": 0, "dropped": 1,
             "quarantined": 0, "out_of_domain": 0,

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.util.bytesutil import (
-    bytes_to_int,
-    hexdump,
-    int_to_bytes,
-    pad_to,
-)
+from repro.util.bytesutil import bytes_to_int, hexdump, int_to_bytes
 
 
 class TestIntConversion:
@@ -39,16 +34,3 @@ class TestHexdump:
     def test_multi_line(self):
         dump = hexdump(bytes(40), width=16)
         assert len(dump.splitlines()) == 3
-
-
-class TestPadTo:
-    def test_pads_with_fill(self):
-        assert pad_to(b"ab", 4) == b"ab\x00\x00"
-        assert pad_to(b"ab", 4, fill=0xFF) == b"ab\xff\xff"
-
-    def test_exact_length_unchanged(self):
-        assert pad_to(b"abcd", 4) == b"abcd"
-
-    def test_too_long_rejected(self):
-        with pytest.raises(ValueError):
-            pad_to(b"abcde", 4)
