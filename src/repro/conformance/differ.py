@@ -21,7 +21,6 @@ Comparison domain rules (DESIGN.md 3.10):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -135,9 +134,6 @@ class DivergenceReport:
             "divergences": [d.to_dict() for d in self.divergences],
             "repros": list(self.repros),
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DivergenceReport":

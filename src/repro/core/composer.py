@@ -78,6 +78,10 @@ _FIXED_LENGTHS = {
     OperationKey.CONG_MARK: 256,
     OperationKey.POLICE: 256,
 }
+# key -> minimum field length in bits
+_MIN_LENGTHS = {
+    OperationKey.DAG: 16,  # the XIA hop limit and last-visited pointer
+}
 
 
 def lint_program(header: DipHeader) -> List[Diagnostic]:
@@ -127,6 +131,16 @@ def lint_program(header: DipHeader) -> List[Diagnostic]:
                 Diagnostic(
                     Severity.ERROR, "E-LEN",
                     f"{key.name} requires a {expected}-bit field, "
+                    f"got {fn.field_len}",
+                    index,
+                )
+            )
+        minimum = _MIN_LENGTHS.get(key)
+        if minimum is not None and fn.field_len < minimum:
+            diagnostics.append(
+                Diagnostic(
+                    Severity.ERROR, "E-LEN",
+                    f"{key.name} requires at least a {minimum}-bit field, "
                     f"got {fn.field_len}",
                     index,
                 )

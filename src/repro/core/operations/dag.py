@@ -21,7 +21,12 @@ from repro.core.operations.base import (
     OperationContext,
     OperationResult,
 )
-from repro.errors import OperationStateError
+from repro.errors import (
+    CodecError,
+    OperationError,
+    OperationStateError,
+    ProtocolError,
+)
 from repro.protocols.xia.router import XiaHeader
 
 
@@ -35,7 +40,10 @@ class DagOperation(Operation):
         self, ctx: OperationContext, fn: FieldOperation
     ) -> OperationResult:
         raw = ctx.locations.get_bits(fn.field_loc, fn.field_len)
-        header = XiaHeader.decode(raw)
+        try:
+            header = XiaHeader.decode(raw)
+        except (CodecError, ProtocolError) as exc:
+            raise OperationError(f"{self.name}: malformed XIA header: {exc}") from None
         if header.hop_limit == 0:
             return OperationResult.drop("XIA hop limit expired")
 

@@ -3,20 +3,17 @@
 The paper notes that on Tofino, AES would require resubmitting the
 packet while 2EM completes in one pass, so the prototype uses 2EM.  To
 benchmark that design choice in software we need a real AES; this is a
-table-based implementation of AES-128 over single 16-byte blocks.
+table-based implementation of AES-128 encryption, the only direction
+CBC-MAC uses.
 
-Encryption -- the direction CBC-MAC uses -- works on a block as a
-128-bit int split into four 32-bit column words, with the classic four
-T-tables folding SubBytes, ShiftRows and MixColumns into one lookup per
-byte, so the 2EM-vs-AES comparison sets two int-domain ciphers side by
-side.  Decryption, off the MAC path, stays a plain byte-list walk of
-the inverse round transformations.  There are no constant-time
+It works on a block as a 128-bit int split into four 32-bit column
+words, with the classic four T-tables folding SubBytes, ShiftRows and
+MixColumns into one lookup per byte, so the 2EM-vs-AES comparison sets
+two int-domain ciphers side by side.  There are no constant-time
 guarantees: it is a protocol-behaviour substrate, not production crypto.
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence
 
 
 def _build_sbox() -> tuple:
@@ -42,13 +39,10 @@ def _build_sbox() -> tuple:
         for shift in (0, 1, 2, 3, 4):
             result ^= ((inv << shift) | (inv >> (8 - shift))) & 0xFF
         sbox[byte] = result
-    inv_sbox = [0] * 256
-    for i, s in enumerate(sbox):
-        inv_sbox[s] = i
-    return tuple(sbox), tuple(inv_sbox)
+    return tuple(sbox)
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
@@ -59,17 +53,6 @@ def _xtime(value: int) -> int:
     if value & 0x100:
         value ^= 0x11B
     return value & 0xFF
-
-
-def _gmul(a: int, b: int) -> int:
-    """Multiply two GF(2^8) elements."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
 
 
 def _build_t_tables() -> tuple:
@@ -105,7 +88,7 @@ def _shift_word(a: int, b: int, c: int, d: int) -> int:
 
 
 class AES128:
-    """AES-128 block cipher over single 16-byte blocks.
+    """AES-128 encryption of 128-bit blocks given as ints.
 
     Parameters
     ----------
@@ -174,66 +157,3 @@ class AES128:
             | (_sub_word(_shift_word(s2, s3, s0, s1)) ^ rk[42]) << 32
             | (_sub_word(_shift_word(s3, s0, s1, s2)) ^ rk[43])
         )
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt one 16-byte block."""
-        if len(block) != self.BLOCK_SIZE:
-            raise ValueError(f"block must be 16 bytes, got {len(block)}")
-        return self.encrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block."""
-        if len(block) != self.BLOCK_SIZE:
-            raise ValueError(f"block must be 16 bytes, got {len(block)}")
-        rk = self._round_keys
-        state = list(block)
-        self._add_round_key(state, rk[40:44])
-        for round_index in range(9, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, rk[4 * round_index : 4 * round_index + 4])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, rk[0:4])
-        return bytes(state)
-
-    # ------------------------------------------------------------------
-    # inverse round transformations (state is a flat 16-item list,
-    # column major: state[col * 4 + row])
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _add_round_key(state: List[int], words: Sequence[int]) -> None:
-        for i in range(16):
-            state[i] ^= (words[i >> 2] >> (24 - 8 * (i & 3))) & 0xFF
-
-    @staticmethod
-    def _inv_sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = _INV_SBOX[state[i]]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        # row r rotates right by r
-        for row in range(1, 4):
-            column_values = [state[col * 4 + row] for col in range(4)]
-            rotated = column_values[-row:] + column_values[:-row]
-            for col in range(4):
-                state[col * 4 + row] = rotated[col]
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for col in range(4):
-            a = state[col * 4 : col * 4 + 4]
-            state[col * 4 + 0] = (
-                _gmul(a[0], 14) ^ _gmul(a[1], 11) ^ _gmul(a[2], 13) ^ _gmul(a[3], 9)
-            )
-            state[col * 4 + 1] = (
-                _gmul(a[0], 9) ^ _gmul(a[1], 14) ^ _gmul(a[2], 11) ^ _gmul(a[3], 13)
-            )
-            state[col * 4 + 2] = (
-                _gmul(a[0], 13) ^ _gmul(a[1], 9) ^ _gmul(a[2], 14) ^ _gmul(a[3], 11)
-            )
-            state[col * 4 + 3] = (
-                _gmul(a[0], 11) ^ _gmul(a[1], 13) ^ _gmul(a[2], 9) ^ _gmul(a[3], 14)
-            )

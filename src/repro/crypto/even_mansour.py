@@ -23,8 +23,7 @@ class EvenMansour2:
     """Two-round Even-Mansour block cipher over 128-bit blocks.
 
     The cipher works on a block as a 128-bit int (:meth:`encrypt_int`),
-    split into the two 64-bit halves the Feistel permutations take; the
-    bytes methods convert once on the way in and once on the way out.
+    split into the two 64-bit halves the Feistel permutations take.
 
     Parameters
     ----------
@@ -56,23 +55,3 @@ class EvenMansour2:
         hi, lo = _P1.apply_pair((x >> 64) ^ k_hi, (x & _MASK64) ^ k_lo)
         hi, lo = _P2.apply_pair(hi ^ k_hi, lo ^ k_lo)
         return ((hi ^ k_hi) << 64) | (lo ^ k_lo)
-
-    def decrypt_int(self, x: int) -> int:
-        """Decrypt one block given as a 128-bit int."""
-        k_hi, k_lo = self._key_hi, self._key_lo
-        hi, lo = _P2.invert_pair((x >> 64) ^ k_hi, (x & _MASK64) ^ k_lo)
-        hi, lo = _P1.invert_pair(hi ^ k_hi, lo ^ k_lo)
-        return ((hi ^ k_hi) << 64) | (lo ^ k_lo)
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt one 16-byte block."""
-        return self.encrypt_int(self._to_int(block)).to_bytes(16, "big")
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block."""
-        return self.decrypt_int(self._to_int(block)).to_bytes(16, "big")
-
-    def _to_int(self, block: bytes) -> int:
-        if len(block) != self.BLOCK_SIZE:
-            raise ValueError(f"block must be 16 bytes, got {len(block)}")
-        return int.from_bytes(block, "big")

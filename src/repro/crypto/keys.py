@@ -59,7 +59,3 @@ class RouterKey:
         if len(cache) > DYNAMIC_KEY_CACHE_BOUND:
             cache.popitem(last=False)
         return cached
-
-    def clear_cache(self) -> None:
-        """Drop all cached dynamic keys (e.g. on session teardown)."""
-        self._dynamic_cache.clear()

@@ -7,9 +7,9 @@ key; they only need to be fixed, public, and "random looking".
 
 We build each public permutation as an unkeyed 8-round Feistel network
 over 128-bit blocks whose round functions are integer mixers seeded by
-the permutation index.  A Feistel network is trivially invertible, which
-gives us the inverse permutation needed for decryption, and the mixing
-is easily strong enough for a protocol-behaviour reproduction (this is
+the permutation index.  A Feistel network is a permutation by
+construction (each round is invertible), and the mixing is easily strong
+enough for a protocol-behaviour reproduction (this is
 not a production cipher and does not claim cryptographic strength).
 """
 
@@ -58,8 +58,8 @@ class FeistelPermutation:
         self._constants = tuple(constants)
 
     # The round function -- mix one 64-bit half with a public round
-    # constant -- is inlined in both loops: it runs 16 times per 2EM
-    # block, so a call per round would cost as much as the mixing.
+    # constant -- is inlined: it runs 16 times per 2EM block, so a call
+    # per round would cost as much as the mixing.
 
     def apply_pair(self, left: int, right: int) -> Tuple[int, int]:
         """Apply the permutation to a block held as two 64-bit halves."""
@@ -69,21 +69,9 @@ class FeistelPermutation:
             left, right = right, left ^ z ^ (z >> 29)
         return left, right
 
-    def invert_pair(self, left: int, right: int) -> Tuple[int, int]:
-        """Apply the inverse permutation to two 64-bit halves."""
-        for constant in reversed(self._constants):
-            z = ((left ^ constant) * 0xFF51AFD7ED558CCD) & _MASK64
-            z = ((z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53) & _MASK64
-            right, left = left, right ^ z ^ (z >> 29)
-        return left, right
-
     def apply(self, block: bytes) -> bytes:
         """Apply the permutation to a 16-byte block."""
         return _join(*self.apply_pair(*_split(block)))
-
-    def invert(self, block: bytes) -> bytes:
-        """Apply the inverse permutation to a 16-byte block."""
-        return _join(*self.invert_pair(*_split(block)))
 
 
 def _split(block: bytes) -> Tuple[int, int]:

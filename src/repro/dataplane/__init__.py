@@ -4,7 +4,8 @@ The paper's prototype runs on a Barefoot Tofino switch; this package is
 the software stand-in (see DESIGN.md, substitutions):
 
 - :mod:`repro.dataplane.phv` -- packet header vector containers;
-- :mod:`repro.dataplane.parser` -- programmable parser (parse graph);
+- :mod:`repro.dataplane.parser` -- the DIP parse graph, unrolled on
+  ``FN_Num``;
 - :mod:`repro.dataplane.dip_pipeline` -- the one executor: the unrolled
   DIP parse, then one stage per router FN of the program it lowers
   through :class:`repro.core.program.ProgramCache`, within the

@@ -7,7 +7,7 @@ This module is the *hardware-shaped* execution path, built from the
 dataplane pieces the way the paper describes its prototype:
 
 - the packet is parsed by the unrolled DIP parse graph
-  (:func:`repro.dataplane.parser.dip_parse_graph`) into a PHV -- no
+  (:class:`repro.dataplane.parser.Parser`) into a PHV -- no
   loops, ``FN_Num`` bounds how many FN states fire.  The walk runs
   once per FN program: the triples it reads are lowered into a
   :class:`~repro.core.program.Program` kept in the pipeline's own
@@ -71,7 +71,7 @@ from repro.core.program import (
 )
 from repro.core.registry import OperationRegistry, default_registry
 from repro.core.state import NodeState
-from repro.dataplane.parser import dip_parse_graph
+from repro.dataplane.parser import Parser
 from repro.errors import (
     FieldRangeError,
     OperationError,
@@ -180,7 +180,7 @@ class DipPipeline:
         self.state = state
         self.registry = registry if registry is not None else default_registry()
         self.max_fns = max_fns
-        self.parser = dip_parse_graph(max_fns=max_fns)
+        self.parser = Parser(max_fns)
         self.programs = ProgramCache(self.registry)
         self.parse_graph_walks = 0
 
@@ -291,10 +291,9 @@ class DipPipeline:
         ``programs``, keyed on its FN-definition bytes.
         """
         self.parse_graph_walks += 1
-        parse = self.parser.parse(wire)
-        if not parse.accepted:
+        phv = self.parser.parse(wire)
+        if phv is None:
             _raise_codec_error(wire)
-        phv = parse.phv
         fn_num = phv.get("fn_num")
         loc_start = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * fn_num
         header_length = loc_start + ((phv.get("packet_param") >> 1) & MAX_LOC_LEN)
@@ -313,7 +312,7 @@ class DipPipeline:
     # ------------------------------------------------------------------
     @staticmethod
     def _fn_from_phv(phv, slot: int) -> FieldOperation:
-        """Reassemble FN ``slot`` from the parser's re-extracted fields."""
+        """Reassemble FN ``slot`` from the parse graph's per-slot fields."""
         suffix = "" if slot == 0 else f"[{slot}]"
         key_field = phv.get(f"fn_key{suffix}")
         return FieldOperation(

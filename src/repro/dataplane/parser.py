@@ -1,187 +1,55 @@
-"""Programmable packet parser (parse graph).
+"""The DIP parse graph (Section 4.1).
 
-PISA parsers are finite state machines: each state extracts fields into
-the PHV and selects the next state from an extracted value.  This is
-the "dynamic packet header parsing" capability the paper leans on
-(Section 2.1): the DIP parse graph extracts the basic header, then
-loops^W unrolls over the FN definitions (hardware has no loops, so the
-graph repeats the FN-extraction state up to a fixed maximum -- exactly
-the Section 4.1 compromise).
+PISA parsers are state machines: each state extracts fields into the
+PHV and selects the next state from an extracted value.  This is the
+"dynamic packet header parsing" capability the paper leans on (Section
+2.1).  Hardware has no loops, so the DIP graph is the basic-header
+state followed by the FN-triple state unrolled a fixed number of
+times, and ``fn_num`` selects how many of the unrolled states fire --
+exactly the Section 4.1 compromise.  P4 likewise compiles the parser
+from the program instead of keeping a general state machine beside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from repro.dataplane.phv import PacketHeaderVector
-from repro.errors import DataplaneError
 
-ACCEPT = "accept"
-REJECT = "reject"
-
-
-@dataclass(frozen=True)
-class ParseState:
-    """One parser state.
-
-    Parameters
-    ----------
-    name:
-        State name.
-    extracts:
-        ``(phv_field_name, bit_width)`` pairs pulled off the wire in
-        order.
-    select_field:
-        PHV field whose value picks the next state; None means
-        unconditional transition.
-    transitions:
-        value -> next-state-name map.
-    default_next:
-        Fallback next state (or ACCEPT/REJECT).
-    """
-
-    name: str
-    extracts: Tuple[Tuple[str, int], ...] = ()
-    select_field: Optional[str] = None
-    transitions: Dict[int, str] = field(default_factory=dict)
-    default_next: str = ACCEPT
-
-
-@dataclass
-class ParseResult:
-    """What the parser produced."""
-
-    phv: PacketHeaderVector
-    consumed_bits: int
-    accepted: bool
-    path: Tuple[str, ...]
+# (PHV field, bit width) pairs each state extracts, in wire order.
+_BASIC = (("next_header", 16), ("fn_num", 8), ("hop_limit", 8), ("packet_param", 16))
+_FN = (("fn_loc", 16), ("fn_len", 16), ("fn_key", 16))
 
 
 class Parser:
-    """A parse graph evaluated over raw packet bytes.
+    """The DIP parse graph unrolled ``max_fns`` times.
 
-    Parameters
-    ----------
-    states:
-        The graph's states.
-    start:
-        Name of the initial state.
-    max_steps:
-        Loop guard: hardware parse graphs are acyclic per packet; a
-        graph revisiting states more than this many times is rejected.
+    State 0 extracts the basic header; state ``i + 1`` extracts FN
+    triple ``i`` into ``fn_loc``/``fn_len``/``fn_key``, suffixed
+    ``[i]`` after the first triple, and fires only while
+    ``fn_num > i``.  Triples beyond the unroll are never extracted.
     """
 
-    def __init__(
-        self,
-        states: List[ParseState],
-        start: str,
-        max_steps: int = 64,
-    ) -> None:
-        self._states = {state.name: state for state in states}
-        if len(self._states) != len(states):
-            raise DataplaneError("duplicate parser state names")
-        if start not in self._states:
-            raise DataplaneError(f"unknown start state {start!r}")
-        self._start = start
-        self._max_steps = max_steps
-
-    def parse(
-        self, packet: bytes, phv: Optional[PacketHeaderVector] = None
-    ) -> ParseResult:
-        """Run the parse graph over ``packet``."""
-        if phv is None:
-            phv = PacketHeaderVector()
-        offset_bits = 0
-        total_bits = len(packet) * 8
-        state_name = self._start
-        path: List[str] = []
-        counters: Dict[str, int] = {}
-
-        for _ in range(self._max_steps):
-            path.append(state_name)
-            state = self._states[state_name]
-            for field_name, width in state.extracts:
-                if offset_bits + width > total_bits:
-                    return ParseResult(phv, offset_bits, False, tuple(path))
-                value = self._read_bits(packet, offset_bits, width)
-                # Re-extraction into an indexed name keeps unrolled FN
-                # states from colliding.
-                name = field_name
-                if phv.has(name):
-                    counters[name] = counters.get(name, 0) + 1
-                    name = f"{field_name}[{counters[name]}]"
-                phv.allocate(name, width, value)
-                offset_bits += width
-            if state.select_field is not None:
-                select_value = phv.get(self._last_instance(phv, state.select_field))
-                state_name = state.transitions.get(
-                    select_value, state.default_next
-                )
-            else:
-                state_name = state.default_next
-            if state_name == ACCEPT:
-                return ParseResult(phv, offset_bits, True, tuple(path))
-            if state_name == REJECT:
-                return ParseResult(phv, offset_bits, False, tuple(path))
-            if state_name not in self._states:
-                raise DataplaneError(f"unknown parser state {state_name!r}")
-        raise DataplaneError("parser exceeded its step budget (loop?)")
-
-    @staticmethod
-    def _last_instance(phv: PacketHeaderVector, base_name: str) -> str:
-        """Resolve a field name to its most recent re-extraction."""
-        latest = base_name
-        index = 1
-        while phv.has(f"{base_name}[{index}]"):
-            latest = f"{base_name}[{index}]"
-            index += 1
-        return latest
-
-    @staticmethod
-    def _read_bits(packet: bytes, offset_bits: int, width: int) -> int:
-        first = offset_bits // 8
-        last = (offset_bits + width - 1) // 8
-        chunk = int.from_bytes(packet[first : last + 1], "big")
-        pad = (last - first + 1) * 8 - (offset_bits % 8) - width
-        return (chunk >> pad) & ((1 << width) - 1)
-
-
-def dip_parse_graph(max_fns: int = 8) -> Parser:
-    """The DIP parser: basic header, then up to ``max_fns`` FN triples.
-
-    Mirrors Section 4.1: no loops, so the FN state is unrolled
-    ``max_fns`` times and the FN number (held in ``fn_num``) bounds how
-    many repetitions actually fire via the remaining-count selector.
-    """
-    states = [
-        ParseState(
-            name="basic",
-            extracts=(
-                ("next_header", 16),
-                ("fn_num", 8),
-                ("hop_limit", 8),
-                ("packet_param", 16),
-            ),
-            select_field="fn_num",
-            transitions={0: ACCEPT},
-            default_next="fn_0",
+    def __init__(self, max_fns: int) -> None:
+        self.states = (_BASIC,) + tuple(
+            tuple((name + (f"[{slot}]" if slot else ""), width) for name, width in _FN)
+            for slot in range(max_fns)
         )
-    ]
-    for index in range(max_fns):
-        next_state = "fn_" + str(index + 1) if index + 1 < max_fns else ACCEPT
-        transitions = {value: next_state for value in range(index + 2, 256)}
-        states.append(
-            ParseState(
-                name=f"fn_{index}",
-                extracts=(
-                    ("fn_loc", 16),
-                    ("fn_len", 16),
-                    ("fn_key", 16),
-                ),
-                select_field="fn_num",
-                transitions=transitions,
-                default_next=ACCEPT,
-            )
-        )
-    return Parser(states, start="basic", max_steps=max_fns + 2)
+
+    def parse(self, packet: bytes) -> Optional[PacketHeaderVector]:
+        """The PHV of ``packet``, or None when a state runs past its end.
+
+        Every field is byte-aligned, so each extraction is a byte slice.
+        """
+        phv = PacketHeaderVector()
+        offset = 0
+        for index, extracts in enumerate(self.states):
+            if index and phv.get("fn_num") < index:
+                break
+            for name, width in extracts:
+                end = offset + width // 8
+                if end > len(packet):
+                    return None
+                phv.allocate(name, width, int.from_bytes(packet[offset:end], "big"))
+                offset = end
+        return phv

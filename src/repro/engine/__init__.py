@@ -20,7 +20,7 @@ packets through that walk at rate:
 
 from repro.core.flowcache import FlowCacheStats, FlowDecisionCache
 from repro.engine.clock import ManualClock, timeless_clock, wall_clock
-from repro.engine.dispatch import FLOW_DISPATCH_KEYS, FlowDispatcher, flow_key
+from repro.engine.dispatch import FLOW_DISPATCH_KEYS, FlowDispatcher
 from repro.engine.engine import (
     DeadLetter,
     EngineConfig,
@@ -34,7 +34,6 @@ from repro.engine.rings import Ring, RingStats
 __all__ = [
     "FLOW_DISPATCH_KEYS",
     "FlowDispatcher",
-    "flow_key",
     "DeadLetter",
     "EngineConfig",
     "EngineReport",

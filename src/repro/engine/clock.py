@@ -49,6 +49,3 @@ class ManualClock:
                 f"clock cannot rewind from {self._now!r} to {when!r}"
             )
         self._now = when
-
-    def advance(self, delta: float) -> None:
-        self.advance_to(self._now + delta)

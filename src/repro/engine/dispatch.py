@@ -88,28 +88,13 @@ def _field_bytes(locations: bytes, entry: Tuple[int, ...]) -> bytes:
     return value.to_bytes((bit_len + 7) // 8, "big")
 
 
-def _split_raw(data: bytes) -> Tuple[bytes, bytes]:
-    """(FN-definition bytes, locations bytes) of a raw packet.
-
-    Tolerant of truncation -- dispatch must never raise on a malformed
-    packet (the worker's decoder produces the proper error); whatever
-    bytes are present still hash deterministically.
-    """
-    if len(data) < BASIC_HEADER_SIZE:
-        return data, b""
-    fn_num = data[2]
-    defs_end = BASIC_HEADER_SIZE + FN_ENCODED_SIZE * fn_num
-    loc_len = (int.from_bytes(data[4:6], "big") >> 1) & MAX_LOC_LEN
-    return data[BASIC_HEADER_SIZE:defs_end], data[defs_end : defs_end + loc_len]
-
-
 class FlowDispatcher:
     """Steer packets to shards by flow hash.
 
     Parameters
     ----------
     num_shards:
-        Number of worker shards; ``shard_of`` returns values in
+        Number of worker shards; ``shards_of`` returns values in
         ``range(num_shards)``.
 
     The per-program extraction plan is cached (keyed by the program
@@ -132,8 +117,8 @@ class FlowDispatcher:
         """Flow hashes for a whole batch (the engine's hot path).
 
         One loop with interpreter overhead (method dispatch, attribute
-        and global lookups) hoisted out; ``key_of``/``shard_of`` are
-        single-packet views over the same logic.
+        and global lookups) hoisted out; ``key_of`` is the
+        single-packet view over the same logic.
         """
         plans = self._plans
         crc = crc32
@@ -144,7 +129,9 @@ class FlowDispatcher:
         append = keys.append
         for packet in packets:
             if isinstance(packet, (bytes, bytearray)):
-                # _split_raw, inlined: this runs once per packet.
+                # Split off the FN definitions and locations, tolerant
+                # of truncation: dispatch never raises on a malformed
+                # packet (the worker's decoder reports it).
                 data = bytes(packet)
                 if len(data) < header_size:
                     defs, locations = data, b""
@@ -190,15 +177,3 @@ class FlowDispatcher:
     def key_of(self, packet: Union[DipPacket, bytes, bytearray]) -> bytes:
         """The packet's 4-byte flow key (equal for equal flows)."""
         return self._key_ints((packet,))[0].to_bytes(4, "big")
-
-    def shard_of(self, packet: Union[DipPacket, bytes, bytearray]) -> int:
-        """The shard this packet's flow maps to."""
-        return self._key_ints((packet,))[0] % self.num_shards
-
-
-def flow_key(packet: Union[DipPacket, bytes, bytearray]) -> bytes:
-    """Module-level convenience wrapper around :meth:`FlowDispatcher.key_of`."""
-    return _DEFAULT.key_of(packet)
-
-
-_DEFAULT = FlowDispatcher(num_shards=1)

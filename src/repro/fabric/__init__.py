@@ -27,7 +27,7 @@ from repro.fabric.messages import (
     Deliver,
     Inject,
 )
-from repro.fabric.pcap import PcapReplaySource, PcapSink, read_pcap, write_pcap
+from repro.fabric.pcap import read_pcap, write_pcap
 from repro.fabric.runner import (
     ChannelSpec,
     FabricReport,
@@ -60,8 +60,6 @@ __all__ = [
     "KIND_IPV4",
     "KIND_IPV6",
     "NetsimComponent",
-    "PcapReplaySource",
-    "PcapSink",
     "PisaRouterComponent",
     "PortalNode",
     "duplex",

@@ -1,9 +1,9 @@
-"""Minimal pcap I/O and the fabric's replay source / capture sink.
+"""Minimal pcap I/O for fabric captures.
 
 Classic libpcap format only (the 24-byte global header with magic
 ``0xA1B2C3D4``, one 16-byte record header per packet) -- enough to
-replay a capture into a fabric scenario and to write one out for
-inspection with standard tooling.  Both byte orders are read;
+write a golden traffic schedule out for inspection with standard
+tooling (``repro fabric --pcap-out``) and to read such a file back.  Both byte orders are read;
 microsecond and nanosecond magics are honoured.  Writing always
 produces little-endian microsecond files with ``linktype``
 ``LINKTYPE_USER0`` (147): DIP is not a registered link type, so the
@@ -18,8 +18,6 @@ import struct
 from typing import Iterable, List, Tuple
 
 from repro.errors import FabricError
-from repro.fabric.messages import KIND_DIP, Inject
-from repro.fabric.components import HostComponent
 
 MAGIC_MICRO = 0xA1B2C3D4
 MAGIC_NANO = 0xA1B23C4D
@@ -86,58 +84,3 @@ def read_pcap(path: str) -> List[Tuple[float, bytes]]:
                 raise FabricError(f"{path}: truncated pcap record body")
             out.append((seconds + fraction * tick, payload))
     return out
-
-
-class PcapReplaySource(HostComponent):
-    """Replay a capture file into the fabric as timestamped DIP frames.
-
-    Timestamps are shifted so the first packet fires at ``offset``
-    (captures rarely start at virtual time zero).  The schedule is
-    finite, so like any :class:`HostComponent` the source closes its
-    channels after flushing -- replay coexists with zero-latency
-    wiring.
-    """
-
-    def __init__(
-        self,
-        component_id: str,
-        path: str,
-        port: int = 0,
-        offset: float = 0.0,
-        kind: str = KIND_DIP,
-    ) -> None:
-        packets = read_pcap(path)
-        base = packets[0][0] if packets else 0.0
-        injections = [
-            Inject(
-                time=offset + (when - base),
-                component=component_id,
-                port=port,
-                kind=kind,
-                data=bytes(payload),
-                size=len(payload),
-                seq=seq,
-            )
-            for seq, (when, payload) in enumerate(packets)
-        ]
-        super().__init__(component_id, injections)
-        self.path = path
-
-
-class PcapSink(HostComponent):
-    """Capture every delivered frame; :meth:`save` writes the pcap."""
-
-    def __init__(self, component_id: str) -> None:
-        super().__init__(component_id, keep_bytes=True)
-
-    def frames(self) -> List[Tuple[float, bytes]]:
-        out = []
-        for when, _port, _kind, data in self.payloads:
-            if isinstance(data, (bytes, bytearray, memoryview)):
-                out.append((when, bytes(data)))
-            else:
-                out.append((when, data.encode()))
-        return out
-
-    def save(self, path: str) -> int:
-        return write_pcap(path, self.frames())

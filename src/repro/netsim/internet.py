@@ -744,10 +744,6 @@ class Internet:
     def router(self, asn: int) -> Node:
         return self.routers[asn]
 
-    def as_path(self, src_asn: int, dst_asn: int) -> Optional[List[int]]:
-        """AS-level DIP overlay path (ids usable with CapabilityMap)."""
-        return self.plan.overlay_path(src_asn, dst_asn)
-
     def bootstrap_hosts(self) -> int:
         """Run the Section 2.3 discovery exchange for every DIP host.
 

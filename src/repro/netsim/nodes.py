@@ -418,7 +418,7 @@ class BorderRouterNode(DipRouterNode):
       encapsulated in IPv4 toward the remote border router; arriving
       tunnel packets are decapsulated and processed as DIP (incremental
       deployment across a DIP-agnostic core);
-    - **strip ports** (:meth:`add_strip_port`): for packets whose FN
+    - **strip ports** (a ``strip_templates`` entry): for packets whose FN
       locations embed a legacy header ("the existing network protocol
       header can be viewed as an FN location"), the DIP basic header
       and FN definitions are removed on egress so legacy devices route
@@ -436,14 +436,6 @@ class BorderRouterNode(DipRouterNode):
     def add_tunnel(self, port: int, local_v4: int, remote_v4: int) -> None:
         """Declare ``port`` as a tunnel toward ``remote_v4``."""
         self.tunnels[port] = (local_v4, remote_v4)
-
-    def add_strip_port(self, port: int, template: DipPacket) -> None:
-        """Declare ``port`` as a strip/rewrap boundary.
-
-        ``template`` supplies the FN definitions restored on ingress
-        (border routers of one domain share this configuration).
-        """
-        self.strip_templates[port] = template
 
     def forward_frame(self, out_port: int, frame: Frame, in_port: int) -> None:
         tunnel = self.tunnels.get(out_port)

@@ -5,7 +5,7 @@ read field by field.  :class:`TraceRecorder` is a
 :class:`~repro.telemetry.tracing.Tracer` -- simulator events are
 zero-length spans, so the engine's JSONL trace exporter dumps
 simulation traces unchanged.  The pre-telemetry API
-(``record``/``events``/``of_kind``/``at_node``) is preserved.
+(``record``/``events``/``of_kind``) is preserved.
 """
 
 from __future__ import annotations
@@ -75,7 +75,3 @@ class TraceRecorder(Tracer):
     def of_kind(self, event: str) -> Tuple[TraceEvent, ...]:
         """All events of one kind, in order."""
         return tuple(e for e in self.events if e.event == event)
-
-    def at_node(self, node_id: str) -> Tuple[TraceEvent, ...]:
-        """All events recorded by one node, in order."""
-        return tuple(e for e in self.events if e.node_id == node_id)

@@ -174,12 +174,6 @@ class Topology:
                 peer, _peer_port = link.peer_of(node.node_id)
                 node.state.neighbor_labels[port] = peer.node_id
 
-    def shortest_path(self, src_id: str, dst_id: str) -> List[str]:
-        """Node ids along the shortest path (by hop count)."""
-        import networkx as nx
-
-        return nx.shortest_path(self.graph, src_id, dst_id)
-
     def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> int:
         """Run the shared engine."""
         return self.engine.run(until=until, max_events=max_events)

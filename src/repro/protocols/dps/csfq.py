@@ -163,10 +163,3 @@ class CsfqCore:
             return True
         self._drop_accumulator[label] = accumulated
         return False
-
-    @property
-    def drop_fraction(self) -> float:
-        """Fraction of processed packets dropped so far."""
-        if not self.packets_seen:
-            return 0.0
-        return self.packets_dropped / self.packets_seen

@@ -1,11 +1,6 @@
 """Canonical IPv4/IPv6 forwarding substrate (the Figure 2 baseline)."""
 
-from repro.protocols.ip.addresses import (
-    format_ipv4,
-    format_ipv6,
-    parse_ipv4,
-    parse_ipv6,
-)
+from repro.protocols.ip.addresses import parse_ipv4
 from repro.protocols.ip.fib import LpmTable
 from repro.protocols.ip.ipv4 import IPV4_HEADER_SIZE, IPv4Header
 from repro.protocols.ip.ipv6 import IPV6_HEADER_SIZE, IPv6Header
@@ -13,9 +8,6 @@ from repro.protocols.ip.router import IpRouter
 
 __all__ = [
     "parse_ipv4",
-    "format_ipv4",
-    "parse_ipv6",
-    "format_ipv6",
     "LpmTable",
     "IPv4Header",
     "IPv6Header",

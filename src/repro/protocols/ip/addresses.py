@@ -1,20 +1,13 @@
-"""IPv4/IPv6 address parsing and formatting (from scratch).
+"""IPv4 address parsing (from scratch).
 
 Addresses are represented as plain unsigned integers throughout the
-library (32-bit for IPv4, 128-bit for IPv6); these helpers convert
-between the integer form and the familiar dotted-quad / colon-hex
-notations, including ``::`` zero compression for IPv6.
+library (32-bit for IPv4, 128-bit for IPv6); :func:`parse_ipv4` reads
+the dotted-quad notation the examples write.
 """
 
 from __future__ import annotations
 
 from repro.errors import ProtocolError
-
-IPV4_BITS = 32
-IPV6_BITS = 128
-
-_MAX_V4 = (1 << IPV4_BITS) - 1
-_MAX_V6 = (1 << IPV6_BITS) - 1
 
 
 def parse_ipv4(text: str) -> int:
@@ -31,77 +24,3 @@ def parse_ipv4(text: str) -> int:
             raise ProtocolError(f"IPv4 octet {octet} out of range in {text!r}")
         value = (value << 8) | octet
     return value
-
-
-def format_ipv4(value: int) -> str:
-    """Format a 32-bit integer as dotted-quad notation."""
-    if not 0 <= value <= _MAX_V4:
-        raise ProtocolError(f"IPv4 address {value:#x} out of range")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-
-
-def parse_ipv6(text: str) -> int:
-    """Parse colon-hex notation (with optional ``::``) into a 128-bit int."""
-    if text.count("::") > 1:
-        raise ProtocolError(f"multiple '::' in IPv6 address {text!r}")
-    if "::" in text:
-        head_text, tail_text = text.split("::")
-        head = head_text.split(":") if head_text else []
-        tail = tail_text.split(":") if tail_text else []
-        missing = 8 - len(head) - len(tail)
-        if missing < 1:
-            raise ProtocolError(f"'::' expands to nothing in {text!r}")
-        groups = head + ["0"] * missing + tail
-    else:
-        groups = text.split(":")
-    if len(groups) != 8:
-        raise ProtocolError(f"IPv6 address {text!r} has {len(groups)} groups")
-    value = 0
-    for group in groups:
-        if not group or len(group) > 4:
-            raise ProtocolError(f"invalid IPv6 group {group!r} in {text!r}")
-        try:
-            word = int(group, 16)
-        except ValueError:
-            raise ProtocolError(
-                f"invalid IPv6 group {group!r} in {text!r}"
-            ) from None
-        value = (value << 16) | word
-    return value
-
-
-def format_ipv6(value: int) -> str:
-    """Format a 128-bit integer using RFC 5952 zero compression."""
-    if not 0 <= value <= _MAX_V6:
-        raise ProtocolError(f"IPv6 address {value:#x} out of range")
-    groups = [(value >> (16 * (7 - i))) & 0xFFFF for i in range(8)]
-
-    # Find the longest run of zero groups (length >= 2) to compress.
-    best_start, best_len = -1, 0
-    run_start, run_len = -1, 0
-    for i, group in enumerate(groups):
-        if group == 0:
-            if run_start < 0:
-                run_start, run_len = i, 0
-            run_len += 1
-            if run_len > best_len:
-                best_start, best_len = run_start, run_len
-        else:
-            run_start, run_len = -1, 0
-    if best_len < 2:
-        return ":".join(f"{g:x}" for g in groups)
-    head = ":".join(f"{g:x}" for g in groups[:best_start])
-    tail = ":".join(f"{g:x}" for g in groups[best_start + best_len :])
-    return f"{head}::{tail}"
-
-
-def prefix_of(address: int, prefix_len: int, width: int) -> int:
-    """Mask ``address`` down to its leading ``prefix_len`` bits."""
-    if not 0 <= prefix_len <= width:
-        raise ProtocolError(
-            f"prefix length {prefix_len} out of range for /{width}"
-        )
-    if prefix_len == 0:
-        return 0
-    mask = ((1 << prefix_len) - 1) << (width - prefix_len)
-    return address & mask

@@ -87,11 +87,6 @@ class ContentStore:
         self.hits += 1
         return data
 
-    def evict(self, name: Name) -> bool:
-        """Remove one entry (e.g. after detecting poisoned content)."""
-        self._expires.pop(name, None)
-        return self._store.pop(name, None) is not None
-
     def clear(self) -> None:
         """Drop all cached content."""
         self._store.clear()

@@ -34,7 +34,7 @@ class Name:
     >>> name = Name.parse("/seu/hotnets/paper.pdf")
     >>> len(name)
     3
-    >>> Name.parse("/seu/hotnets").is_prefix_of(name)
+    >>> name.prefix(2) == Name.parse("/seu/hotnets")
     True
     """
 
@@ -105,10 +105,6 @@ class Name:
             )
         return Name(self._components[:length])
 
-    def is_prefix_of(self, other: "Name") -> bool:
-        """True when ``self`` is a (non-strict) prefix of ``other``."""
-        return self._components == other._components[: len(self._components)]
-
     def append(self, component: bytes) -> "Name":
         """Return a new name with one more component."""
         return Name(self._components + (bytes(component),))
@@ -168,7 +164,3 @@ class Name:
         if len(self._components) <= 1:
             return digest & 0xFFFF0000, 16
         return digest, 32
-
-    def digest_bytes(self) -> bytes:
-        """The 32-bit digest as 4 big-endian bytes."""
-        return self.digest32().to_bytes(4, "big")

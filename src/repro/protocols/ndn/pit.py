@@ -144,18 +144,6 @@ class Pit:
             self._entries.move_to_end(name)
         return entry
 
-    def purge_expired(self, now: float) -> int:
-        """Drop every expired entry; returns how many were removed."""
-        expired = [
-            name
-            for name, entry in self._entries.items()
-            if entry.expires_at <= now
-        ]
-        for name in expired:
-            del self._entries[name]
-        self.expirations += len(expired)
-        return len(expired)
-
     def _expire_entry(self, name: Name, now: float) -> None:
         entry = self._entries.get(name)
         if entry is not None and entry.expires_at <= now and now > 0:

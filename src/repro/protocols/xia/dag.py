@@ -12,7 +12,7 @@ outgoing edges are stored separately as ``entry_edges``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ProtocolError
 from repro.protocols.xia.xid import Xid
@@ -142,25 +142,6 @@ class DagAddress:
         nodes.append(DagNode(intent))
         return cls(nodes=tuple(nodes), entry_edges=(intent_index, 0))
 
-    @classmethod
-    def service_chain(
-        cls, services: Sequence[Xid], final: Xid
-    ) -> "DagAddress":
-        """A chained DAG: traverse every service XID in order, then the
-        final intent.
-
-        XIA's service composition: the packet must visit SID₁, SID₂, ...
-        before the destination -- each chain node has exactly one
-        successor, so there is no shortcut past a service.
-        """
-        if not services:
-            return cls.direct(final)
-        nodes = []
-        for position, xid in enumerate(services):
-            nodes.append(DagNode(xid, (position + 1,)))
-        nodes.append(DagNode(final))
-        return cls(nodes=tuple(nodes), entry_edges=(0,))
-
     # ------------------------------------------------------------------
     # wire format
     # ------------------------------------------------------------------
@@ -202,7 +183,3 @@ class DagAddress:
             offset += edge_count
             nodes.append(DagNode(xid, edges))
         return cls(nodes=tuple(nodes), entry_edges=entry_edges), offset
-
-    def xids(self) -> Iterable[Xid]:
-        """All XIDs appearing in the DAG."""
-        return (node.xid for node in self.nodes)

@@ -17,7 +17,7 @@ what to do when the intent is reached / pick the next intent edge).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.protocols.xia.dag import DagAddress
 from repro.protocols.xia.xid import Xid, XidType
@@ -44,14 +44,6 @@ class XiaRouteTable:
         """Install a route: packets for ``xid`` leave via ``port``."""
         self._routes.setdefault(xid.xtype, {})[xid.identifier] = port
 
-    def remove_route(self, xid: Xid) -> bool:
-        """Remove a route; returns False when absent."""
-        table = self._routes.get(xid.xtype)
-        if not table or xid.identifier not in table:
-            return False
-        del table[xid.identifier]
-        return True
-
     def add_local(self, xid: Xid) -> None:
         """Declare ``xid`` as locally attached (host, service, content)."""
         self._local.add((xid.xtype, xid.identifier))
@@ -66,10 +58,6 @@ class XiaRouteTable:
         if table is None:
             return None
         return table.get(xid.identifier)
-
-    def supported_types(self) -> Tuple[XidType, ...]:
-        """Principal types this node has any routes for."""
-        return tuple(sorted(self._routes.keys()))
 
 
 def route_step(

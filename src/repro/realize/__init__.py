@@ -15,7 +15,6 @@ composition of FNs:
 from repro.realize.derived import (
     build_ndn_opt_data,
     build_ndn_opt_interest,
-    verify_fn_for,
 )
 from repro.realize.ip import build_ipv4_packet, build_ipv6_packet
 from repro.realize.ndn import build_data_packet, build_interest_packet
@@ -30,6 +29,5 @@ __all__ = [
     "build_opt_packet",
     "build_ndn_opt_interest",
     "build_ndn_opt_data",
-    "verify_fn_for",
     "build_xia_packet",
 ]

@@ -27,19 +27,9 @@ from repro.protocols.ndn.names import Name
 from repro.protocols.opt.session import OptSession
 from repro.protocols.opt.source import initialize_header
 from repro.realize.ndn import name_digest
-from repro.realize.opt import MAC_INPUT_BITS, OPV_BITS, opt_fns
+from repro.realize.opt import opt_fns
 
 NAME_BITS = 32
-
-
-def verify_fn_for(hop_count: int, base_offset_bits: int = NAME_BITS) -> FieldOperation:
-    """The host-tagged F_ver triple for a given path length."""
-    return FieldOperation(
-        field_loc=base_offset_bits,
-        field_len=MAC_INPUT_BITS + OPV_BITS * hop_count,
-        key=OperationKey.VERIFY,
-        tag=True,
-    )
 
 
 def _build(

@@ -13,11 +13,7 @@ from __future__ import annotations
 from repro.core.fn import FieldOperation, OperationKey
 from repro.core.header import DipHeader
 from repro.core.packet import DipPacket
-from repro.protocols.dps.csfq import (
-    RATE_LABEL_BITS,
-    decode_rate_label,
-    encode_rate_label,
-)
+from repro.protocols.dps.csfq import RATE_LABEL_BITS, encode_rate_label
 
 ADDRESS_BITS = 64
 LABEL_OFFSET_BITS = ADDRESS_BITS
@@ -55,12 +51,3 @@ def build_dps_packet(
         hop_limit=hop_limit,
     )
     return DipPacket(header=header, payload=payload)
-
-
-def extract_rate_label(header: DipHeader) -> float:
-    """Read the stamped rate (bytes/second) back out of a header."""
-    label = int.from_bytes(
-        header.locations[LABEL_OFFSET_BITS // 8 : LABEL_OFFSET_BITS // 8 + 4],
-        "big",
-    )
-    return decode_rate_label(label)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.core.fn import FieldOperation, OperationKey
 from repro.core.header import DipHeader
 from repro.core.packet import DipPacket
-from repro.protocols.epic.header import EPIC_BASE_SIZE, HVF_SIZE, EpicHeader
+from repro.protocols.epic.header import EPIC_BASE_SIZE, HVF_SIZE
 from repro.protocols.epic.packets import build_header
 from repro.protocols.opt.session import OptSession
 
@@ -88,10 +88,3 @@ def build_routed_epic_packet(
         hop_limit=hop_limit,
     )
     return DipPacket(header=header, payload=payload)
-
-
-def extract_epic_header(
-    dip_header: DipHeader, base_offset_bits: int = 0
-) -> EpicHeader:
-    """Recover the embedded EPIC header."""
-    return EpicHeader.decode(dip_header.locations[base_offset_bits // 8 :])

@@ -99,41 +99,6 @@ def build_data_header(
     )
 
 
-def _full_name_header(
-    name: Union[Name, str], key: OperationKey, hop_limit: int
-) -> DipHeader:
-    parsed = Name.parse(name) if isinstance(name, str) else name
-    encoded = parsed.encode()
-    fn = FieldOperation(field_loc=0, field_len=len(encoded) * 8, key=key)
-    return DipHeader(fns=(fn,), locations=encoded, hop_limit=hop_limit)
-
-
-def build_interest_packet_fullname(
-    name: Union[Name, str], payload: bytes = b"", hop_limit: int = 64
-) -> DipPacket:
-    """Interest carrying the full hierarchical name (no 32-bit digest).
-
-    The paper compresses names to 32 bits only because of Tofino's
-    fixed field slices (Section 4.1); DIP's variable-length target
-    fields express the real name, matched component-wise against the
-    node's ``name_fib``.
-    """
-    return DipPacket(
-        header=_full_name_header(name, OperationKey.FIB, hop_limit),
-        payload=payload,
-    )
-
-
-def build_data_packet_fullname(
-    name: Union[Name, str], content: bytes = b"", hop_limit: int = 64
-) -> DipPacket:
-    """Data packet carrying the full hierarchical name."""
-    return DipPacket(
-        header=_full_name_header(name, OperationKey.PIT, hop_limit),
-        payload=content,
-    )
-
-
 def build_interest_packet(
     name: Union[Name, int, str], payload: bytes = b"", hop_limit: int = 64
 ) -> DipPacket:

@@ -94,12 +94,6 @@ def build_opt_packet(
     )
 
 
-def extract_opt_header(dip_header: DipHeader, base_offset_bits: int = 0) -> OptHeader:
-    """Recover the embedded OPT header from a DIP header's locations."""
-    raw = dip_header.locations[base_offset_bits // 8 :]
-    return OptHeader.decode(raw)
-
-
 def build_routed_opt_packet(
     session: OptSession,
     dst: int,

@@ -42,8 +42,3 @@ def build_xia_packet(
     return DipPacket(
         header=build_xia_header(xia_header, hop_limit), payload=payload
     )
-
-
-def extract_xia_header(dip_header: DipHeader) -> XiaHeader:
-    """Recover the embedded XIA header from a DIP header."""
-    return XiaHeader.decode(dip_header.locations)

@@ -176,9 +176,6 @@ class FaultPlan:
             seed=int(data.get("seed", 0)),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         try:

@@ -403,10 +403,6 @@ class MitigationGate:
         transition, self._transition = self._transition, None
         return transition
 
-    @property
-    def tripped(self) -> bool:
-        return self._tripped
-
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------

@@ -97,9 +97,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name}={self.value})"
 
@@ -154,10 +151,6 @@ class HistogramSnapshot:
             if seen >= rank:
                 return min(self.high, max(self.low, float(2.0 ** exponent)))
         return self.high  # pragma: no cover - counts always cover rank
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
 
     def to_dict(self) -> Dict[str, object]:
         return {

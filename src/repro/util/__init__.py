@@ -1,15 +1,9 @@
 """Shared low-level utilities (bit-level buffers, byte helpers)."""
 
 from repro.util.bitview import BitView
-from repro.util.bytesutil import (
-    bytes_to_int,
-    hexdump,
-    int_to_bytes,
-)
+from repro.util.bytesutil import hexdump
 
 __all__ = [
     "BitView",
-    "bytes_to_int",
-    "int_to_bytes",
     "hexdump",
 ]

@@ -47,10 +47,6 @@ class BitView:
             raise ValueError("bit_length must be non-negative")
         return cls(bytes((bit_length + 7) // 8))
 
-    def copy(self) -> "BitView":
-        """Return an independent copy of this view."""
-        return BitView(bytes(self._buf))
-
     # ------------------------------------------------------------------
     # size
     # ------------------------------------------------------------------
@@ -187,16 +183,8 @@ class BitView:
         self.set_uint(bit_offset, bit_count, value)
 
     # ------------------------------------------------------------------
-    # single-bit and whole-buffer access
+    # whole-buffer access
     # ------------------------------------------------------------------
-    def get_bit(self, bit_offset: int) -> int:
-        """Read a single bit (0 or 1)."""
-        return self.get_uint(bit_offset, 1)
-
-    def set_bit(self, bit_offset: int, value: int) -> None:
-        """Write a single bit."""
-        self.set_uint(bit_offset, 1, 1 if value else 0)
-
     def to_bytes(self) -> bytes:
         """Return the backing buffer as immutable bytes."""
         return bytes(self._buf)

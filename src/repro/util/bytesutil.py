@@ -3,18 +3,6 @@
 from __future__ import annotations
 
 
-def int_to_bytes(value: int, length: int) -> bytes:
-    """Encode a non-negative integer as ``length`` big-endian bytes."""
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    return value.to_bytes(length, "big")
-
-
-def bytes_to_int(data: bytes) -> int:
-    """Decode big-endian bytes as a non-negative integer."""
-    return int.from_bytes(data, "big")
-
-
 def hexdump(data: bytes, width: int = 16) -> str:
     """Render bytes as a classic offset/hex/ASCII dump for debugging."""
     lines = []

@@ -6,7 +6,6 @@ from repro.workloads.generators import (
     make_dip_ipv6_workload,
     make_native_ipv4_workload,
     make_native_ipv6_workload,
-    make_ndn_data_workload,
     make_ndn_interest_workload,
     make_ndn_opt_workload,
     make_opt_workload,
@@ -21,7 +20,6 @@ __all__ = [
     "make_dip_ipv4_workload",
     "make_dip_ipv6_workload",
     "make_ndn_interest_workload",
-    "make_ndn_data_workload",
     "make_opt_workload",
     "make_ndn_opt_workload",
     "make_xia_workload",

@@ -2,8 +2,8 @@
 
 Each generator builds (deterministically, from a seed) a router with
 realistic state -- populated FIBs, session keys, PIT entries -- and a
-batch of packets of the requested total size, then exposes a
-``process_next()`` closure the benchmarks drive.  The Figure 2 settings
+batch of packets of the requested total size, then exposes the
+``process`` closure the experiments drive.  The Figure 2 settings
 are 1000 packets per point at 128 / 768 / 1500 bytes (Section 4.2).
 
 DIP workloads return the per-packet *model cycles* too, so the
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.core.packet import DipPacket
-from repro.core.processor import Decision, RouterProcessor
+from repro.core.processor import RouterProcessor
 from repro.core.state import NodeState
 from repro.crypto.keys import RouterKey
 from repro.dataplane.costs import CycleCostModel
@@ -31,7 +31,7 @@ from repro.protocols.xia.dag import DagAddress
 from repro.protocols.xia.xid import Xid, XidType
 from repro.realize.derived import build_ndn_opt_interest
 from repro.realize.ip import build_ipv4_packet, build_ipv6_packet
-from repro.realize.ndn import build_data_packet, build_interest_packet
+from repro.realize.ndn import build_interest_packet
 from repro.realize.opt import build_opt_packet
 from repro.realize.xia import build_xia_packet
 
@@ -64,13 +64,6 @@ class ProtocolWorkload:
     process: Callable[[object], object]
     cycles: List[int] = field(default_factory=list)
     processor: Optional[RouterProcessor] = None
-    _cursor: int = 0
-
-    def process_next(self) -> object:
-        """Process the next packet (cycling through the batch)."""
-        packet = self.packets[self._cursor]
-        self._cursor = (self._cursor + 1) % len(self.packets)
-        return self.process(packet)
 
     def run_all(self) -> None:
         """Process every packet once."""
@@ -347,39 +340,6 @@ def make_ndn_interest_workload(
     )
 
 
-def make_ndn_data_workload(
-    packet_size: int = 128,
-    packet_count: int = DEFAULT_PACKET_COUNT,
-    seed: int = 7,
-    cost_model: Optional[CycleCostModel] = None,
-) -> ProtocolWorkload:
-    """NDN data forwarding over DIP (F_PIT); the PIT is pre-populated."""
-    rng = random.Random(seed)
-    state = NodeState(node_id="dip-ndn-data")
-    from repro.core.operations.fib import digest_name
-
-    digests = [rng.getrandbits(32) for _ in range(packet_count)]
-    in_ports = {d: rng.randint(1, 15) for d in digests}
-    base = build_data_packet(0).size
-    payload = _pad_payload(base, packet_size)
-    packets = [
-        build_data_packet(digest, content=payload) for digest in digests
-    ]
-    workload = _dip_workload("NDN-data", state, packets, cost_model)
-    inner_process = workload.process
-
-    def process(packet: DipPacket):
-        # Re-arm the PIT entry the data packet will consume, so every
-        # benchmark round measures the PIT-hit path (a real router would
-        # see one data per interest; re-arming models the interleaving).
-        digest = int.from_bytes(packet.header.locations[:4], "big")
-        state.pit.insert(digest_name(digest), in_port=in_ports[digest])
-        return inner_process(packet)
-
-    workload.process = process
-    return workload
-
-
 def make_opt_workload(
     packet_size: int = 128,
     packet_count: int = DEFAULT_PACKET_COUNT,
@@ -490,15 +450,3 @@ def make_xia_workload(
         dag = DagAddress.with_fallback(cid, [rng.choice(ads), hid])
         packets.append(build_xia_packet(dag, payload=payload))
     return _dip_workload("XIA", state, packets, cost_model)
-
-
-def assert_all_forward(workload: ProtocolWorkload) -> None:
-    """Sanity helper: every packet must forward (used by benches)."""
-    for packet in workload.packets:
-        result = workload.process(packet)
-        decision = getattr(result, "decision", None)
-        if decision is not None and decision is not Decision.FORWARD:
-            raise SimulationError(
-                f"{workload.name}: unexpected decision {decision} "
-                f"({getattr(result, 'notes', '')})"
-            )

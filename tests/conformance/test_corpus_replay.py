@@ -21,6 +21,8 @@ from repro.conformance import (
     replay_vector,
 )
 from repro.conformance.corpus import REGRESSION_GROUP
+from repro.conformance.executors import run_reference
+from repro.conformance.scenarios import Scenario
 
 from tests.conformance.conftest import CORPUS_DIR
 
@@ -52,6 +54,21 @@ def test_regression_vectors_are_preserved():
     # The first fuzzer find: the PISA pipeline checked the hop limit
     # before validating field ranges (see dip_pipeline.py).
     assert "pipeline-fieldrange-before-hoplimit" in names
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [v for v in VECTORS if v.name.startswith("xia-dag-malformed-")],
+    ids=lambda v: v.name,
+)
+def test_malformed_dag_field_drops_instead_of_raising(vector):
+    """F_DAG over a field that is no XIA header fails the operation: the
+    oracle drops with the operation-failed note (every executor then
+    agrees, see the replay below) instead of quarantining a raise."""
+    scenario = Scenario(vector.scenario, vector.seed)
+    result = run_reference(scenario, vector.wire_bytes())
+    assert [o.decision for o in result.outcomes] == ["drop"]
+    assert "operation failed: F_DAG: malformed XIA header" in result.notes[0][-1]
 
 
 def describe(report):

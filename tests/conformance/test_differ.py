@@ -188,7 +188,8 @@ class TestReport:
 
     def test_json_round_trip(self):
         report = self.make_report()
-        clone = DivergenceReport.from_dict(json.loads(report.to_json()))
+        text = json.dumps(report.to_dict())
+        clone = DivergenceReport.from_dict(json.loads(text))
         assert clone.to_dict() == report.to_dict()
         assert clone.divergences == report.divergences
         assert isinstance(clone.divergences[0], Divergence)

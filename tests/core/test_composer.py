@@ -80,6 +80,14 @@ class TestErrors:
         )
         assert "E-LEN" in codes(header)
 
+    @pytest.mark.parametrize("bits, flagged", [(8, True), (16, False)])
+    def test_dag_field_must_hold_the_xia_prefix(self, bits, flagged):
+        header = DipHeader(
+            fns=(FieldOperation(0, bits, OperationKey.DAG),),
+            locations=bytes(2),
+        )
+        assert ("E-LEN" in codes(header)) is flagged
+
 
 class TestWarnings:
     def test_unknown_key_is_warning_only(self):

@@ -10,12 +10,8 @@ from repro.core.state import NodeState
 from repro.crypto.keys import RouterKey
 from repro.errors import OperationError, OperationStateError
 from repro.protocols.opt import negotiate_session
-from repro.realize.epic import (
-    build_epic_packet,
-    build_routed_epic_packet,
-    epic_fns,
-    extract_epic_header,
-)
+from repro.protocols.epic.header import EpicHeader
+from repro.realize.epic import build_epic_packet, build_routed_epic_packet, epic_fns
 from tests.core.conftest import make_context
 
 PAYLOAD = b"epic op payload"
@@ -152,5 +148,5 @@ class TestEpicRealization:
         packet = build_routed_epic_packet(
             session, 1, 2, PAYLOAD, timestamp=4, counter=8
         )
-        header = extract_epic_header(packet.header, base_offset_bits=64)
+        header = EpicHeader.decode(packet.header.locations[8:])
         assert header.timestamp == 4 and header.counter == 8

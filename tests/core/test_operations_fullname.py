@@ -4,15 +4,28 @@ import pytest
 
 from repro.core.operations.base import Decision
 from repro.core.fn import FieldOperation, OperationKey
+from repro.core.header import DipHeader
+from repro.core.packet import DipPacket
 from repro.core.processor import RouterProcessor
 from repro.errors import OperationError
 from repro.protocols.ndn.cs import ContentStore
 from repro.protocols.ndn.names import Name
-from repro.realize.ndn import (
-    build_data_packet_fullname,
-    build_interest_packet_fullname,
-)
 from tests.core.conftest import make_context
+
+
+def _fullname_packet(name, key, payload=b""):
+    """An NDN packet carrying the full hierarchical name (no digest)."""
+    encoded = (Name.parse(name) if isinstance(name, str) else name).encode()
+    fn = FieldOperation(field_loc=0, field_len=len(encoded) * 8, key=key)
+    return DipPacket(DipHeader(fns=(fn,), locations=encoded), payload)
+
+
+def build_interest_packet_fullname(name):
+    return _fullname_packet(name, OperationKey.FIB)
+
+
+def build_data_packet_fullname(name, content=b""):
+    return _fullname_packet(name, OperationKey.PIT, content)
 
 
 @pytest.fixture

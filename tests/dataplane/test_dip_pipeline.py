@@ -217,8 +217,7 @@ class TestHardwareConstraints:
         # decoding a truncated buffer -> decode raises, so instead feed
         # the pipeline a packet with corrupted fn_num via raw parse.
         raw = packet.encode()[:8]  # cut inside the FN triples
-        parse = pipeline.parser.parse(raw)
-        assert not parse.accepted
+        assert pipeline.parser.parse(raw) is None
 
 
 class TestWireInput:

@@ -1,148 +1,81 @@
-"""Tests for the PHV and the programmable parser."""
+"""Tests for the PHV and the unrolled DIP parse graph."""
 
 import pytest
 
-from repro.dataplane.parser import ACCEPT, ParseState, Parser, dip_parse_graph
+from repro.core.fn import FieldOperation
+from repro.core.header import DipHeader
+from repro.core.packet import DipPacket
+from repro.dataplane.parser import Parser
 from repro.dataplane.phv import PacketHeaderVector
 from repro.errors import DataplaneError
 from repro.realize.ip import build_ipv4_packet
 from repro.realize.ndn import build_interest_packet
 
 
+def has(phv, name):
+    try:
+        phv.get(name)
+    except DataplaneError:
+        return False
+    return True
+
+
 class TestPhv:
-    def test_allocate_get_set(self):
-        phv = PacketHeaderVector()
-        phv.allocate("f", 12, value=0xABC)
-        assert phv.get("f") == 0xABC
-        phv.set("f", 0xFFF)
-        assert phv.get("f") == 0xFFF
-
-    def test_width_enforced(self):
-        phv = PacketHeaderVector()
-        phv.allocate("f", 4)
-        with pytest.raises(DataplaneError):
-            phv.set("f", 16)
-
     def test_double_allocation_rejected(self):
         phv = PacketHeaderVector()
-        phv.allocate("f", 4)
+        phv.allocate("f", 4, 0)
         with pytest.raises(DataplaneError):
-            phv.allocate("f", 4)
+            phv.allocate("f", 4, 0)
 
     def test_budget_enforced(self):
         phv = PacketHeaderVector(bit_budget=16)
-        phv.allocate("a", 12)
+        phv.allocate("a", 12, 0)
         with pytest.raises(DataplaneError):
-            phv.allocate("b", 8)
-        assert phv.used_bits == 12
+            phv.allocate("b", 8, 0)
+        phv.allocate("c", 4, 0)  # the refused field took no bits
 
     def test_missing_field_errors(self):
         phv = PacketHeaderVector()
         with pytest.raises(DataplaneError):
             phv.get("missing")
-        with pytest.raises(DataplaneError):
-            phv.set("missing", 0)
-        assert not phv.has("missing")
-
-    def test_fields_iteration(self):
-        phv = PacketHeaderVector()
-        phv.allocate("a", 8, 1)
-        assert list(phv.fields()) == [("a", 8, 1)]
 
 
 class TestParser:
-    def test_simple_extract(self):
-        parser = Parser(
-            [ParseState(name="only", extracts=(("x", 16),))], start="only"
-        )
-        result = parser.parse(b"\xbe\xef")
-        assert result.accepted
-        assert result.phv.get("x") == 0xBEEF
-        assert result.consumed_bits == 16
-
-    def test_select_transition(self):
-        states = [
-            ParseState(
-                name="first",
-                extracts=(("t", 8),),
-                select_field="t",
-                transitions={1: "second"},
-                default_next=ACCEPT,
-            ),
-            ParseState(name="second", extracts=(("v", 8),)),
-        ]
-        parser = Parser(states, start="first")
-        taken = parser.parse(b"\x01\x42")
-        assert taken.path == ("first", "second")
-        assert taken.phv.get("v") == 0x42
-        skipped = parser.parse(b"\x02\x42")
-        assert skipped.path == ("first",)
-
     def test_truncated_packet_not_accepted(self):
-        parser = Parser(
-            [ParseState(name="s", extracts=(("x", 32),))], start="s"
-        )
-        assert not parser.parse(b"\x00").accepted
-
-    def test_unknown_start_rejected(self):
-        with pytest.raises(DataplaneError):
-            Parser([ParseState(name="a")], start="zzz")
-
-    def test_duplicate_state_names_rejected(self):
-        with pytest.raises(DataplaneError):
-            Parser(
-                [ParseState(name="a"), ParseState(name="a")], start="a"
-            )
-
-    def test_loop_guard(self):
-        looping = [
-            ParseState(name="a", default_next="b"),
-            ParseState(name="b", default_next="a"),
-        ]
-        with pytest.raises(DataplaneError):
-            Parser(looping, start="a", max_steps=8).parse(b"")
+        wire = build_ipv4_packet(0x0A000001, 7).encode()
+        assert Parser(max_fns=4).parse(wire[:5]) is None  # inside the basic header
+        assert Parser(max_fns=4).parse(wire[:8]) is None  # inside a triple
 
 
 class TestDipParseGraph:
     def test_parses_real_ipv4_packet(self):
         packet = build_ipv4_packet(0x0A000001, 0x0B000002)
-        result = dip_parse_graph(max_fns=4).parse(packet.encode())
-        assert result.accepted
-        phv = result.phv
+        phv = Parser(max_fns=4).parse(packet.encode())
         assert phv.get("fn_num") == 2
         assert phv.get("hop_limit") == 64
         assert phv.get("fn_key") == 1
         assert phv.get("fn_key[1]") == 3
-        # consumed exactly basic header + 2 triples
-        assert result.consumed_bits == (6 + 12) * 8
+        # exactly the basic header + 2 triples: no third state fired
+        assert not has(phv, "fn_key[2]")
 
     def test_parses_single_fn_packet(self):
         packet = build_interest_packet("/a")
-        result = dip_parse_graph(max_fns=4).parse(packet.encode())
-        assert result.accepted
-        assert result.phv.get("fn_num") == 1
-        assert result.phv.get("fn_key") == 4
-        assert not result.phv.has("fn_key[1]")
+        phv = Parser(max_fns=4).parse(packet.encode())
+        assert phv.get("fn_num") == 1
+        assert phv.get("fn_key") == 4
+        assert not has(phv, "fn_key[1]")
 
     def test_zero_fn_packet(self):
-        from repro.core.header import DipHeader
-        from repro.core.packet import DipPacket
-
-        packet = DipPacket(header=DipHeader())
-        result = dip_parse_graph(max_fns=4).parse(packet.encode())
-        assert result.accepted
-        assert result.consumed_bits == 6 * 8
+        phv = Parser(max_fns=4).parse(DipPacket(header=DipHeader()).encode())
+        assert phv.get("fn_num") == 0
+        assert not has(phv, "fn_key")
 
     def test_unroll_limit_truncates(self):
         """More FNs than the unrolled budget -> parse stops at budget."""
-        from repro.core.fn import FieldOperation
-        from repro.core.header import DipHeader
-        from repro.core.packet import DipPacket
-
         fns = tuple(FieldOperation(0, 8, 13) for _ in range(6))
         packet = DipPacket(header=DipHeader(fns=fns, locations=b"\x00"))
-        result = dip_parse_graph(max_fns=2).parse(packet.encode())
+        phv = Parser(max_fns=2).parse(packet.encode())
         # hardware without enough stages parses only what it can
-        assert result.phv.get("fn_num") == 6
-        assert result.phv.has("fn_key[1]")
-        assert not result.phv.has("fn_key[2]")
+        assert phv.get("fn_num") == 6
+        assert has(phv, "fn_key[1]")
+        assert not has(phv, "fn_key[2]")

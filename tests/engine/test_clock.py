@@ -45,8 +45,6 @@ class TestManualClock:
         assert clock() == 0.0
         clock.advance_to(2.5)
         assert clock() == 2.5
-        clock.advance(0.5)
-        assert clock() == pytest.approx(3.0)
 
     def test_rewind_is_an_error(self):
         clock = ManualClock(start=5.0)
@@ -133,7 +131,7 @@ class TestVirtualTimeExpiry:
         )
         # Prime: interest, then its data cached on the way back.
         engine.run([build_interest_packet(DIGEST).encode()])
-        clock.advance(0.5)
+        clock.advance_to(0.5)
         engine.run([build_data_packet(DIGEST, b"content").encode()])
         store = engine.shard_state(0).content_store
         name = digest_name(DIGEST)

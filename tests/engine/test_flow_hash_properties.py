@@ -17,7 +17,7 @@ from repro.core.fn import FieldOperation, OperationKey
 from repro.core.header import DipHeader
 from repro.core.packet import DipPacket
 from repro.core.program import PROGRAM_CACHE_BOUND
-from repro.engine.dispatch import FlowDispatcher, flow_key
+from repro.engine.dispatch import FlowDispatcher
 from repro.realize.ip import build_ipv4_packet
 
 fn_strategy = st.builds(
@@ -42,9 +42,8 @@ header_strategy = st.builds(
 def test_equal_program_and_fields_hash_equal(header, payload):
     """Same program + same field bytes -> same key, everywhere.
 
-    Across dispatcher instances (each with a cold plan cache), across
-    the decoded-packet and raw-bytes input forms, and through the
-    module-level ``flow_key`` helper.
+    Across dispatcher instances (each with a cold plan cache) and
+    across the decoded-packet and raw-bytes input forms.
     """
     packet = DipPacket(header=header, payload=payload)
     raw = packet.encode()
@@ -53,7 +52,6 @@ def test_equal_program_and_fields_hash_equal(header, payload):
     key = first.key_of(packet)
     assert key == second.key_of(packet)
     assert key == first.key_of(raw)
-    assert key == flow_key(raw)
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,7 +73,8 @@ def test_key_ignores_payload_and_hop_limit(
     )
     a = DipPacket(header=header, payload=payload_a).encode()
     b = DipPacket(header=rehopped, payload=payload_b).encode()
-    assert flow_key(a) == flow_key(b)
+    dispatcher = FlowDispatcher(num_shards=4)
+    assert dispatcher.key_of(a) == dispatcher.key_of(b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -84,12 +83,12 @@ def test_key_ignores_payload_and_hop_limit(
 def test_shard_assignment_stable_and_in_range(header, num_shards):
     packet = DipPacket(header=header)
     raw = packet.encode()
-    first = FlowDispatcher(num_shards).shard_of(raw)
-    second = FlowDispatcher(num_shards).shard_of(raw)
+    (first,) = FlowDispatcher(num_shards).shards_of([raw])
+    (second,) = FlowDispatcher(num_shards).shards_of([raw])
     assert first == second
     assert 0 <= first < num_shards
-    # The batch form agrees with the single-packet view -- including
-    # the one-shard case, which skips the hash altogether.
+    # Raw and decoded forms land together -- including the one-shard
+    # case, which skips the hash altogether.
     assert FlowDispatcher(num_shards).shards_of([raw, packet]) == [first] * 2
 
 
@@ -104,7 +103,7 @@ def test_distribution_within_2x_of_uniform(num_shards):
         raw = build_ipv4_packet(
             rng.getrandbits(32), rng.getrandbits(32)
         ).encode()
-        counts[dispatcher.shard_of(raw)] += 1
+        counts[dispatcher.shards_of([raw])[0]] += 1
     assert sum(counts) == flows
     assert max(counts) <= 2 * flows / num_shards
 

@@ -108,9 +108,9 @@ class TestPerProgramWork:
             calls["decode"] += 1
             return decode(cls, data)
 
-        def counting_parse(self, packet, phv=None):
+        def counting_parse(self, packet):
             calls["parse"] += 1
-            return parse(self, packet, phv)
+            return parse(self, packet)
 
         def counting_allocate(self, name, width, value=0):
             calls["allocate"] += 1

@@ -1,4 +1,4 @@
-"""Fabric protocol messages and the pcap replay/capture format."""
+"""Fabric protocol messages and the pcap capture format."""
 
 import dataclasses
 import struct
@@ -17,8 +17,6 @@ from repro.fabric.pcap import (
     LINKTYPE_USER0,
     MAGIC_MICRO,
     MAGIC_NANO,
-    PcapReplaySource,
-    PcapSink,
     read_pcap,
     write_pcap,
 )
@@ -116,46 +114,3 @@ class TestPcapFormat:
         write_pcap(path, [(1.9999999, b"x")])
         [(when, _)] = read_pcap(path)
         assert when == pytest.approx(2.0)
-
-
-class TestReplayComponents:
-    def test_source_shifts_to_offset_and_closes(self, tmp_path):
-        path = str(tmp_path / "cap.pcap")
-        write_pcap(path, [(100.0, b"one"), (100.5, b"two")])
-        source = PcapReplaySource("replay", path, offset=2.0)
-        assert [i.time for i in source.injections] == [2.0, 2.5]
-        source.start()
-        assert source._source_closed
-        # No channel wired: both emits fail onto the tx-error counter.
-        assert source.tx_errors == 2
-
-    def test_sink_capture_roundtrip(self, tmp_path):
-        sink = PcapSink("cap")
-        sink.add_input("src", 0, rank=0)
-        sink.accept(Deliver(0.25, "src", "cap", 0, KIND_DIP, b"abc", 3, 1))
-        sink.accept(Advance("src", "cap", 0, float("inf")))
-        sink.step()
-        path = str(tmp_path / "out.pcap")
-        assert sink.save(path) == 1
-        assert read_pcap(path) == [(0.25, b"abc")]
-
-    def test_source_to_sink_through_fabric(self, tmp_path):
-        from repro.fabric.runner import ChannelSpec, FabricRun
-
-        path = str(tmp_path / "in.pcap")
-        write_pcap(path, [(0.0, b"p0"), (0.001, b"p1"), (0.002, b"p2")])
-        run = FabricRun(
-            {
-                "replay": lambda: PcapReplaySource("replay", path),
-                "cap": lambda: PcapSink("cap"),
-            },
-            [ChannelSpec("replay", 0, "cap", 0, 0.01)],
-        )
-        report = run.run()
-        sink = run.components["cap"]
-        assert [p for _, p in sink.frames()] == [b"p0", b"p1", b"p2"]
-        # Channel latency is added to every arrival.
-        assert [t for t, _ in sink.frames()] == pytest.approx(
-            [0.01, 0.011, 0.012]
-        )
-        assert len(report.records) == 3

@@ -3,11 +3,12 @@ the network simulator, mirroring Section 3 of the paper.
 """
 
 import dataclasses
+from ipaddress import IPv6Address
 
 
 from repro.crypto.keys import RouterKey
 from repro.netsim import DipRouterNode, HostNode, Topology
-from repro.protocols.ip.addresses import parse_ipv4, parse_ipv6
+from repro.protocols.ip.addresses import parse_ipv4
 from repro.protocols.opt import negotiate_session
 from repro.protocols.xia import DagAddress, Xid, XidType
 from repro.realize.derived import build_ndn_opt_data
@@ -54,11 +55,13 @@ class TestIpOverDip:
 
     def test_ipv6_end_to_end(self):
         topo, src, routers, dst = line(2)
-        prefix = parse_ipv6("2001:db8::")
+        prefix = int(IPv6Address("2001:db8::"))
         for router in routers:
             router.state.fib_v6.insert(prefix, 32, 2)
         src.send_packet(
-            build_ipv6_packet(parse_ipv6("2001:db8::7"), parse_ipv6("::1"))
+            build_ipv6_packet(
+                int(IPv6Address("2001:db8::7")), int(IPv6Address("::1"))
+            )
         )
         topo.run()
         assert len(dst.inbox) == 1

@@ -2,12 +2,20 @@
 
 
 from repro.netsim import DipRouterNode, HostNode, Topology
-from repro.netsim.apps import ConsumerApp, ProducerApp
 from repro.protocols.xia import DagAddress, Xid, XidType
+from repro.protocols.xia.dag import DagNode
 from repro.realize.ndn import name_digest
 from repro.realize.xia import build_xia_packet
+from tests.integration.support import fetch, producer_app, received
 
 CONTENT = {name_digest("/flaky/item"): b"survives"}
+
+
+def service_chain(services, final):
+    """A DAG that visits every service in order, then ``final``: each
+    chain node has exactly one successor, so no shortcut edges."""
+    nodes = [DagNode(xid, (position + 1,)) for position, xid in enumerate(services)]
+    return DagAddress(nodes=(*nodes, DagNode(final)), entry_edges=(0,))
 
 
 class TestLinkFailureRecovery:
@@ -17,7 +25,7 @@ class TestLinkFailureRecovery:
         router = topo.add(DipRouterNode("r", topo.engine, topo.trace))
         producer = topo.add(
             HostNode("producer", topo.engine, topo.trace,
-                     app=ProducerApp(CONTENT))
+                     app=producer_app(CONTENT))
         )
         topo.connect("consumer", 0, "r", 1)
         upstream = topo.connect("r", 2, "producer", 0)
@@ -28,46 +36,33 @@ class TestLinkFailureRecovery:
     def test_retransmission_rides_out_a_flap(self):
         topo, consumer, router, producer, upstream = self.build()
         digest = next(iter(CONTENT))
-        app = ConsumerApp(timeout=0.3, max_attempts=4).attach(consumer)
 
         upstream.up = False  # the upstream link is down at send time
-        app.fetch(digest)
+        fetch(consumer, digest, timeout=0.3, attempts=4)
         topo.engine.schedule(0.5, setattr, upstream, "up", True)
         topo.run()
 
-        assert len(app.completed) == 1
-        record = app.records[digest]
-        assert record.attempts >= 2  # at least one retransmission
-        assert record.content == b"survives"
+        # The first interest died on the down link, so a retransmission
+        # fetched the content.
         assert upstream.frames_dropped >= 1
+        assert received(consumer) == {digest: b"survives"}
 
     def test_permanent_failure_gives_up(self):
         topo, consumer, router, producer, upstream = self.build()
         digest = next(iter(CONTENT))
-        app = ConsumerApp(timeout=0.1, max_attempts=2).attach(consumer)
         upstream.up = False
-        app.fetch(digest)
+        fetch(consumer, digest, timeout=0.1, attempts=2)
         topo.run()
-        assert app.gave_up == [digest]
+        assert not received(consumer)
+        assert upstream.frames_dropped == 2  # both attempts, then silence
         assert producer.stats.received == 0
 
 
 class TestXiaServiceChain:
-    def test_chain_visits_services_in_order(self):
-        firewall = Xid.from_name(XidType.SID, "firewall")
-        cache = Xid.from_name(XidType.SID, "cache")
-        dest = Xid.from_name(XidType.HID, "server")
-        dag = DagAddress.service_chain([firewall, cache], dest)
-        assert dag.intent == dest
-        # no shortcut edges: each service has exactly one successor
-        assert dag.entry_edges == (0,)
-        assert dag.nodes[0].edges == (1,)
-        assert dag.nodes[1].edges == (2,)
-
     def test_chain_over_netsim(self):
         firewall = Xid.from_name(XidType.SID, "fw")
         dest = Xid.from_name(XidType.HID, "srv")
-        dag = DagAddress.service_chain([firewall], dest)
+        dag = service_chain([firewall], dest)
 
         topo = Topology()
         client = topo.add(HostNode("client", topo.engine, topo.trace))
@@ -95,7 +90,7 @@ class TestXiaServiceChain:
         bypass the unvisited service (no shortcut edge exists)."""
         firewall = Xid.from_name(XidType.SID, "fw2")
         dest = Xid.from_name(XidType.HID, "srv2")
-        dag = DagAddress.service_chain([firewall], dest)
+        dag = service_chain([firewall], dest)
 
         from repro.protocols.xia.routing import XiaRouteTable, route_step
 
@@ -104,7 +99,3 @@ class TestXiaServiceChain:
         decision = route_step(dag, -1, table)
         # the only successor of the entry is the firewall, unroutable here
         assert decision.action == "drop"
-
-    def test_empty_chain_is_direct(self):
-        dest = Xid.from_name(XidType.HID, "d")
-        assert DagAddress.service_chain([], dest) == DagAddress.direct(dest)

@@ -6,9 +6,9 @@ properties that only appear beyond toy topologies.
 
 
 from repro.netsim import DipRouterNode, HostNode, Topology
-from repro.netsim.apps import ConsumerApp, ProducerApp
 from repro.protocols.ndn.cs import ContentStore
-from repro.realize.ndn import name_digest
+from repro.realize.ndn import build_interest_packet, name_digest
+from tests.integration.support import fetch, producer_app, received
 
 GRID = 3  # 3x3 routers
 CONTENT = {name_digest(f"/grid/item-{i}"): f"item-{i}".encode() for i in range(8)}
@@ -48,7 +48,7 @@ def build_grid(cache_at_edge=False):
             node.state.name_fib_digest.insert(digest, 32, port)
 
     producer = topo.add(
-        HostNode("producer", topo.engine, topo.trace, app=ProducerApp(CONTENT))
+        HostNode("producer", topo.engine, topo.trace, app=producer_app(CONTENT))
     )
     topo.connect(f"r{GRID-1}{GRID-1}", 5, "producer", 0)
 
@@ -63,61 +63,49 @@ def build_grid(cache_at_edge=False):
 class TestGridDelivery:
     def test_all_consumers_fetch_everything(self):
         topo, routers, producer, consumers = build_grid()
-        apps = [ConsumerApp(timeout=1.0).attach(host) for host in consumers]
-        for offset, app in enumerate(apps):
+        for offset, host in enumerate(consumers):
             for index, digest in enumerate(CONTENT):
                 topo.engine.schedule(
-                    0.01 * (index * len(apps) + offset),
-                    app.fetch, digest,
+                    0.01 * (index * len(consumers) + offset),
+                    fetch, host, digest, 1.0,
                 )
         topo.run()
-        for app in apps:
-            assert len(app.completed) == len(CONTENT)
-            assert not app.gave_up
-        for digest, content in CONTENT.items():
-            for app in apps:
-                assert app.records[digest].content == content
+        for host in consumers:
+            assert received(host) == CONTENT
 
     def test_concurrent_interests_aggregate(self):
         """Three consumers asking simultaneously -> producer serves once."""
         topo, routers, producer, consumers = build_grid()
         digest = next(iter(CONTENT))
-        apps = [ConsumerApp(timeout=2.0).attach(h) for h in consumers]
-        for app in apps:
-            topo.engine.schedule(0.0, app.fetch, digest)
+        for host in consumers:
+            topo.engine.schedule(0.0, fetch, host, digest, 2.0)
         topo.run()
         # each consumer enters the grid at a different router, so the
         # interests merge where their paths join; the producer must see
         # strictly fewer interests than consumers
-        assert all(len(app.completed) == 1 for app in apps)
-        served = producer.app.served if hasattr(producer, "app") else None
-        # ProducerApp instance:
-        producer_app = producer.app
-        assert producer_app.served < len(consumers) or producer_app.served == 1
+        assert all(received(host) == {digest: CONTENT[digest]} for host in consumers)
+        assert producer.app.served < len(consumers)
 
     def test_edge_caching_cuts_producer_load(self):
         topo, routers, producer, consumers = build_grid(cache_at_edge=True)
         digest = next(iter(CONTENT))
-        app0 = ConsumerApp(timeout=1.0).attach(consumers[0])
-        app0.fetch(digest)
+        fetch(consumers[0], digest, 1.0)
         topo.run()
-        producer_app = producer.app
-        served_before = producer_app.served
+        served_before = producer.app.served
         # second fetch from the same edge: answered from r00's cache
-        app0.fetch(digest)
+        consumers[0].send_packet(build_interest_packet(digest))
         topo.run()
-        assert len(app0.completed) == 1  # record replaced? No: same digest
-        assert producer_app.served == served_before
+        assert len(consumers[0].inbox) == 2
+        assert producer.app.served == served_before
         assert len(topo.trace.of_kind("cache-reply")) >= 1
 
 
 class TestDeterminism:
     def _run_once(self):
         topo, routers, producer, consumers = build_grid()
-        apps = [ConsumerApp(timeout=1.0).attach(h) for h in consumers]
-        for offset, app in enumerate(apps):
+        for offset, host in enumerate(consumers):
             for index, digest in enumerate(CONTENT):
-                topo.engine.schedule(0.01 * (index + offset), app.fetch, digest)
+                topo.engine.schedule(0.01 * (index + offset), fetch, host, digest, 1.0)
         topo.run()
         return [
             (event.time, event.node_id, event.event)

@@ -1,4 +1,4 @@
-"""Tests for host applications and the wire-level FN discovery."""
+"""Tests for the wire-level FN discovery (Section 2.3 bootstrap)."""
 
 import pytest
 
@@ -6,123 +6,8 @@ from repro.core.fn import OperationKey
 from repro.core.registry import default_registry
 from repro.errors import UnknownOperationError
 from repro.netsim import DipRouterNode, HostNode, Topology
-from repro.netsim.apps import ConsumerApp, PeriodicSender, ProducerApp
 from repro.netsim.bootstrap import bootstrap_host_async
-from repro.realize.ndn import build_interest_packet, name_digest
-
-
-def content_network(catalogue, consumer_app=None, drop_first_data=False):
-    """consumer -- r1 -- producer with the catalogue installed."""
-    topo = Topology()
-    consumer = topo.add(HostNode("consumer", topo.engine, topo.trace))
-    router = topo.add(DipRouterNode("r1", topo.engine, topo.trace))
-    producer_app = ProducerApp(catalogue)
-    producer = topo.add(
-        HostNode("producer", topo.engine, topo.trace, app=producer_app)
-    )
-    topo.connect("consumer", 0, "r1", 1)
-    topo.connect("r1", 2, "producer", 0)
-    for digest in catalogue:
-        router.state.name_fib_digest.insert(digest, 32, 2)
-    return topo, consumer, router, producer, producer_app
-
-
-class TestProducerApp:
-    def test_serves_catalogue(self):
-        digest = name_digest("/a")
-        topo, consumer, _r, _p, producer_app = content_network(
-            {digest: b"content-a"}
-        )
-        consumer.send_packet(build_interest_packet(digest))
-        topo.run()
-        assert producer_app.served == 1
-        assert consumer.inbox[0][0].payload == b"content-a"
-
-    def test_unknown_content_counted(self):
-        digest = name_digest("/a")
-        other = name_digest("/other")
-        topo, consumer, router, _p, producer_app = content_network(
-            {digest: b"x"}
-        )
-        router.state.name_fib_digest.insert(other, 32, 2)
-        consumer.send_packet(build_interest_packet(other))
-        topo.run()
-        assert producer_app.unknown == 1
-        assert not consumer.inbox
-
-    def test_publish_extends_catalogue(self):
-        producer_app = ProducerApp({})
-        producer_app.publish(5, b"five")
-        assert producer_app.catalogue[5] == b"five"
-
-
-class TestConsumerApp:
-    def test_fetch_completes_with_latency(self):
-        digest = name_digest("/a")
-        topo, consumer, _r, _p, _pa = content_network({digest: b"data"})
-        app = ConsumerApp(timeout=0.5).attach(consumer)
-        app.fetch(digest)
-        topo.run()
-        assert len(app.completed) == 1
-        record = app.completed[0]
-        assert record.content == b"data"
-        assert record.attempts == 1
-        assert record.latency > 0
-
-    def test_retransmission_after_loss(self):
-        digest = name_digest("/a")
-        topo, consumer, router, producer, _pa = content_network(
-            {digest: b"data"}
-        )
-        # Drop the first data packet at the router by breaking the PIT
-        # entry once: simulate by intercepting producer's first reply.
-        original_send = producer.send_packet
-        dropped = {"done": False}
-
-        def lossy_send(packet, port=0):
-            if not dropped["done"]:
-                dropped["done"] = True
-                return False  # swallow the first data packet
-            return original_send(packet, port)
-
-        producer.send_packet = lossy_send
-        app = ConsumerApp(timeout=0.2).attach(consumer)
-        app.fetch(digest)
-        topo.run()
-        assert len(app.completed) == 1
-        assert app.records[digest].attempts == 2
-
-    def test_gives_up_after_max_attempts(self):
-        digest = name_digest("/never")
-        topo, consumer, router, _p, _pa = content_network({})
-        app = ConsumerApp(timeout=0.1, max_attempts=2).attach(consumer)
-        app.fetch(digest)
-        topo.run()
-        assert app.gave_up == [digest]
-        assert not app.completed
-
-    def test_fetch_requires_attach(self):
-        with pytest.raises(RuntimeError):
-            ConsumerApp().fetch(1)
-
-
-class TestPeriodicSender:
-    def test_sends_count_packets_at_interval(self):
-        topo = Topology()
-        host = topo.add(HostNode("h", topo.engine, topo.trace))
-        sink = topo.add(DipRouterNode("r", topo.engine, topo.trace))
-        topo.connect("h", 0, "r", 1)
-        sender = PeriodicSender(
-            host,
-            builder=lambda seq: build_interest_packet(seq + 1),
-            interval=0.1,
-            count=5,
-        )
-        sender.start()
-        topo.run()
-        assert sender.sent == 5
-        assert sink.stats.received == 5
-        assert topo.engine.now == pytest.approx(0.4 + 0.001)
+from repro.realize.ndn import build_interest_packet
 
 
 class TestWireLevelBootstrap:

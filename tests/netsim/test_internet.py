@@ -179,7 +179,7 @@ class TestMaterialization:
             for dst in dip_stubs:
                 if src >= dst:
                     continue
-                path = net.as_path(src, dst)
+                path = plan.overlay_path(src, dst)
                 if path is None:
                     continue
                 as_ids = [plan.by_asn[asn].as_id for asn in path]
@@ -249,7 +249,7 @@ class TestEndToEnd:
         dip_stub = next(
             a for a in plan.ases if a.role == "stub" and a.dip
         )
-        assert net.as_path(legacy_stub.asn, dip_stub.asn) is None
+        assert plan.overlay_path(legacy_stub.asn, dip_stub.asn) is None
 
     def test_tunnel_addresses_reserved(self):
         assert tunnel_endpoint_v4(7) == 0xFFFF0000 | 7

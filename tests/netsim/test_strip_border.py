@@ -38,8 +38,8 @@ def build_network():
     topo.connect("border-b", 1, "host-b", 0)
 
     template = wrapped_packet()
-    border_a.add_strip_port(2, template)
-    border_b.add_strip_port(2, template)
+    border_a.strip_templates[2] = template
+    border_b.strip_templates[2] = template
     # DIP-side forwarding on the embedded destination address
     border_a.state.fib_v4.insert(parse_ipv4("10.0.0.0"), 8, 2)
     border_b.state.fib_v4.insert(parse_ipv4("10.0.0.0"), 8, 1)

@@ -1,7 +1,7 @@
 """The netsim ``TraceRecorder`` is a telemetry ``Tracer``.
 
 Simulator events are zero-length spans, so the legacy query views
-(``events``/``of_kind``/``at_node``) and the engine's JSONL trace
+(``events``/``of_kind``) and the engine's JSONL trace
 exporter both work on one recording.
 """
 
@@ -21,7 +21,6 @@ class TestTraceRecorderIsTracer:
         assert events[0].event == "forward"
         assert events[0].detail == "port 2"
         assert [e.event for e in recorder.of_kind("drop")] == ["drop"]
-        assert [e.node_id for e in recorder.at_node("r2")] == ["r2"]
 
     def test_disabled_recorder_drops_events(self):
         recorder = TraceRecorder(enabled=False)

@@ -1,9 +1,11 @@
 """Tests for the native IP router (the Figure 2 baseline)."""
 
+from ipaddress import IPv6Address
+
 import pytest
 
 from repro.errors import RoutingError
-from repro.protocols.ip.addresses import parse_ipv4, parse_ipv6
+from repro.protocols.ip.addresses import parse_ipv4
 from repro.protocols.ip.ipv4 import IPv4Header
 from repro.protocols.ip.ipv6 import IPv6Header
 from repro.protocols.ip.router import IpRouter
@@ -14,7 +16,7 @@ def router():
     r = IpRouter("r-test")
     r.add_route_v4(parse_ipv4("10.0.0.0"), 8, 1)
     r.add_route_v4(parse_ipv4("10.1.0.0"), 16, 2)
-    r.add_route_v6(parse_ipv6("2001:db8::"), 32, 3)
+    r.add_route_v6(int(IPv6Address("2001:db8::")), 32, 3)
     return r
 
 
@@ -55,19 +57,19 @@ class TestForwardV4:
 
 class TestForwardV6:
     def test_forward(self, router):
-        pkt = IPv6Header(src=0, dst=parse_ipv6("2001:db8::99")).encode()
+        pkt = IPv6Header(src=0, dst=int(IPv6Address("2001:db8::99"))).encode()
         out = router.forward_v6(pkt)
         assert out.egress_port == 3
         assert IPv6Header.decode(out.packet).hop_limit == 63
 
     def test_hop_limit_expiry(self, router):
         pkt = IPv6Header(
-            src=0, dst=parse_ipv6("2001:db8::99"), hop_limit=1
+            src=0, dst=int(IPv6Address("2001:db8::99")), hop_limit=1
         ).encode()
         assert router.forward_v6(pkt).dropped
 
     def test_no_route(self, router):
-        pkt = IPv6Header(src=0, dst=parse_ipv6("fe80::1")).encode()
+        pkt = IPv6Header(src=0, dst=int(IPv6Address("fe80::1"))).encode()
         assert router.forward_v6(pkt).dropped
 
 
@@ -78,6 +80,6 @@ class TestNextHopHelpers:
             router.next_hop_v4(parse_ipv4("8.8.8.8"))
 
     def test_next_hop_v6(self, router):
-        assert router.next_hop_v6(parse_ipv6("2001:db8::1")) == 3
+        assert router.next_hop_v6(int(IPv6Address("2001:db8::1"))) == 3
         with pytest.raises(RoutingError):
-            router.next_hop_v6(parse_ipv6("fe80::1"))
+            router.next_hop_v6(int(IPv6Address("fe80::1")))

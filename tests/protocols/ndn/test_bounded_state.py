@@ -76,10 +76,10 @@ def test_pit_counts_expirations():
     pit.insert(name("a"), in_port=1, now=1.0)  # expires at 5.0
     assert pit.insert(name("a"), in_port=2, now=6.0).is_new
     assert pit.expirations == 1
-    pit.insert(name("b"), in_port=1, now=6.0)
-    assert pit.purge_expired(now=100.0) == 2
-    assert pit.expirations == 3
-    assert len(pit) == 0
+    pit.insert(name("b"), in_port=1, now=6.0)  # expires at 10.0
+    assert pit.insert(name("b"), in_port=2, now=100.0).is_new
+    assert pit.expirations == 2
+    assert len(pit) == 2
 
 
 def test_pit_timeless_paths_never_expire():
@@ -130,7 +130,6 @@ def test_cs_eviction_drops_ttl_bookkeeping():
         cs.insert(Data(name(tag), content=b"x"), now=1.0)
     assert cs.evictions == 1
     assert len(cs._expires) == len(cs._store) == 2
-    cs.evict(name("b"))
     cs.clear()
     assert len(cs._expires) == 0
 

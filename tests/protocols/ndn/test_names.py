@@ -33,14 +33,6 @@ class TestParsing:
 
 
 class TestHierarchy:
-    def test_prefix_relation(self):
-        parent = Name.parse("/a/b")
-        child = Name.parse("/a/b/c")
-        assert parent.is_prefix_of(child)
-        assert parent.is_prefix_of(parent)
-        assert not child.is_prefix_of(parent)
-        assert not Name.parse("/a/x").is_prefix_of(child)
-
     def test_prefix_truncation(self):
         name = Name.parse("/a/b/c")
         assert name.prefix(2) == Name.parse("/a/b")
@@ -83,10 +75,6 @@ class TestDigest:
         digest = Name.parse("/seu/hotnets").digest32()
         assert 0 <= digest < (1 << 32)
         assert digest == Name.parse("/seu/hotnets").digest32()
-
-    def test_digest_bytes(self):
-        name = Name.parse("/a/b")
-        assert name.digest_bytes() == name.digest32().to_bytes(4, "big")
 
     def test_prefix_preserving_high_bits(self):
         """All content under one top-level prefix shares the high 16 bits."""

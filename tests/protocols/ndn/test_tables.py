@@ -96,13 +96,6 @@ class TestPit:
         assert result.is_new
         assert pit.satisfy(name, now=5.1) == {2}
 
-    def test_purge_expired(self):
-        pit = Pit(default_lifetime=1.0)
-        pit.insert(Name.parse("/a"), 1, now=0.0)
-        pit.insert(Name.parse("/b"), 1, now=5.0)
-        assert pit.purge_expired(now=3.0) == 1
-        assert len(pit) == 1
-
     def test_peek_does_not_consume(self):
         pit = Pit()
         name = Name.parse("/a")
@@ -145,12 +138,6 @@ class TestContentStore:
         cs.insert(Data(Name.parse("/a"), b"new"))
         assert cs.lookup(Name.parse("/a")).content == b"new"
         assert len(cs) == 1
-
-    def test_evict_specific(self):
-        cs = ContentStore(capacity=2)
-        cs.insert(Data(Name.parse("/a"), b"x"))
-        assert cs.evict(Name.parse("/a"))
-        assert not cs.evict(Name.parse("/a"))
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):

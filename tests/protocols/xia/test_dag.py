@@ -79,6 +79,3 @@ class TestWireFormat:
             with pytest.raises(ProtocolError):
                 DagAddress.decode(encoded[:cut])
 
-    def test_xids_iteration(self):
-        dag = DagAddress.with_fallback(CID, [AD, HID])
-        assert list(dag.xids()) == [AD, HID, CID]

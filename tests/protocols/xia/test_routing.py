@@ -19,14 +19,6 @@ def dag():
 
 
 class TestRouteTable:
-    def test_add_lookup_remove(self):
-        table = XiaRouteTable()
-        table.add_route(AD, 3)
-        assert table.lookup(AD) == 3
-        assert table.remove_route(AD)
-        assert table.lookup(AD) is None
-        assert not table.remove_route(AD)
-
     def test_unknown_type_lookup_none(self):
         assert XiaRouteTable().lookup(CID) is None
 
@@ -36,11 +28,6 @@ class TestRouteTable:
         assert table.is_local(HID)
         assert not table.is_local(AD)
 
-    def test_supported_types(self):
-        table = XiaRouteTable()
-        table.add_route(AD, 1)
-        table.add_route(CID, 2)
-        assert table.supported_types() == (XidType.AD, XidType.CID)
 
 
 class TestRouteStep:

@@ -5,7 +5,8 @@ import pytest
 from repro.core.fn import OperationKey
 from repro.core.packet import DipPacket
 from repro.protocols.netfence.tags import CongestionLevel, CongestionTag
-from repro.realize.dps import build_dps_packet, dps_fns, extract_rate_label
+from repro.protocols.dps.csfq import decode_rate_label
+from repro.realize.dps import build_dps_packet, dps_fns
 from repro.realize.netfence import (
     build_netfence_packet,
     extract_congestion_tag,
@@ -67,7 +68,8 @@ class TestDpsRealization:
 
     def test_label_roundtrip(self):
         packet = build_dps_packet(1, 2, rate_bps=48_000.0)
-        assert extract_rate_label(packet.header) == pytest.approx(
+        label = int.from_bytes(packet.header.locations[8:12], "big")
+        assert decode_rate_label(label) == pytest.approx(
             48_000.0, rel=0.01
         )
 

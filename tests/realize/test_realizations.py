@@ -12,7 +12,9 @@ from repro.errors import HeaderValueError
 from repro.protocols.ip.ipv4 import IPV4_HEADER_SIZE
 from repro.protocols.ip.ipv6 import IPV6_HEADER_SIZE
 from repro.protocols.opt import negotiate_session
+from repro.protocols.opt.header import OptHeader
 from repro.protocols.xia.dag import DagAddress
+from repro.protocols.xia.router import XiaHeader
 from repro.protocols.xia.xid import Xid, XidType
 from repro.realize.derived import build_ndn_opt_data, build_ndn_opt_interest
 from repro.realize.extensions import with_passport, with_telemetry
@@ -22,13 +24,8 @@ from repro.realize.ndn import (
     build_interest_packet,
     name_digest,
 )
-from repro.realize.opt import (
-    build_opt_packet,
-    build_routed_opt_packet,
-    extract_opt_header,
-    opt_fns,
-)
-from repro.realize.xia import build_xia_packet, extract_xia_header
+from repro.realize.opt import build_opt_packet, build_routed_opt_packet, opt_fns
+from repro.realize.xia import build_xia_packet
 
 
 @pytest.fixture
@@ -144,7 +141,7 @@ class TestOptRealization:
 
     def test_extract_opt_header(self, session):
         packet = build_opt_packet(session, b"p", timestamp=3)
-        opt = extract_opt_header(packet.header)
+        opt = OptHeader.decode(packet.header.locations)
         assert opt.session_id == session.session_id
         assert opt.timestamp == 3
 
@@ -176,7 +173,7 @@ class TestDerivedRealization:
         assert packet.header.locations[:4] == name_digest("/a/b").to_bytes(
             4, "big"
         )
-        opt = extract_opt_header(packet.header, base_offset_bits=32)
+        opt = OptHeader.decode(packet.header.locations[4:])
         assert opt.session_id == session.session_id
 
 
@@ -194,7 +191,7 @@ class TestXiaRealization:
             Xid.for_content(b"c"), [Xid.from_name(XidType.AD, "a")]
         )
         packet = build_xia_packet(dag, xia_hop_limit=9)
-        header = extract_xia_header(packet.header)
+        header = XiaHeader.decode(packet.header.locations)
         assert header.dag == dag
         assert header.hop_limit == 9 and header.last_visited == -1
 

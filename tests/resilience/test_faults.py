@@ -6,6 +6,8 @@ shard/batch pinning, JSON round-trips -- is pinned down here before
 anything downstream relies on it.
 """
 
+import json
+
 import pytest
 
 from repro.errors import SimulationError
@@ -79,7 +81,7 @@ class TestFaultPlan:
             ),
             seed=99,
         )
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        assert FaultPlan.from_json(json.dumps(plan.to_dict())) == plan
 
     def test_from_json_rejects_non_object(self):
         with pytest.raises(SimulationError):

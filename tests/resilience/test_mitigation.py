@@ -202,12 +202,12 @@ def test_breaker_trips_and_recovers_on_windowed_rate():
     clean = ipv4_wire(0x0A000001)
     for _ in range(4):
         gate.admit(forged)
-    assert gate.tripped
+    assert gate.stats().breaker_tripped
     assert gate.poll_breaker() == "trip"
     assert gate.poll_breaker() is None  # consumed
     for _ in range(4):
         gate.admit(clean)
-    assert not gate.tripped
+    assert not gate.stats().breaker_tripped
     assert gate.poll_breaker() == "recover"
     stats = gate.stats()
     assert stats.breaker_trips == 1
@@ -223,7 +223,7 @@ def test_observe_bad_feeds_engine_side_errors_into_window():
     gate.observe_bad(3)
     for _ in range(4):
         gate.admit(clean)
-    assert gate.tripped
+    assert gate.stats().breaker_tripped
 
 
 # ----------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_breaker_trip_actuates_engine_degrade_through_flush():
             attack_wires("poison", 0, 8, stream="serve-breaker")
         ):
             core.submit_ex(wire, i)
-        assert core.gate.tripped
+        assert core.gate.stats().breaker_tripped
         # Actuation happens on the engine thread, inside a flush that
         # has work (an all-refused batch never reaches the engine).
         core.submit_ex(legit_wires(0, 1, stream="serve-kick")[0], "k")
@@ -214,7 +214,7 @@ def test_breaker_trip_actuates_engine_degrade_through_flush():
         assert core.engine.degrade == "pass-to-host"
         for i, wire in enumerate(legit_wires(0, 8, stream="serve-rec")):
             core.submit_ex(wire, i)
-        assert not core.gate.tripped
+        assert not core.gate.stats().breaker_tripped
         core.drain(now=0.0)
         assert core.engine.degrade is None
     finally:
@@ -243,11 +243,11 @@ def test_walk_side_quarantines_trip_the_breaker_through_flush():
         assert all(
             outcome.decision.value == "error" for _, outcome in collected
         )
-        assert not core.gate.tripped
+        assert not core.gate.stats().breaker_tripped
         # The next window closes over those errors and trips.
         for i, wire in enumerate(legit_wires(0, 8, stream="serve-kick")):
             core.submit_ex(wire, i)
-        assert core.gate.tripped
+        assert core.gate.stats().breaker_tripped
         core.flush(now=0.0)
         assert core.engine.degrade == "pass-to-host"
     finally:

@@ -297,11 +297,13 @@ class TestStats:
 
 class TestEngineResilience:
     def test_fault_plan_crash_prints_resilience_line(self, tmp_path):
+        import json
+
         from repro.resilience import CRASH, Fault, FaultPlan
 
         plan = FaultPlan(faults=(Fault(kind=CRASH, shard=0, batch=0),))
         path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
+        path.write_text(json.dumps(plan.to_dict()))
         code, text = run_cli(
             "engine", "--packets", "200", "--shards", "2",
             "--fault-plan", str(path),

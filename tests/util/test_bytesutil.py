@@ -1,24 +1,6 @@
 """Tests for byte-string helpers."""
 
-import pytest
-
-from repro.util.bytesutil import bytes_to_int, hexdump, int_to_bytes
-
-
-class TestIntConversion:
-    def test_roundtrip(self):
-        assert bytes_to_int(int_to_bytes(0xDEADBEEF, 4)) == 0xDEADBEEF
-
-    def test_zero_padding(self):
-        assert int_to_bytes(1, 4) == b"\x00\x00\x00\x01"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            int_to_bytes(-1, 4)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(OverflowError):
-            int_to_bytes(256, 1)
+from repro.util.bytesutil import hexdump
 
 
 class TestHexdump:

@@ -7,23 +7,26 @@ from repro.dataplane.costs import CycleCostModel
 from repro.errors import SimulationError
 from repro.workloads.generators import (
     FIGURE2_SIZES,
-    assert_all_forward,
     make_dip_ipv4_workload,
     make_dip_ipv6_workload,
     make_native_ipv4_workload,
     make_native_ipv6_workload,
-    make_ndn_data_workload,
     make_ndn_interest_workload,
     make_ndn_opt_workload,
     make_opt_workload,
     make_xia_workload,
 )
 
+
+def assert_all_forward(workload):
+    for packet in workload.packets:
+        assert workload.process(packet).decision is Decision.FORWARD
+
+
 DIP_MAKERS = [
     make_dip_ipv4_workload,
     make_dip_ipv6_workload,
     make_ndn_interest_workload,
-    make_ndn_data_workload,
     make_opt_workload,
     make_ndn_opt_workload,
     make_xia_workload,
@@ -83,12 +86,6 @@ class TestDipWorkloads:
         workload = make_dip_ipv4_workload(packet_count=5)
         with pytest.raises(SimulationError):
             workload.mean_cycles()
-
-    def test_process_next_cycles_through(self):
-        workload = make_dip_ipv4_workload(packet_count=3)
-        for _ in range(6):  # two full cycles
-            result = workload.process_next()
-            assert result.decision is Decision.FORWARD
 
     def test_opt_backend_parameter(self):
         aes = make_opt_workload(packet_count=3, backend="aes")
