@@ -25,16 +25,18 @@ scratch -- so a hit skips the compiled-program walk entirely while
 still reporting decision-identical ``ProcessResult``s.
 
 **Purity.**  Only programs whose executed operations are all *pure*
-(``Operation.pure``) are cacheable: pure operations are read-only
-lookups whose outcome depends solely on the target-field bits, the
-ingress port, and node state covered by the processor's state token
-(LPM/match/source-style lookups).  Stateful operations -- the NDN
-PIT/CS, OPT's MAC chain, telemetry, policing -- mutate per-node or
-in-packet state per packet and force a *bypass* to the slow path.
+(``Operation.pure``) are cacheable: a pure operation's result is
+deterministic in the read-field bits, the ingress port and the node
+state the processor's state token covers, and it may rewrite read
+fields in place (LPM/match/source lookups; XIA's F_DAG/F_intent, which
+advance the DAG pointer and hop limit inside their own field).
+Stateful operations -- the NDN PIT/CS, OPT's MAC chain, telemetry,
+policing -- mutate per-node or in-packet state per packet and force a
+*bypass* to the slow path.
 
 **Invalidation.**  Every lookup compares a generation token assembled
 from :class:`~repro.core.registry.OperationRegistry` (``version``), the
-IP/NDN FIB ``generation`` counters and
+IP/NDN FIB and XIA route-table ``generation`` counters and
 :class:`~repro.core.state.NodeState` (``generation``); any mutation --
 ``insert``/``remove``/state change -- bumps a counter and atomically
 invalidates the affected entries (the whole table: exact-match entries
@@ -67,7 +69,7 @@ class FlowCacheStats:
         Packets answered from a cached decision template.
     misses:
         Cacheable packets that had to walk the pipeline (and seeded an
-        entry).
+        entry, unless the splice recipe cannot express the rewrite).
     bypasses:
         Packets sent straight to the slow path: impure (stateful)
         programs, expired hop limits, out-of-range target fields.
@@ -187,10 +189,9 @@ class DecisionTemplate:
     ports, notes, cycle totals, unsupported key, scratch); the output
     packet is stored as a *splice recipe* against the input locations
     (``loc_splices``), because untouched location bits flow through from
-    each packet while edited spans are key-determined.  Today's pure
-    operations never edit the locations, so the recipe is almost always
-    ``None`` ("unchanged") -- but the diff keeps the cache correct for
-    any future pure-and-deterministic editor.
+    each packet while edited spans are key-determined.  Lookups leave
+    the locations alone (recipe ``None``, "unchanged"); F_intent's
+    pointer and hop-limit rewrite is a span inside the keyed DAG field.
     """
 
     __slots__ = (
@@ -259,12 +260,18 @@ def splice_spans(
     return tuple(spans)
 
 
-def template_from_result(result, in_locations: bytes) -> Optional[DecisionTemplate]:
+def template_from_result(
+    result, in_locations: bytes, byte_keyed: bool = True
+) -> Optional[DecisionTemplate]:
     """Build a template from a slow-path result, or None when unsafe.
 
-    ``None`` is only returned for shapes the splice recipe cannot
-    express (an output locations region of a different length), which
-    no current operation produces.
+    ``None`` is returned for shapes the splice recipe cannot express:
+    an output locations region of a different length (no operation
+    produces one), or a rewrite when ``byte_keyed`` is False.  The
+    splice replays whole bytes, so it is exact only when every byte it
+    touches lies inside the keyed fields: a pure operation rewrites
+    only fields it read, and those are whole bytes exactly when the
+    program's reads are byte-aligned (``Program.read_slices``).
     """
     has_packet = result.packet is not None
     loc_splices = None
@@ -273,6 +280,8 @@ def template_from_result(result, in_locations: bytes) -> Optional[DecisionTempla
         if len(out_locations) != len(in_locations):
             return None
         loc_splices = splice_spans(in_locations, out_locations)
+        if loc_splices is not None and not byte_keyed:
+            return None
     return DecisionTemplate(
         decision=result.decision,
         ports=result.ports,

@@ -123,15 +123,17 @@ class Operation:
     must signal the source instead of silently ignoring the FN
     (Section 2.4, heterogeneous configuration).
 
-    ``pure`` marks read-only lookups whose result depends *only* on the
-    target-field bits, the ingress port, and node state covered by the
-    processor's generation token (FIBs, locality sets, the registry) --
-    never on ``ctx.now``, the payload, per-packet mutable state (PIT,
-    content store, policers) or scratch left by impure FNs, and never
-    with side effects beyond writing key-determined scratch values.
-    Programs made solely of pure operations are eligible for the
-    flow-level decision cache (:mod:`repro.core.flowcache`); a single
-    impure FN forces the whole program to bypass it.
+    ``pure`` marks operations whose result is deterministic in the
+    read-field bits (every executed FN's target field), the ingress
+    port, and node state covered by the processor's generation token
+    (FIBs, locality sets, the XIA table, the registry) -- never in
+    ``ctx.now``, the payload, per-packet mutable state (PIT, content
+    store, policers) or scratch left by impure FNs.  A pure operation
+    may write key-determined scratch values and rewrite read fields in
+    place (F_intent's XIA pointer); it changes nothing else.  Programs
+    made solely of pure operations are eligible for the flow-level
+    decision cache (:mod:`repro.core.flowcache`); a single impure FN
+    forces the whole program to bypass it.
     """
 
     key: int = 0

@@ -10,6 +10,13 @@ intent" (Section 3).
 - ``F_intent`` then decides the packet's fate: deliver when the intent
   was reached, otherwise forward along the highest-priority routable
   successor and write the updated pointer back into the FN locations.
+
+Both are *pure* (``Operation.pure``): the verdict, the scratch and the
+rewrite depend only on the DAG field's bits and the node's
+:class:`~repro.protocols.xia.routing.XiaRouteTable`, whose
+``generation`` rides in the processor's state token.  The rewrite (the
+XIA hop limit and last-visited pointer) stays inside the F_DAG field,
+so the flow cache replays it as a splice.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ class DagOperation(Operation):
 
     key = 10
     name = "F_DAG"
+    pure = True
 
     def execute(
         self, ctx: OperationContext, fn: FieldOperation
@@ -79,6 +87,7 @@ class IntentOperation(Operation):
 
     key = 11
     name = "F_intent"
+    pure = True
 
     def execute(
         self, ctx: OperationContext, fn: FieldOperation

@@ -544,7 +544,11 @@ class RouterProcessor:
                         if walked is not None:
                             walked.append((program, result))
                         if key is not None:
-                            template = template_from_result(result, locations)
+                            template = template_from_result(
+                                result,
+                                locations,
+                                program.read_slices is not None,
+                            )
                             if template is not None:
                                 cache.put(key, template)
                     else:
@@ -595,9 +599,9 @@ class RouterProcessor:
         """Generation token covering everything a pure walk may read.
 
         Any decision-relevant mutation moves at least one component:
-        module installs/removals bump ``registry.version``, FIB edits
-        bump the per-table ``generation`` counters, locality/limits/
-        default-port changes show up directly or via
+        module installs/removals bump ``registry.version``, FIB and XIA
+        route-table edits bump the per-table ``generation`` counters,
+        locality/limits/default-port changes show up directly or via
         ``NodeState.generation``.  ``programs.generation`` rides along
         so whatever is keyed on program objects (flow-cache entries,
         columnar kernels) is flushed whenever the programs are dropped.
@@ -611,6 +615,7 @@ class RouterProcessor:
             state.fib_v6.generation,
             state.name_fib_digest.generation,
             state.name_fib.generation,
+            state.xia_table.generation,
             state.default_port,
             state.limits,
             len(state.local_v4),

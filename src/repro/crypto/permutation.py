@@ -42,8 +42,6 @@ class FeistelPermutation:
         Number of Feistel rounds (default 8).
     """
 
-    BLOCK_SIZE = 16  # bytes
-
     def __init__(self, index: int, rounds: int = 8) -> None:
         if rounds < 2:
             raise ValueError("a Feistel network needs at least 2 rounds")
@@ -68,21 +66,3 @@ class FeistelPermutation:
             z = ((z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53) & _MASK64
             left, right = right, left ^ z ^ (z >> 29)
         return left, right
-
-    def apply(self, block: bytes) -> bytes:
-        """Apply the permutation to a 16-byte block."""
-        return _join(*self.apply_pair(*_split(block)))
-
-
-def _split(block: bytes) -> Tuple[int, int]:
-    if len(block) != FeistelPermutation.BLOCK_SIZE:
-        raise ValueError(
-            f"block must be {FeistelPermutation.BLOCK_SIZE} bytes, "
-            f"got {len(block)}"
-        )
-    value = int.from_bytes(block, "big")
-    return value >> 64, value & _MASK64
-
-
-def _join(left: int, right: int) -> bytes:
-    return ((left << 64) | right).to_bytes(16, "big")

@@ -4,8 +4,9 @@ The paper's router walk processes one packet at a time; this package
 adds the surrounding machinery a software dataplane needs to push
 packets through that walk at rate:
 
-- :mod:`repro.engine.rings` -- bounded queues with explicit
-  backpressure between the dispatcher and the worker shards;
+- :mod:`repro.engine.rings` -- the bounded rings between the
+  dispatcher and the worker shards, as per-run accounting: which
+  batches leave, in what order, and what backpressure dropped;
 - :mod:`repro.engine.dispatch` -- RSS-style flow hashing over the FN
   program and its forwarding-relevant fields, so one flow always lands
   on one shard (per-flow order is preserved);
@@ -29,7 +30,7 @@ from repro.engine.engine import (
     PacketOutcome,
     ShardReport,
 )
-from repro.engine.rings import Ring, RingStats
+from repro.engine.rings import RingStats
 
 __all__ = [
     "FLOW_DISPATCH_KEYS",
@@ -43,7 +44,6 @@ __all__ = [
     "ManualClock",
     "PacketOutcome",
     "ShardReport",
-    "Ring",
     "RingStats",
     "timeless_clock",
     "wall_clock",

@@ -11,8 +11,9 @@ state on one shard even when their programs differ: an NDN interest
 (F_FIB over the name) and its data packet (F_PIT over the same name)
 must meet the same PIT, and they do because both hash the name bytes.
 Programs with no dispatch-relevant fields fall back to hashing the
-program bytes themselves, so such traffic still spreads
-deterministically.
+program bytes themselves: each such program is one flow, so all of its
+traffic lands on one shard, deterministically but without spreading
+(every OPT packet of a given FN program shares a shard).
 
 The hash is :func:`zlib.crc32` -- like a NIC's Toeplitz hash it is a
 fast non-cryptographic mix, and unlike the builtin ``hash()`` it is

@@ -15,8 +15,8 @@ backends; they differ only in the transport a batch travels over
 - ``process``: shards are ``multiprocessing`` workers behind a
   :class:`~repro.engine.transport.ProcessTransport`.
 
-Backpressure ("block" vs "drop-tail") is decided here, at the point
-where a ring refuses a push; the rings only count.
+Backpressure ("block" vs "drop-tail") shapes the batches and the ring
+counters, both computed per run by :func:`repro.engine.rings.cut_batches`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.core.registry import RegistryMutation
 from repro.core.state import NodeState
 from repro.engine.clock import timeless_clock
 from repro.engine.dispatch import FlowDispatcher
-from repro.engine.rings import Ring, RingStats
+from repro.engine.rings import RingStats, cut_batches
 from repro.engine.transport import (
     InlineTransport,
     ProcessTransport,
@@ -619,29 +619,35 @@ class ForwardingEngine:
             return self._supervise(packets, now)
 
     def _supervise(self, packets, now: float) -> EngineReport:
-        """The one engine loop: dispatch -> ring -> submit -> collect.
+        """The one engine loop: dispatch -> cut -> submit -> collect.
 
         This is the supervisor (DESIGN.md 3.9), written once against
-        the transport seam: every batch handed to a shard is tracked in
-        a per-shard in-flight FIFO until its reply is collected, every
-        blocking collect is a heartbeat, and a worker death -- however
-        the transport noticed it -- goes through ``worker_failed``:
-        respawn, resubmit the in-flight batches, exponential backoff.
-        A batch that kills its worker more than ``max_retries`` times
-        is dead-lettered, never silently lost; a shard failing more
-        than ``max_worker_restarts`` times raises
+        the transport seam.  The run is dispatched at once and cut into
+        per-shard batches arithmetically (:func:`cut_batches`: the
+        batches, departure order and ring counters the bounded rings
+        would produce), so the supervisor's own work is O(batches) plus
+        one pass over each reply.  Every batch handed to a shard is
+        tracked in a per-shard in-flight FIFO until its reply is
+        collected, every blocking collect is a heartbeat, and a worker
+        death -- however the transport noticed it -- goes through
+        ``worker_failed``: respawn, resubmit the in-flight batches,
+        exponential backoff.  A batch that kills its worker more than
+        ``max_retries`` times is dead-lettered, never silently lost; a
+        shard failing more than ``max_worker_restarts`` times raises
         :class:`EngineWorkerError`.
         """
         config = self.config
         transport = self._transport
         num = config.num_shards
-        batch_size = config.batch_size
         seqs = self._seqs
         cache_seen = self._cache_seen
         plan = config.fault_plan
-        # Rings carry input indices; the payload is packets[index].
-        rings = [Ring(config.ring_capacity) for _ in range(num)]
         outcomes: List[Optional[PacketOutcome]] = [None] * len(packets)
+        # Per decision value: [count, first input index], so the report
+        # lists decisions in order of first appearance.
+        tallies: Dict[str, List[int]] = {}
+        decision_of = _DECISION_BY_VALUE
+        new_tuple = tuple.__new__
         # In-flight record per shard: [seq, indices, payloads, failures]
         # in submit order (workers reply in order, so FIFO matching).
         inflight: List[deque] = [deque() for _ in range(num)]
@@ -658,7 +664,6 @@ class ForwardingEngine:
             dead=[], dead_total=0,
         )
         latencies: List[float] = []
-        dropped = 0
         start = time.perf_counter()
 
         def worker_failed(shard: int, reason: str) -> None:
@@ -716,19 +721,6 @@ class ForwardingEngine:
             inflight[shard].append(entry)
             transport.submit(shard, entry[0], entry[1], entry[2], now)
 
-        def send_batch(shard: int) -> None:
-            # Only here can the window be full: worker_failed resubmits
-            # at most the window it has just emptied.  (Keeping the wait
-            # out of transmit also keeps these closures free of
-            # reference cycles, so a run's garbage dies by refcount.)
-            while len(inflight[shard]) >= transport.window:
-                collect(shard, blocking=True)
-            indices = rings[shard].pop_batch(batch_size)
-            if indices:
-                transmit(
-                    shard, [0, indices, [packets[i] for i in indices], 0]
-                )
-
         def collect(shard: int, blocking: bool) -> bool:
             """Account one reply; False when none is ready or the
             worker died (it has been respawned by then)."""
@@ -775,42 +767,48 @@ class ForwardingEngine:
                     shard=shard,
                     packets=len(indices),
                 )
-            for index, outcome in zip(indices, raw):
-                outcomes[index] = _outcome(outcome, shard)
+            # One pass: each row becomes its PacketOutcome and is
+            # counted (tuple.__new__ skips the NamedTuple's Python-level
+            # constructor).
+            for index, (verdict, ports, packet, reason) in zip(indices, raw):
+                outcomes[index] = new_tuple(
+                    PacketOutcome,
+                    (decision_of[verdict], ports, packet, shard, reason),
+                )
+                counted = tallies.get(verdict)
+                if counted is None:
+                    tallies[verdict] = [1, index]
+                else:
+                    counted[0] += 1
+                    if index < counted[1]:
+                        counted[1] = index
             return True
 
-        def collect_ready(block_shard: Optional[int] = None) -> None:
-            # Drain replies so pipes never fill up; optionally block on
-            # one shard until it has made progress.
+        def collect_ready() -> None:
+            # Drain replies so pipes never fill up.
             for shard in range(num):
-                if shard == block_shard:
-                    while inflight[shard]:
-                        if collect(shard, blocking=True):
-                            break
                 while inflight[shard] and collect(shard, blocking=False):
                     pass
 
-        drop_tail = config.backpressure == "drop-tail"
+        per_shard: List[List[int]] = [[] for _ in range(num)]
+        enqueue = [indices.append for indices in per_shard]
         for index, shard in enumerate(self.dispatcher.shards_of(packets)):
-            ring = rings[shard]
-            if not ring.push(index):
-                if drop_tail:
-                    ring.record_drop()
-                    dropped += 1
-                    continue
-                # Loop until the ring accepts the packet: with
-                # batch_size > ring_capacity one send_batch may not
-                # free enough slots.
-                while not ring.push(index):
-                    send_batch(shard)
-                    collect_ready(block_shard=shard)
-            if len(ring) >= batch_size:
-                send_batch(shard)
-                collect_ready()
-        for shard in range(num):
-            while len(rings[shard]):
-                send_batch(shard)
-                collect_ready()
+            enqueue[shard](index)
+        schedule, rings = cut_batches(
+            per_shard,
+            config.batch_size,
+            config.ring_capacity,
+            config.backpressure == "drop-tail",
+        )
+        dropped = sum(ring.dropped for ring in rings)
+        gather = packets.__getitem__
+        # Every batch goes out before the first blocking collect, as far
+        # as each shard's in-flight window allows.
+        for shard, indices in schedule:
+            while len(inflight[shard]) >= transport.window:
+                collect(shard, blocking=True)
+            transmit(shard, [0, indices, list(map(gather, indices)), 0])
+            collect_ready()
         for shard in range(num):
             while inflight[shard]:
                 collect(shard, blocking=True)
@@ -834,11 +832,12 @@ class ForwardingEngine:
                 run if run is not None else seen - seen
                 for run, seen in zip(cache_run, cache_seen)
             )
-        decisions: Dict[str, int] = {}
-        for outcome in outcomes:
-            if outcome is not None:
-                name = outcome.decision.value
-                decisions[name] = decisions.get(name, 0) + 1
+        decisions = {
+            verdict: counted[0]
+            for verdict, counted in sorted(
+                tallies.items(), key=lambda item: item[1][1]
+            )
+        }
         processed = len(packets) - dropped - tally.dead_total
         latencies.sort()
         report = EngineReport(
@@ -850,7 +849,7 @@ class ForwardingEngine:
             batch_latency_p50=nearest_rank(latencies, 0.50),
             batch_latency_p99=nearest_rank(latencies, 0.99),
             shards=shard_reports,
-            rings=tuple(ring.stats() for ring in rings),
+            rings=rings,
             outcomes=tuple(outcomes),
             flow_cache=flow_stats,
             worker_restarts=tally.restarts,
@@ -904,10 +903,3 @@ _SUMMED = (
 )
 
 _DECISION_BY_VALUE = {decision.value: decision for decision in Decision}
-
-
-def _outcome(raw, shard: int) -> PacketOutcome:
-    decision, ports, packet, reason = raw
-    return PacketOutcome(
-        _DECISION_BY_VALUE[decision], ports, packet, shard, reason
-    )

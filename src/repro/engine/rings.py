@@ -1,39 +1,41 @@
-"""Bounded rings between the dispatcher and the worker shards.
+"""Bounded rings between the dispatcher and the worker shards, as
+per-run accounting.
 
-A :class:`Ring` is a bounded FIFO with explicit backpressure: ``push``
-refuses (returns False) instead of growing without bound, and the
-caller decides whether to wait for space ("block") or discard the
-packet ("drop-tail", recorded via :meth:`Ring.record_drop`).  Counters
-cover the three questions an operator asks of a queue -- how much went
-through, how much was lost, and how close it came to overflowing.
+Each shard is fed through a bounded ring of ``ring_capacity`` slots
+that its worker drains one batch of ``batch_size`` at a time.  With
+``"block"`` backpressure a full ring stalls the dispatcher until the
+shard takes a batch (no loss); with ``"drop-tail"`` the refused packet
+is discarded and counted, as a hardware RX queue would.
 
-The rings live on the supervisor's side of the transport seam
-(repro.engine.transport) and are used single-threaded -- one producer,
-one consumer taking turns -- so no locking is needed whichever way a
-drained batch then travels.
+The supervisor dispatches a whole run at once, so nothing has to be
+pushed or popped packet by packet: :func:`cut_batches` computes, from
+each shard's input indices, the batches those rings would have handed
+over, the order they would have left in, and the three numbers an
+operator asks of a queue -- how much went through, how much was lost,
+and how close it came to overflowing (:class:`RingStats`).  The work is
+O(batches), not O(packets).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
 class RingStats:
-    """Counters for one ring, frozen at reporting time.
+    """Counters for one shard's ring over one run.
 
     Parameters
     ----------
     capacity:
         Maximum queue depth.
     enqueued:
-        Items accepted over the ring's lifetime.
+        Items accepted.
     dropped:
         Items refused and discarded (drop-tail backpressure).
     high_watermark:
-        Deepest the queue ever got.
+        Deepest the queue got.
     """
 
     capacity: int
@@ -50,57 +52,47 @@ class RingStats:
         }
 
 
-class Ring:
-    """A bounded FIFO queue with drop/occupancy accounting."""
+def cut_batches(
+    per_shard: List[List[int]],
+    batch_size: int,
+    ring_capacity: int,
+    drop_tail: bool,
+) -> Tuple[List[Tuple[int, List[int]]], Tuple[RingStats, ...]]:
+    """The batches each shard's ring hands over, in departure order.
 
-    __slots__ = ("capacity", "_items", "enqueued", "dropped", "high_watermark")
+    ``per_shard[s]`` holds shard ``s``'s input indices in arrival
+    order.  A worker takes ``cut = min(batch_size, ring_capacity)``
+    packets at a time.  A full batch leaves when its last packet
+    arrives (``ring_capacity >= batch_size``), or, with a smaller ring
+    under "block", when the next packet finds the ring full; anything
+    left at end of input leaves afterwards, shard by shard.  Under
+    "drop-tail" a ring smaller than ``batch_size`` never wakes its
+    worker mid-run, so it keeps its first ``ring_capacity`` packets
+    and drops the rest.
 
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("ring capacity must be positive")
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self.enqueued = 0
-        self.dropped = 0
-        self.high_watermark = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    def push(self, item: Any) -> bool:
-        """Enqueue one item; False (and no side effect) when full.
-
-        The caller chooses the backpressure policy: drain and retry
-        (block) or call :meth:`record_drop` and move on (drop-tail).
-        """
-        items = self._items
-        if len(items) >= self.capacity:
-            return False
-        items.append(item)
-        self.enqueued += 1
-        if len(items) > self.high_watermark:
-            self.high_watermark = len(items)
-        return True
-
-    def record_drop(self) -> None:
-        """Count one packet discarded because the ring was full."""
-        self.dropped += 1
-
-    def pop_batch(self, max_items: int) -> List[Any]:
-        """Dequeue up to ``max_items`` items (may return fewer or none)."""
-        items = self._items
-        count = min(max_items, len(items))
-        return [items.popleft() for _ in range(count)]
-
-    def stats(self) -> RingStats:
-        """A frozen snapshot of the ring's counters."""
-        return RingStats(
-            capacity=self.capacity,
-            enqueued=self.enqueued,
-            dropped=self.dropped,
-            high_watermark=self.high_watermark,
+    Returns ``(schedule, rings)``: ``(shard, indices)`` batches in the
+    order they leave, and one :class:`RingStats` per shard.
+    """
+    cut = min(batch_size, ring_capacity)
+    due: List[Tuple[int, int, List[int]]] = []  # (departure, shard, batch)
+    tail: List[Tuple[int, List[int]]] = []
+    rings = []
+    for shard, indices in enumerate(per_shard):
+        offered = len(indices)
+        if drop_tail and cut < batch_size:
+            indices = indices[:cut]
+        kept = len(indices)
+        rings.append(
+            RingStats(ring_capacity, kept, offered - kept, min(kept, cut))
         )
+        for start in range(0, kept, cut):
+            end = start + cut
+            batch = indices[start:end]
+            if end <= kept and cut == batch_size:
+                due.append((batch[-1], shard, batch))
+            elif end < kept:
+                due.append((indices[end], shard, batch))
+            else:
+                tail.append((shard, batch))
+    due.sort()
+    return [(shard, batch) for _, shard, batch in due] + tail, tuple(rings)

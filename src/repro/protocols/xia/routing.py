@@ -34,19 +34,26 @@ class RouteDecision:
 
 
 class XiaRouteTable:
-    """Per-principal-type routes plus the node's own local XIDs."""
+    """Per-principal-type routes plus the node's own local XIDs.
+
+    ``generation`` counts edits, like the FIBs' counters: the flow
+    decision cache keys XIA verdicts on it (``state_token``).
+    """
 
     def __init__(self) -> None:
         self._routes: Dict[XidType, Dict[bytes, int]] = {}
         self._local: set = set()
+        self.generation = 0
 
     def add_route(self, xid: Xid, port: int) -> None:
         """Install a route: packets for ``xid`` leave via ``port``."""
         self._routes.setdefault(xid.xtype, {})[xid.identifier] = port
+        self.generation += 1
 
     def add_local(self, xid: Xid) -> None:
         """Declare ``xid`` as locally attached (host, service, content)."""
         self._local.add((xid.xtype, xid.identifier))
+        self.generation += 1
 
     def is_local(self, xid: Xid) -> bool:
         """True when ``xid`` terminates at this node."""

@@ -241,7 +241,7 @@ class TestAdversarialChurn:
 class TestPurityClassification:
     """Operation purity drives cacheable-vs-bypass (Table 1 split)."""
 
-    PURE_KEYS = {1, 2, 3}  # MATCH_32, MATCH_128, SOURCE
+    PURE_KEYS = {1, 2, 3, 10, 11}  # MATCH_32, MATCH_128, SOURCE, DAG, INTENT
 
     def test_lookup_modules_are_pure(self):
         registry = default_registry()

@@ -34,15 +34,15 @@ class TestEvenMansour2:
         """E(k,x) = k ^ P2(k ^ P1(k ^ x)) -- spot-check the layering."""
         from repro.crypto.permutation import FeistelPermutation
 
-        def as_int(block):
-            return int.from_bytes(block, "big")
+        def permute(permutation, value):
+            left, right = permutation.apply_pair(
+                value >> 64, value & ((1 << 64) - 1)
+            )
+            return (left << 64) | right
 
-        def as_block(value):
-            return value.to_bytes(16, "big")
-
-        block = b"\x77" * 16
-        k = as_int(KEY)
+        block = int.from_bytes(b"\x77" * 16, "big")
+        k = int.from_bytes(KEY, "big")
         p1, p2 = FeistelPermutation(1), FeistelPermutation(2)
-        inner = as_int(p1.apply(as_block(as_int(block) ^ k))) ^ k
-        expected = as_block(as_int(p2.apply(as_block(inner))) ^ k)
-        assert EvenMansour2(KEY).encrypt_int(as_int(block)) == as_int(expected)
+        inner = permute(p1, block ^ k) ^ k
+        expected = permute(p2, inner) ^ k
+        assert EvenMansour2(KEY).encrypt_int(block) == expected
