@@ -100,37 +100,27 @@ class HostComponent(Component):
     (``port`` is the *local out port*, i.e. which fabric channel the
     frame leaves on).  Injections depend on no input, so they are
     flushed in :meth:`start` -- each Deliver keeps its own virtual
-    timestamp -- and, with ``close_after_drain`` (default), every
-    output channel then closes (the ``Advance(inf)`` null message),
-    freeing receivers from waiting on this component ever again.
+    timestamp -- and every output channel then closes (the
+    ``Advance(inf)`` null message), freeing receivers from waiting on
+    this component ever again.
 
-    Deliveries are recorded as ``(time, "<id>:<port>", digest)``;
-    ``keep_bytes`` additionally retains the raw payloads (the pcap
-    sink and debugging runs want them, 100k-packet goldens do not).
+    Deliveries are recorded as ``(time, "<id>:<port>", digest)``.
     """
 
     def __init__(
-        self,
-        component_id: str,
-        injections: Sequence[Inject] = (),
-        close_after_drain: bool = True,
-        keep_bytes: bool = False,
+        self, component_id: str, injections: Sequence[Inject] = ()
     ) -> None:
         super().__init__(component_id)
         self.injections = list(injections)
-        self.close_after_drain = close_after_drain
-        self.keep_bytes = keep_bytes
         self.injected = 0
         self.delivered = 0
         self._records: List[Tuple[float, str, str]] = []
-        self.payloads: List[Tuple[float, int, str, Any]] = []
 
     def start(self) -> None:
         for inj in sorted(self.injections, key=lambda i: (i.time, i.seq)):
             if self.emit(inj.time, inj.port, inj.kind, inj.data, inj.size):
                 self.injected += 1
-        if self.close_after_drain:
-            self._source_closed = True
+        self._source_closed = True
 
     def on_frame(
         self, time: float, port: int, kind: str, data: Any, size: int
@@ -139,8 +129,6 @@ class HostComponent(Component):
         self._records.append(
             (time, f"{self.id}:{port}", payload_digest(data))
         )
-        if self.keep_bytes:
-            self.payloads.append((time, port, kind, data))
 
     def counters(self) -> Dict[str, float]:
         out = super().counters()
@@ -172,10 +160,9 @@ class EngineRouterComponent(Component):
       scenario), since emissions always use each frame's own
       timestamp either way.
 
-    ``service_model`` (``bytes -> seconds``) optionally charges egress
-    service latency; the default engine router forwards at arrival
-    time and answers repeated pure flows from its flow cache, matching
-    a plain netsim ``DipRouterNode``.
+    The engine router forwards at arrival time and answers repeated
+    pure flows from its flow cache, matching a plain netsim
+    ``DipRouterNode``.
     """
 
     def __init__(
@@ -186,14 +173,12 @@ class EngineRouterComponent(Component):
         cost_model=None,
         config: Optional[EngineConfig] = None,
         batching: str = "exact",
-        service_model: Optional[Callable[[bytes], float]] = None,
         keep_outcomes: bool = False,
     ) -> None:
         super().__init__(component_id)
         if batching not in ("exact", "window"):
             raise FabricError(f"unknown batching mode {batching!r}")
         self.batching = batching
-        self.service_model = service_model
         self.keep_outcomes = keep_outcomes
         self.virtual_clock = ManualClock()
         self.engine = ForwardingEngine(
@@ -260,13 +245,8 @@ class EngineRouterComponent(Component):
             if decision == "forward":
                 self.forwarded += 1
                 wire = outcome.packet
-                service = (
-                    self.service_model(wire)
-                    if self.service_model is not None
-                    else 0.0
-                )
                 for port in outcome.ports:
-                    self.emit(time + service, port, KIND_DIP, wire, len(wire))
+                    self.emit(time, port, KIND_DIP, wire, len(wire))
             elif decision == "deliver":
                 self.delivered += 1
             elif decision == "unsupported":

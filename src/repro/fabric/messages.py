@@ -15,8 +15,8 @@ the contract):
   timestamp **strictly below** ``time`` (``math.inf`` closes the
   channel for good);
 - :class:`Ack` is a component's step receipt back to the coordinator --
-  its local clock, backlog and work counters -- which is what the
-  runner's quiescence detection and the clock-skew gauge read.
+  its local clock and backlog -- which is what the runner's quiescence
+  detection and the clock-skew gauge read.
 
 A *channel* is the directed triple ``(src, dst, port)`` where ``port``
 is the destination component's fabric port.  Channels are created in
@@ -103,17 +103,14 @@ class Advance:
 
 @dataclass(frozen=True)
 class Ack:
-    """A component's step receipt: clock, backlog and work counters.
+    """A component's step receipt: its clock and backlog.
 
     ``clock`` is the highest event timestamp the component has
-    processed, ``pending`` its buffered-event backlog, ``processed``
-    and ``emitted`` cumulative work counters.  The runner reads acks
-    for quiescence detection (all pending zero, nothing in flight) and
-    to set the per-component virtual-clock skew gauge.
+    processed, ``pending`` its buffered-event backlog.  The runner
+    reads acks for quiescence detection (all pending zero, nothing in
+    flight) and for the per-component virtual clocks of the report.
     """
 
     component: str
     clock: float
     pending: int
-    processed: int
-    emitted: int

@@ -1,29 +1,29 @@
-"""The fabric runner: wiring, scheduling, and the multiprocess star.
+"""The fabric runner: wiring and one conservative round loop.
 
 A scenario is a set of named components plus directed
 :class:`ChannelSpec` channels; :class:`FabricRun` wires them, runs the
 conservative protocol to quiescence, and returns a
 :class:`FabricReport`.
 
-Two transports, one protocol:
-
-- ``processes=1`` steps every component in this process (optionally in
-  a seed-shuffled order each round -- the determinism property tests
-  shuffle aggressively and assert identical reports);
-- ``processes=N`` partitions components round-robin across worker
-  processes joined to a star coordinator over ``multiprocessing``
-  pipes.  Workers never talk to each other; the parent routes Deliver
-  and Advance batches between them, which keeps the transport a plain
-  request/response fan-out with no cross-worker ordering concerns.
+One loop, any placement.  Components are placed round-robin into
+*groups*, one per process: ``processes=1`` is a single group in this
+process (optionally stepped in a seed-shuffled order each round -- the
+determinism property tests shuffle aggressively and assert identical
+reports); ``processes=N`` puts one group in each of N spawned workers,
+each behind a ``multiprocessing`` pipe.  Workers never talk to each
+other: the coordinator routes Deliver and Advance batches between
+groups, a plain request/response fan-out with no cross-worker ordering
+concerns.  The same coordinator drives both placements, and
+:meth:`_Group.step` is the only per-component step.
 
 Scheduling is demand-driven: after the initial round, a component is
 stepped only when a message reached it -- a component whose horizon
 did not move cannot make progress, so stepping it is pure waste.  The
-run is **quiescent** when nothing is in flight and every component's
+run is **quiescent** when no Deliver is in flight and every component's
 backlog is empty; it is **stalled** (a :class:`~repro.errors.
 FabricError`) when backlog remains but no message moved -- the
 signature of a zero-lookahead cycle, which conservative sync cannot
-execute.
+execute.  Every group is closed on every exit path.
 """
 
 from __future__ import annotations
@@ -133,18 +133,73 @@ def _wire(
             dst.add_input(spec.src, spec.dst_port, rank)
 
 
-def _route(
-    messages: Sequence[Any], inboxes: Dict[str, List[Any]]
-) -> int:
-    """Sort protocol messages into per-destination inboxes."""
-    for message in messages:
-        dst = message.dst if not isinstance(message, Inject) else (
-            message.component
+class _Group:
+    """The components placed in one process, wired and stepped as one.
+
+    :meth:`step` is the fabric's only per-component step: a run in this
+    process calls it directly, a worker calls it for the coordinator.
+    """
+
+    def __init__(
+        self,
+        factories: Dict[str, Callable[[], Component]],
+        channels: Sequence[ChannelSpec],
+        scheduler_seed: Optional[int] = None,
+    ) -> None:
+        self.components = {
+            name: factory() for name, factory in factories.items()
+        }
+        _wire(self.components, channels)
+        self._order = list(self.components)
+        self._rng = random.Random(scheduler_seed) if scheduler_seed is not None else None
+        self._reply: Any = None
+
+    def step(
+        self, messages: Sequence[Any], start: bool
+    ) -> Tuple[List[Any], List[Any]]:
+        """Accept ``messages``, then step every component that got mail
+        (every component, after its ``start()``, when ``start`` is set)
+        in wiring order, or seed-shuffled order; return the outbound
+        messages and every component's ack."""
+        components = self.components
+        mailed = set()
+        for message in messages:
+            name = message.component if isinstance(message, Inject) else message.dst
+            components[name].accept(message)
+            mailed.add(name)
+        if self._rng is not None:
+            self._rng.shuffle(self._order)
+        outbound: List[Any] = []
+        for name in self._order:
+            if start or name in mailed:
+                component = components[name]
+                if start:
+                    component.start()
+                component.step()
+                outbound.extend(component.take_outbox())
+                outbound.extend(component.promises())
+        return outbound, [c.ack() for c in components.values()]
+
+    def submit(self, command: str, messages: Sequence[Any] = ()) -> None:
+        """Answer ``start``/``step``/``report`` now; :meth:`collect`
+        returns the reply, as it does for a :class:`_Worker`."""
+        self._reply = (
+            {name: c.report() for name, c in self.components.items()}
+            if command == "report"
+            else self.step(messages, command == "start")
         )
-        if dst not in inboxes:
-            raise FabricError(f"message for unknown component {dst!r}")
-        inboxes[dst].append(message)
-    return len(messages)
+
+    def collect(self) -> Any:
+        return self._reply
+
+    def close(self) -> None:
+        for component in self.components.values():
+            close = getattr(component, "close", None)
+            if close is not None:
+                close()
+
+    def join(self) -> None:
+        """Nothing outlives :meth:`close` in this process."""
 
 
 class FabricRun:
@@ -167,12 +222,12 @@ class FabricRun:
     injections:
         Optional :class:`Inject` seeds routed before the first round.
     processes:
-        1 = in-process; N > 1 = star coordinator over that many worker
-        processes.
+        1 = in-process; N > 1 = one group in each of that many spawned
+        worker processes.
     scheduler_seed:
         In-process only: shuffle per-round step order with this seed
-        (None keeps wiring order).  Reports must not depend on it.  The
-        star steps its workers in a fixed order, so a seed together
+        (None keeps wiring order).  Reports must not depend on it.
+        Workers step their groups in wiring order, so a seed together
         with ``processes > 1`` is refused rather than ignored.
     registry:
         Optional :class:`~repro.telemetry.metrics.MetricsRegistry`;
@@ -204,6 +259,11 @@ class FabricRun:
                 raise FabricError(
                     f"channel {spec} references unknown components"
                 )
+        for message in injections:
+            if message.component not in factories:
+                raise FabricError(
+                    f"injection for unknown component {message.component!r}"
+                )
         self.factories = dict(factories)
         self.channels = list(channels)
         self.injections = list(injections)
@@ -214,266 +274,107 @@ class FabricRun:
         #: populated by in-process runs only
         self.components: Dict[str, Component] = {}
 
-    # ------------------------------------------------------------------
     def run(self) -> FabricReport:
-        if self.processes == 1:
-            report = self._run_local()
-        else:
-            report = self._run_star()
-        if self.registry is not None:
-            self._publish(report)
-        return report
+        """Run the conservative protocol to quiescence over the groups.
 
-    # ------------------------------------------------------------------
-    # in-process transport
-    # ------------------------------------------------------------------
-    def _run_local(self) -> FabricReport:
-        components = {
-            name: factory() for name, factory in self.factories.items()
-        }
-        self.components = components
-        _wire(components, self.channels)
-        rng = (
-            random.Random(self.scheduler_seed)
-            if self.scheduler_seed is not None
-            else None
-        )
-        counters = {
-            "delivers": 0.0,
-            "advances": 0.0,
-            "injects": float(len(self.injections)),
-        }
-
-        inboxes: Dict[str, List[Any]] = {name: [] for name in components}
-        _route(self.injections, inboxes)
-        order = list(components)
-        rounds = 0
-        # Round zero steps everyone (sources flush, promises seed the
-        # cascade); afterwards only components that received messages.
-        ready = set(order)
-        while True:
-            rounds += 1
-            if rounds > self.max_rounds:
-                raise FabricError(
-                    f"fabric exceeded {self.max_rounds} rounds"
-                )
-            if rng is not None:
-                rng.shuffle(order)
-            outbound: List[Any] = []
-            for name in order:
-                if name not in ready:
-                    continue
-                component = components[name]
-                for message in inboxes[name]:
-                    component.accept(message)
-                inboxes[name].clear()
-                if rounds == 1:
-                    component.start()
-                component.step()
-                outbound.extend(component.take_outbox())
-                outbound.extend(component.promises())
-            for message in outbound:
-                if isinstance(message, Deliver):
-                    counters["delivers"] += 1
-                else:
-                    counters["advances"] += 1
-            _route(outbound, inboxes)
-            ready = {name for name, box in inboxes.items() if box}
-            backlog = sum(c.pending() for c in components.values())
-            # Quiescence: no buffered events anywhere and no Deliver in
-            # flight.  Advances alone cannot create events, and without
-            # this cut they ping-pong ever-growing promises forever
-            # (the classic null-message livelock endgame).
-            if backlog == 0 and not any(
-                isinstance(m, (Deliver, Inject))
-                for box in inboxes.values()
-                for m in box
-            ):
-                break
-            if ready:
-                continue
-            stuck = [
-                name for name, c in components.items() if c.pending()
-            ]
-            raise FabricError(
-                "fabric stalled with buffered events at "
-                f"{stuck} -- a zero-lookahead cycle cannot advance; "
-                "give every channel on the cycle a positive latency"
-            )
-        for component in components.values():
-            close = getattr(component, "close", None)
-            if close is not None:
-                close()
-        return self._finish(
-            {name: c.report() for name, c in components.items()},
-            {name: c.clock for name, c in components.items()},
-            counters,
-            rounds,
-        )
-
-    # ------------------------------------------------------------------
-    # multiprocess star transport
-    # ------------------------------------------------------------------
-    def _run_star(self) -> FabricReport:
-        import multiprocessing as mp
-        from multiprocessing.connection import wait as conn_wait
-
-        ctx = mp.get_context("spawn")
+        Each round submits its mail to every group that has some (all
+        of them, started, in round one) and collects the replies in
+        group order.  Reply order cannot change a report: components
+        merge events by ``(time, rank, seq)`` and promises by max.
+        """
         names = list(self.factories)
         placement = {
-            name: index % self.processes
-            for index, name in enumerate(names)
+            name: index % self.processes for index, name in enumerate(names)
         }
-        pipes = []
-        workers = []
+        groups: List[Any] = []
         try:
-            for index in range(self.processes):
-                parent_end, child_end = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_star_worker, args=(child_end,), daemon=True
+            if self.processes == 1:
+                groups.append(
+                    _Group(self.factories, self.channels, self.scheduler_seed)
                 )
-                proc.start()
-                child_end.close()
-                pipes.append(parent_end)
-                workers.append(proc)
-            # The factories travel over the connection, not as spawn
-            # arguments: start() writes those synchronously into the
-            # child's start-up pipe, so factories bigger than the pipe
-            # (the golden stubs carry their sends) would block each
-            # start() until that worker finished importing, and the
-            # workers would boot one after another instead of together.
-            for index, pipe in enumerate(pipes):
-                mine = {
-                    n: self.factories[n]
-                    for n in names
-                    if placement[n] == index
-                }
-                pipe.send((mine, self.channels))
+                self.components = groups[0].components
+            else:
+                import multiprocessing as mp
 
-            counters = {
-                "delivers": 0.0,
-                "advances": 0.0,
-                "injects": float(len(self.injections)),
-            }
-            inboxes: Dict[int, List[Any]] = {
-                i: [] for i in range(self.processes)
-            }
+                ctx = mp.get_context("spawn")
+                for index in range(self.processes):
+                    groups.append(_Worker(ctx, index))
+                # The factories travel over the connection, not as spawn
+                # arguments: start() writes those synchronously into the
+                # child's start-up pipe, so factories bigger than the pipe
+                # (the golden stubs carry their sends) would block each
+                # start() until that worker finished importing, and the
+                # workers would boot one after another instead of together.
+                for index, worker in enumerate(groups):
+                    mine = [n for n in names if placement[n] == index]
+                    worker.open({n: self.factories[n] for n in mine}, self.channels)
+            counters = {"delivers": 0.0, "advances": 0.0, "injects": float(len(self.injections))}
+            inboxes: List[List[Any]] = [[] for _ in groups]
             for message in self.injections:
                 inboxes[placement[message.component]].append(message)
-
-            rounds = 0
             acks: Dict[str, Any] = {}
-            # Round zero starts every worker; then demand-driven.
-            active = set(range(self.processes))
+            active: Sequence[int] = range(len(groups))
+            rounds = 0
             while True:
                 rounds += 1
                 if rounds > self.max_rounds:
-                    raise FabricError(
-                        f"fabric exceeded {self.max_rounds} rounds"
+                    raise FabricError(f"fabric exceeded {self.max_rounds} rounds")
+                for index in active:
+                    groups[index].submit(
+                        "start" if rounds == 1 else "step", inboxes[index]
                     )
-                waiting = []
-                for index in sorted(active):
-                    batch = inboxes[index]
                     inboxes[index] = []
-                    pipes[index].send(
-                        ("start" if rounds == 1 else "step", batch)
-                    )
-                    waiting.append(pipes[index])
-                outbound: List[Any] = []
-                while waiting:
-                    for conn in conn_wait(waiting):
-                        status, payload = conn.recv()
-                        if status == "error":
-                            raise FabricError(
-                                f"fabric worker failed:\n{payload}"
-                            )
-                        messages, worker_acks = payload
-                        outbound.extend(messages)
-                        for ack in worker_acks:
-                            acks[ack.component] = ack
-                        waiting.remove(conn)
-                for message in outbound:
-                    if isinstance(message, Deliver):
-                        counters["delivers"] += 1
-                    else:
-                        counters["advances"] += 1
-                    inboxes[placement[message.dst]].append(message)
-                active = {
-                    index for index, box in inboxes.items() if box
-                }
-                backlog = sum(ack.pending for ack in acks.values())
-                # Same quiescence cut as the in-process loop: only a
-                # Deliver (or Inject) can create work, so advances
-                # still in flight with zero backlog mean we are done.
-                if backlog == 0 and not any(
-                    isinstance(m, (Deliver, Inject))
-                    for box in inboxes.values()
-                    for m in box
-                ):
+                sent = delivers = 0
+                for index in active:
+                    outbound, group_acks = groups[index].collect()
+                    for ack in group_acks:
+                        acks[ack.component] = ack
+                    sent += len(outbound)
+                    for message in outbound:
+                        if isinstance(message, Deliver):
+                            delivers += 1
+                        inboxes[placement[message.dst]].append(message)
+                counters["delivers"] += delivers
+                counters["advances"] += sent - delivers
+                # Quiescence: nothing buffered anywhere and no Deliver
+                # in flight.  Advances alone cannot create events, and
+                # without this cut they ping-pong ever-growing promises
+                # forever (the classic null-message livelock endgame).
+                if not delivers and not any(a.pending for a in acks.values()):
                     break
-                if active:
-                    continue
-                stuck = sorted(
-                    ack.component
-                    for ack in acks.values()
-                    if ack.pending
-                )
-                raise FabricError(
-                    "fabric stalled with buffered events at "
-                    f"{stuck} -- a zero-lookahead cycle cannot "
-                    "advance; give every channel on the cycle a "
-                    "positive latency"
-                )
-
-            reports: Dict[str, Dict[str, Any]] = {}
-            for pipe in pipes:
-                pipe.send(("report", None))
-            for pipe in pipes:
-                status, payload = pipe.recv()
-                if status == "error":
+                active = [index for index, box in enumerate(inboxes) if box]
+                if not active:
+                    stuck = [name for name in names if acks[name].pending]
                     raise FabricError(
-                        f"fabric worker failed:\n{payload}"
+                        "fabric stalled with buffered events at "
+                        f"{stuck} -- a zero-lookahead cycle cannot advance; "
+                        "give every channel on the cycle a positive latency"
                     )
-                reports.update(payload)
-            clocks = {
-                name: acks[name].clock if name in acks else 0.0
-                for name in names
-            }
-            return self._finish(reports, clocks, counters, rounds)
+            for group in groups:
+                group.submit("report")
+            reports: Dict[str, Dict[str, Any]] = {}
+            for group in groups:
+                reports.update(group.collect())
         finally:
-            for pipe in pipes:
-                try:
-                    pipe.send(("stop", None))
-                except (BrokenPipeError, OSError):
-                    pass
-                pipe.close()
-            for proc in workers:
-                proc.join(timeout=10)
-                if proc.is_alive():  # pragma: no cover - hard kill path
-                    proc.terminate()
-                    proc.join(timeout=5)
-
-    # ------------------------------------------------------------------
-    def _finish(
-        self,
-        reports: Dict[str, Dict[str, Any]],
-        clocks: Dict[str, float],
-        counters: Dict[str, float],
-        rounds: int,
-    ) -> FabricReport:
-        records: List[Tuple[float, str, str]] = []
-        for report in reports.values():
-            records.extend(tuple(r) for r in report.get("records", []))
-        records.sort()
-        return FabricReport(
-            components=reports,
+            for group in groups:
+                group.close()
+            for group in groups:
+                group.join()
+        records = sorted(
+            tuple(r) for name in names for r in reports[name]["records"]
+        )
+        report = FabricReport(
+            components={name: reports[name] for name in names},
             records=records,
             fingerprint=records_fingerprint(records),
             counters=counters,
-            clocks=clocks,
+            clocks={name: acks[name].clock for name in names},
             rounds=rounds,
             processes=self.processes,
         )
+        if self.registry is not None:
+            self._publish(report)
+        return report
 
     def _publish(self, report: FabricReport) -> None:
         registry = self.registry
@@ -499,65 +400,76 @@ class FabricRun:
         ).set(report.clock_skew)
 
 
-# ----------------------------------------------------------------------
-# worker main (module-level: must be picklable for spawn)
-# ----------------------------------------------------------------------
-def _star_worker(conn) -> None:
-    """One star worker: receive its factories, build, wire, then serve
-    step requests."""
+class _Worker:
+    """A :class:`_Group` in a spawned process, behind a pipe.
+
+    It answers the same ``submit``/``collect`` calls as a group in this
+    process.  A worker that dies without replying surfaces as a
+    :class:`FabricError` naming it and the components it hosted.
+    """
+
+    def __init__(self, ctx, index: int) -> None:
+        self.index = index
+        self.names: List[str] = []
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_serve_group, args=(child,), daemon=True
+        )
+        self.process.start()
+        child.close()
+
+    def open(self, factories, channels) -> None:
+        self.names = list(factories)
+        self._pipe(self.conn.send, (factories, channels))
+
+    def submit(self, command: str, messages: Sequence[Any] = ()) -> None:
+        self._pipe(self.conn.send, (command, messages))
+
+    def collect(self) -> Any:
+        status, payload = self._pipe(self.conn.recv)
+        if status == "error":
+            raise FabricError(f"fabric worker failed:\n{payload}")
+        return payload
+
+    def _pipe(self, operation, *args) -> Any:
+        try:
+            return operation(*args)
+        except (EOFError, OSError) as exc:
+            raise FabricError(
+                f"fabric worker {self.index} hosting {self.names} died: "
+                f"{exc!r}"
+            ) from exc
+
+    def close(self) -> None:
+        try:
+            self.conn.send(("stop", ()))
+        except OSError:
+            pass
+        self.conn.close()
+
+    def join(self) -> None:
+        self.process.join(timeout=10)
+        if self.process.is_alive():  # pragma: no cover - hard kill path
+            self.process.terminate()
+            self.process.join(timeout=5)
+
+
+def _serve_group(conn) -> None:
+    """Spawned worker main (module-level, so spawn can pickle it): one
+    :class:`_Group` behind ``conn`` until ``stop``."""
+    group = None
     try:
-        factories, channels = conn.recv()
-        components = {
-            name: factory() for name, factory in factories.items()
-        }
-        _wire(components, channels)
-    except BaseException:  # pragma: no cover - constructor failures
+        group = _Group(*conn.recv())
+        for command, messages in iter(conn.recv, ("stop", ())):
+            group.submit(command, messages)
+            conn.send(("ok", group.collect()))
+    except EOFError:  # pragma: no cover - the coordinator is gone
+        pass
+    except BaseException:
         import traceback
 
         conn.send(("error", traceback.format_exc()))
+    finally:
+        if group is not None:
+            group.close()
         conn.close()
-        return
-    while True:
-        try:
-            command, payload = conn.recv()
-        except EOFError:  # pragma: no cover - parent died
-            break
-        try:
-            if command in ("start", "step"):
-                outbound: List[Any] = []
-                inboxes: Dict[str, List[Any]] = {
-                    name: [] for name in components
-                }
-                _route(payload, inboxes)
-                for name, component in components.items():
-                    for message in inboxes[name]:
-                        component.accept(message)
-                    if command == "start":
-                        component.start()
-                    elif not inboxes[name]:
-                        continue
-                    component.step()
-                    outbound.extend(component.take_outbox())
-                    outbound.extend(component.promises())
-                acks = [c.ack() for c in components.values()]
-                conn.send(("ok", (outbound, acks)))
-            elif command == "report":
-                conn.send(
-                    ("ok", {n: c.report() for n, c in components.items()})
-                )
-            elif command == "stop":
-                break
-            else:  # pragma: no cover - defensive
-                raise FabricError(f"unknown command {command!r}")
-        except BaseException:
-            import traceback
-
-            conn.send(("error", traceback.format_exc()))
-    for component in components.values():
-        close = getattr(component, "close", None)
-        if close is not None:
-            try:
-                close()
-            except Exception:  # pragma: no cover
-                pass
-    conn.close()

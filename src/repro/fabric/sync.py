@@ -42,7 +42,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FabricError
-from repro.fabric.messages import Advance, Deliver, Inject
+from repro.fabric.messages import Ack, Advance, Deliver, Inject
 
 INF = math.inf
 
@@ -250,11 +250,8 @@ class Component:
                 )
         return advances
 
-    def ack(self):
-        from repro.fabric.messages import Ack
-
-        return Ack(self.id, self.clock, self.pending(), self.processed,
-                   self.emitted)
+    def ack(self) -> Ack:
+        return Ack(self.id, self.clock, self.pending())
 
     # -- reporting ------------------------------------------------------
     def counters(self) -> Dict[str, float]:

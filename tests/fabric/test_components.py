@@ -129,14 +129,6 @@ class TestEngineRouterComponent:
         assert component.forwarded == 1
         component.close()
 
-    def test_service_model_adds_latency(self):
-        component = engine_router(service_model=lambda w: 0.25)
-        self._feed(component, [(1.0, wire())])
-        component.step()
-        [msg] = component.take_outbox()
-        assert msg.time == pytest.approx(1.75)
-        component.close()
-
     def test_virtual_clock_tracks_batches(self):
         component = engine_router()
         self._feed(component, [(1.0, wire(b"a")), (2.0, wire(b"b"))])

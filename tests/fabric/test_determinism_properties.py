@@ -8,8 +8,8 @@ scheduler run, and equal to the monolithic netsim twin.  This is the
 testable statement of the synchronizer's determinism argument: every
 event-merge key is sender-decided, so interleaving cannot show through.
 
-Multiprocess placement rides the same property (the star transport
-delivers the same messages, just over pipes); it is spot-checked with
+Multiprocess placement rides the same property (the same round loop
+steps the same groups, just behind pipes); it is spot-checked with
 parametrized seeds rather than Hypothesis because spawning workers per
 example would dominate the suite's runtime (the full-size multiprocess
 identity check lives in test_golden_identity and the CI smoke job).

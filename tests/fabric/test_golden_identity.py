@@ -137,8 +137,14 @@ class TestMultiprocess:
         spec = GoldenSpec(seed=5, ases=6, hosts_per_as=1, packets=80)
         local = golden_fabric(spec).run()
         multi = golden_fabric(spec, processes=processes).run()
+        # Placement is invisible in the whole report, not only the
+        # records: same rounds, message counts, clocks and components.
         assert multi.records == local.records
         assert multi.fingerprint == local.fingerprint
+        assert multi.rounds == local.rounds
+        assert multi.counters == local.counters
+        assert multi.clocks == local.clocks
+        assert multi.components == local.components
         assert multi.processes == processes
 
     def test_two_process_golden_matches_twin(self):

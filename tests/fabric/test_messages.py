@@ -27,7 +27,7 @@ class TestMessages:
         deliver = Deliver(1.0, "a", "b", 0, KIND_DIP, b"x", 1, 1)
         advance = Advance("a", "b", 0, 2.0)
         inject = Inject(0.0, "a", 0, KIND_DIP, b"x", 1)
-        ack = Ack("a", 1.0, 0, 3, 2)
+        ack = Ack("a", 1.0, 0)
         for message in (deliver, advance, inject, ack):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 message.time = 9.0  # type: ignore[misc]

@@ -1,6 +1,8 @@
 """Conservative synchronization mechanics (repro.fabric.sync)."""
 
+import functools
 import math
+import os
 
 import pytest
 
@@ -188,6 +190,22 @@ class _Dropper(Component):
         pass
 
 
+class _ClosingEcho(_Echo):
+    """An echo that records its ``close()``."""
+
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
+class _Exiter(Component):
+    """Kills its process on the first frame, as a crashed worker would."""
+
+    def on_frame(self, time, port, kind, data, size):
+        os._exit(3)
+
+
 class TestRunnerTermination:
     def test_zero_latency_acyclic_terminates(self):
         # A drained source closes its channels, so a zero-latency
@@ -210,15 +228,38 @@ class TestRunnerTermination:
         assert report.counters["delivers"] == 5
 
     def test_zero_lookahead_cycle_stalls_with_diagnosis(self):
-        def make_echo(name):
-            return lambda: _Echo(name)
+        # Spawned workers need picklable, module-level factories.
+        for processes in (1, 2):
+            run = FabricRun(
+                {name: functools.partial(_Echo, name) for name in "ab"},
+                duplex("a", 0, "b", 0, 0.0),
+                injections=[Inject(0.0, "a", 0, KIND_DIP, b"ping", 4)],
+                processes=processes,
+            )
+            with pytest.raises(FabricError, match="zero-lookahead cycle"):
+                run.run()
 
+    def test_stalled_run_closes_every_component(self):
         run = FabricRun(
-            {"a": make_echo("a"), "b": make_echo("b")},
+            {name: functools.partial(_ClosingEcho, name) for name in "ab"},
             duplex("a", 0, "b", 0, 0.0),
             injections=[Inject(0.0, "a", 0, KIND_DIP, b"ping", 4)],
         )
-        with pytest.raises(FabricError, match="zero-lookahead cycle"):
+        with pytest.raises(FabricError, match="stalled"):
+            run.run()
+        assert [c.closed for c in run.components.values()] == [True, True]
+
+    def test_dead_worker_raises_fabric_error(self):
+        run = FabricRun(
+            {
+                "a": functools.partial(_Exiter, "a"),
+                "b": functools.partial(_Dropper, "b"),
+            },
+            [ChannelSpec("a", 0, "b", 0, 1.0)],
+            injections=[Inject(0.0, "a", 0, KIND_DIP, b"boom", 4)],
+            processes=2,
+        )
+        with pytest.raises(FabricError, match=r"worker 0 hosting \['a'\] died"):
             run.run()
 
     def test_positive_lookahead_cycle_terminates(self):
@@ -262,7 +303,7 @@ class TestRunnerTermination:
             FabricRun({"a": lambda: Recorder("a")}, [], processes=0)
 
     def test_scheduler_seed_with_processes_rejected(self):
-        # The star never shuffles: a seed there would be silently ignored.
+        # Workers never shuffle: a seed there would be silently ignored.
         with pytest.raises(FabricError, match="in-process scheduler only"):
             FabricRun(
                 {"a": lambda: Recorder("a")}, [], processes=2,

@@ -27,6 +27,8 @@ ALLOWED = {
     "repro.core.state.NodeState.add_local_v4": _HOOK,
     "repro.core.state.NodeState.add_local_v6": _HOOK,
     "repro.core.processor.RouterProcessor.invalidate_program_cache": _HOOK,
+    "repro.protocols.ip.fib.LpmTable.remove": _HOOK,
+    "repro.protocols.ndn.fib.NameFib.remove": "NDN route withdrawal, the inverse of `insert`",
     "repro.protocols.ndn.forwarder.NdnForwarder": _ITEM_9,
     "repro.protocols.ndn.forwarder.NdnForwarder.on_interest": _ITEM_9,
     "repro.protocols.ndn.forwarder.NdnForwarder.on_data": _ITEM_9,
