@@ -1,19 +1,26 @@
-"""RSS-style flow dispatch: hash a packet's flow identity to a shard.
+"""RSS-style flow dispatch: hash for affinity only where state needs it.
 
 Hardware NICs steer packets to receive queues by hashing the L3/L4
 tuple (receive-side scaling).  DIP has no fixed tuple -- the header
 *is* the program -- so the FN definitions are parsed (once per
-distinct program, cached) to find the forwarding-relevant router-FN
-fields, and the flow key is the hash of those fields' *contents*
-(addresses, names, DAG intents).  Hashing the field values rather than
-the program keeps packets that interact through field-keyed router
-state on one shard even when their programs differ: an NDN interest
-(F_FIB over the name) and its data packet (F_PIT over the same name)
-must meet the same PIT, and they do because both hash the name bytes.
-Programs with no dispatch-relevant fields fall back to hashing the
-program bytes themselves: each such program is one flow, so all of its
-traffic lands on one shard, deterministically but without spreading
-(every OPT packet of a given FN program shares a shard).
+distinct program, cached) into a plan, and each program falls in one
+of three classes:
+
+- **flow-hashed**: the program has router-FN fields in
+  ``FLOW_DISPATCH_KEYS`` (addresses, names, DAG intents), and the flow
+  key is the hash of those fields' *contents*.  Hashing the field
+  values rather than the program keeps packets that interact through
+  field-keyed router state on one shard even when their programs
+  differ: an NDN interest (F_FIB over the name) and its data packet
+  (F_PIT over the same name) meet the same PIT because both hash the
+  name bytes.
+- **program-hashed**: no flow fields, but a router FN touches mutable
+  node state (or is unknown): the program bytes are the flow key.
+- **spread**: no flow fields, and every router FN is in
+  ``STATE_FREE_KEYS`` (every OPT packet).  No outcome depends on which
+  shard ran the packets before it, so ``shards_of`` deals them out by
+  position in the run; ``key_of`` (the mitigation gate's bucket key)
+  stays the program hash.
 
 The hash is :func:`zlib.crc32` -- like a NIC's Toeplitz hash it is a
 fast non-cryptographic mix, and unlike the builtin ``hash()`` it is
@@ -47,34 +54,79 @@ FLOW_DISPATCH_KEYS = frozenset(
     }
 )
 
-# A dispatch plan is the field extraction recipe for one program:
-# (start_byte, end_byte) for byte-aligned fields (the common case),
-# (-1, bit_loc, bit_len) markers for unaligned ones.
-_Plan = Tuple[Tuple[int, ...], ...]
+# Router FNs whose ``execute`` only reads node state or fills a memo
+# cache (``RouterKey``'s dynamic-key LRU), so any shard gives the same
+# answer.  The rest keep affinity: F_FIB and F_PIT (PIT/CS), F_tel and
+# F_tel_array (append to ``state.telemetry``), F_cong (a live
+# ``CongestionMonitor``), F_police, F_dps and any unknown key.
+STATE_FREE_KEYS = frozenset(
+    {
+        OperationKey.MATCH_32,
+        OperationKey.MATCH_128,
+        OperationKey.SOURCE,
+        OperationKey.PARM,
+        OperationKey.MAC,
+        OperationKey.MARK,
+        OperationKey.VERIFY,
+        OperationKey.DAG,
+        OperationKey.INTENT,
+        OperationKey.PASS,
+        OperationKey.EPIC,
+        OperationKey.EPIC_VERIFY,
+        OperationKey.KEYSETUP,
+    }
+)
+
+# A dispatch plan is one program's recipe: a ``slice`` of the
+# locations (one byte-aligned field, the common case), a tuple of
+# field entries (slices, or ``(bit_loc, bit_len)`` for unaligned
+# fields) hashed in order, ``()`` to hash the program bytes, or
+# ``_SPREAD``.
+_Entry = Union[slice, Tuple[int, int]]
+_Plan = Union[slice, Tuple[_Entry, ...], str]
+_SPREAD = "spread"
 
 
 def _build_plan(defs: bytes) -> _Plan:
-    """Extraction recipe for the dispatch-relevant fields of a program."""
-    plan: List[Tuple[int, ...]] = []
+    """The dispatch plan of one program's FN definitions.
+
+    Adjacent byte-aligned fields merge into one slice (the same bytes,
+    so the same hash) and a field named twice is hashed once.
+    """
+    entries: List[_Entry] = []
+    state_free = True
     for base in range(0, len(defs) - len(defs) % FN_ENCODED_SIZE, FN_ENCODED_SIZE):
         key_field = int.from_bytes(defs[base + 4 : base + 6], "big")
         if key_field & 0x8000:  # host-tagged: routers do not read it
             continue
-        if (key_field & 0x7FFF) not in FLOW_DISPATCH_KEYS:
+        key = key_field & 0x7FFF
+        state_free = state_free and key in STATE_FREE_KEYS
+        if key not in FLOW_DISPATCH_KEYS:
             continue
         field_loc = int.from_bytes(defs[base : base + 2], "big")
         field_len = int.from_bytes(defs[base + 2 : base + 4], "big")
-        if not (field_loc | field_len) & 7:
-            plan.append((field_loc >> 3, (field_loc + field_len) >> 3))
+        entry: _Entry
+        if (field_loc | field_len) & 7:
+            entry = (field_loc, field_len)
         else:
-            plan.append((-1, field_loc, field_len))
-    return tuple(plan)
+            entry = slice(field_loc >> 3, (field_loc + field_len) >> 3)
+            last = entries[-1] if entries else None
+            if last.__class__ is slice and last.stop == entry.start:
+                entries[-1] = slice(last.start, entry.stop)
+                continue
+        if entry not in entries:
+            entries.append(entry)
+    if len(entries) == 1 and entries[0].__class__ is slice:
+        return entries[0]
+    if entries:
+        return tuple(entries)
+    return _SPREAD if state_free else ()
 
 
-def _field_bytes(locations: bytes, entry: Tuple[int, ...]) -> bytes:
-    if entry[0] >= 0:
-        return locations[entry[0] : entry[1]]
-    _, bit_loc, bit_len = entry
+def _field_bytes(locations: bytes, entry: _Entry) -> bytes:
+    if entry.__class__ is slice:
+        return locations[entry]
+    bit_loc, bit_len = entry
     total_bits = len(locations) * 8
     end = bit_loc + bit_len
     if bit_loc >= total_bits or bit_len == 0:
@@ -90,7 +142,7 @@ def _field_bytes(locations: bytes, entry: Tuple[int, ...]) -> bytes:
 
 
 class FlowDispatcher:
-    """Steer packets to shards by flow hash.
+    """Steer packets to shards by flow hash, or spread them.
 
     Parameters
     ----------
@@ -113,13 +165,17 @@ class FlowDispatcher:
         self._plans: Dict[bytes, _Plan] = {}
 
     def _key_ints(
-        self, packets: Sequence[Union[DipPacket, bytes, bytearray]]
+        self,
+        packets: Sequence[Union[DipPacket, bytes, bytearray]],
+        spread: bool = False,
     ) -> List[int]:
         """Flow hashes for a whole batch (the engine's hot path).
 
-        One loop with interpreter overhead (method dispatch, attribute
-        and global lookups) hoisted out; ``key_of`` is the
-        single-packet view over the same logic.
+        With ``spread``, a packet of a spread-class program keys on
+        its position in ``packets`` instead.  One loop with interpreter
+        overhead (method dispatch, attribute and global lookups)
+        hoisted out; ``key_of`` is the single-packet view over the
+        same logic.
         """
         plans = self._plans
         crc = crc32
@@ -146,24 +202,21 @@ class FlowDispatcher:
                 locations = packet.header.locations
             plan = plans.get(defs)
             if plan is None:
-                plan = _build_plan(defs)
-                if len(plan) == 1 and plan[0][0] >= 0:
-                    # One byte-aligned field (the common case, e.g. a
-                    # lone F_MATCH over the destination): cache the
-                    # slice bounds flat so the steady state is
-                    # slice + hash, no loop.
-                    plan = plan[0]
                 if len(plans) >= PROGRAM_CACHE_BOUND:
                     plans.clear()
-                plans[defs] = plan
-            if not plan:
-                # No forwarding-relevant fields: the program is the flow.
+                plan = plans[defs] = _build_plan(defs)
+            if plan.__class__ is slice:
+                append(crc(locations[plan]))
+            elif plan is _SPREAD:
+                append(len(keys) if spread else crc(defs))
+            elif not plan:
                 append(crc(defs))
-            elif plan[0].__class__ is int:
-                append(crc(locations[plan[0] : plan[1]]))
             else:
-                parts = [_field_bytes(locations, entry) for entry in plan]
-                append(crc(b"".join(parts)))
+                # crc32 chained over the parts is crc32 of their join.
+                key = 0
+                for entry in plan:
+                    key = crc(_field_bytes(locations, entry), key)
+                append(key)
         return keys
 
     def shards_of(
@@ -173,7 +226,9 @@ class FlowDispatcher:
         num_shards = self.num_shards
         if num_shards == 1:
             return [0] * len(packets)  # nothing to steer: no hash at all
-        return [key % num_shards for key in self._key_ints(packets)]
+        return [
+            key % num_shards for key in self._key_ints(packets, spread=True)
+        ]
 
     def key_of(self, packet: Union[DipPacket, bytes, bytearray]) -> bytes:
         """The packet's 4-byte flow key (equal for equal flows)."""

@@ -769,8 +769,17 @@ class ForwardingEngine:
                 )
             # One pass: each row becomes its PacketOutcome and is
             # counted (tuple.__new__ skips the NamedTuple's Python-level
-            # constructor).
+            # constructor).  A shared-memory reply is ``(blob, rows)``
+            # whose rows hold each output packet's length: the packets
+            # are cut from the blob in row order.
+            blob, offset = None, 0
+            if raw.__class__ is tuple:
+                blob, raw = raw
             for index, (verdict, ports, packet, reason) in zip(indices, raw):
+                if packet.__class__ is int:
+                    end = offset + packet
+                    packet = blob[offset:end]
+                    offset = end
                 outcomes[index] = new_tuple(
                     PacketOutcome,
                     (decision_of[verdict], ports, packet, shard, reason),
@@ -790,10 +799,13 @@ class ForwardingEngine:
                 while inflight[shard] and collect(shard, blocking=False):
                     pass
 
-        per_shard: List[List[int]] = [[] for _ in range(num)]
-        enqueue = [indices.append for indices in per_shard]
-        for index, shard in enumerate(self.dispatcher.shards_of(packets)):
-            enqueue[shard](index)
+        if num == 1:
+            per_shard = [list(range(len(packets)))]
+        else:
+            per_shard = [[] for _ in range(num)]
+            enqueue = [indices.append for indices in per_shard]
+            for index, shard in enumerate(self.dispatcher.shards_of(packets)):
+                enqueue[shard](index)
         schedule, rings = cut_batches(
             per_shard,
             config.batch_size,

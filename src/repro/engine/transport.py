@@ -18,9 +18,12 @@ promises:
 ``collect(shard, blocking)``
     The shard's next reply, in submit order, as the worker-protocol
     tuple ``(seq, indices, outcomes, busy_total, latency, cache_stats,
-    injected, degraded)`` with ``outcomes`` a plain list of
-    :data:`~repro.engine.workers.RawOutcome` -- however the bytes
-    travelled.  ``None`` when nothing is ready (non-blocking only).
+    injected, degraded)`` with ``outcomes`` a list of
+    :data:`~repro.engine.workers.RawOutcome`, or, from a shared-memory
+    frame, ``(blob, rows)``: rows whose packet slot holds the output
+    packet's length, the packets themselves concatenated in ``blob``
+    (the supervisor cuts them apart as it reads the rows, so no row is
+    touched twice).  ``None`` when nothing is ready (non-blocking only).
     Raises :class:`WorkerDied` when the worker crashed or, blocking,
     stayed silent past ``worker_timeout`` (the heartbeat).
 ``respawn(shard)``
@@ -258,18 +261,12 @@ class ProcessTransport:
         except (EOFError, OSError):
             raise WorkerDied("pipe EOF (worker died)") from None
         outcomes = reply[2]
-        if type(outcomes) is tuple and outcomes and outcomes[0] == "shm":
+        if type(outcomes) is tuple:
             # Outcome bytes live in the reply frame; the pipe only
             # carried (decision, ports, length, failure) metadata.
-            _, slot, meta = outcomes
-            lengths = [row[2] for row in meta if row[2] is not None]
-            blob = self._channels[shard].read_reply(slot, sum(lengths))
-            packets = iter(shm.split_blob(blob, lengths))
-            outcomes = [
-                (verdict, ports, None if size is None else next(packets), why)
-                for verdict, ports, size, why in meta
-            ]
-            reply = reply[:2] + (outcomes,) + reply[3:]
+            _, slot, size, meta = outcomes
+            blob = self._channels[shard].read_reply(slot, size)
+            reply = reply[:2] + ((blob, meta),) + reply[3:]
         return reply
 
     def respawn(self, shard: int) -> None:

@@ -410,10 +410,11 @@ def _shard_worker_main(
       version)`` / ``("degrade-ack", policy)``.
     - reply: ``(seq, indices, outcomes, busy_seconds, latency,
       cache_stats, injected, degraded)``; with a shared-memory
-      channel ``outcomes`` becomes ``("shm", slot, meta)`` where
+      channel ``outcomes`` becomes ``("shm", slot, size, meta)`` where
       ``meta`` rows are ``(decision, ports, length-or-None, failure)``
       and the encoded output packets sit concatenated in reply frame
-      ``slot`` (an oversize blob ships inline instead).  Seq and
+      ``slot``, ``size`` bytes in all (an oversize blob ships inline
+      instead).  Seq and
       indices echoed so the engine can match its in-flight record and
       restore input order; ``cache_stats`` is the flow cache's
       cumulative :class:`~repro.core.flowcache.FlowCacheStats` (a
@@ -489,5 +490,6 @@ def _shard_worker_main(
                     )
                     for decision, ports, encoded, failure in outcomes
                 ]
-                reply = reply[:2] + (("shm", slot, meta),) + reply[3:]
+                outcomes = ("shm", slot, len(blob), meta)
+                reply = reply[:2] + (outcomes,) + reply[3:]
         conn.send(reply)

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -456,13 +458,16 @@ class _Worker:
 
 def _serve_group(conn) -> None:
     """Spawned worker main (module-level, so spawn can pickle it): one
-    :class:`_Group` behind ``conn`` until ``stop``."""
+    :class:`_Group` behind ``conn`` until ``stop``, then ``os._exit``:
+    the coordinator joins it, and interpreter teardown is slow."""
     group = None
+    stopped = False
     try:
         group = _Group(*conn.recv())
         for command, messages in iter(conn.recv, ("stop", ())):
             group.submit(command, messages)
             conn.send(("ok", group.collect()))
+        stopped = True
     except EOFError:  # pragma: no cover - the coordinator is gone
         pass
     except BaseException:
@@ -473,3 +478,7 @@ def _serve_group(conn) -> None:
         if group is not None:
             group.close()
         conn.close()
+    if stopped:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(0)
